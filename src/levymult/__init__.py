@@ -6,7 +6,6 @@ periodic grids; and verifies the construction by exact compound-Poisson
 and Brownian Monte Carlo.
 """
 
-from ._backend import backend_name
 from .levy import (
     AtomsMeasure,
     IDENTITY_MOD,

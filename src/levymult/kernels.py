@@ -1,11 +1,9 @@
-"""Hot inner loops of the Monte-Carlo engines, numba-compiled with a
-pure-numpy fallback (choose with LEVYMULT_BACKEND, see _backend).
+"""Hot inner loops of the Monte-Carlo engines, vectorised across paths.
 
-Both backends implement identical arithmetic on identical inputs; the
-test suite asserts their agreement.  All martingale algebra happens in
-frequency coefficients: for one compound-Poisson path with jump times
-v_i, marks z_i, and state y(v) = h v + sum_{v_i <= v} z_i, the endpoint
-and per-jump coefficients on the frequency band are
+All martingale algebra happens in frequency coefficients: for one
+compound-Poisson path with jump times v_i, marks z_i, and state
+y(v) = h v + sum_{v_i <= v} z_i, the endpoint and per-jump coefficients
+on the frequency band are
 
     F1:   fhat_k e^{-i(zA_k, y(1))}
     dF_i: fhat_k e^{(1-v_i) psiA_k} e^{-i(zA_k, y(v_i-))} (e^{-i(zA_k,z_i)} - 1)
@@ -15,78 +13,19 @@ and per-jump coefficients on the frequency band are
 where zA_k = A^T xi_k, psiA_k = psi(-A^T xi_k).  The compensator's time
 integral over an inter-jump interval is an exact exponential and is
 integrated in closed form via q(z) = (e^z - 1)/z.
+
+Band frequencies lie on the lattice xi_k = 2 pi k / L (integer k per
+axis), so for any map A and any point w
+
+    e^{-i(xi_k, A w)} = prod_ax  e^{-i theta_ax k_ax},   theta_ax = (2 pi / L_ax) (A w)_ax.
+
+lattice_phases evaluates the whole band from one complex exponential per
+path and axis; the Brownian kernel takes its path phases that way.
 """
 
 import numpy as np
 
-from ._backend import USE_NUMBA, backend_name, njit
-
 _Q_CUT = 1e-3
-
-
-@njit(cache=True)
-def _q_cplx(z):
-    if abs(z) < _Q_CUT:
-        return 1.0 + z * (0.5 + z * (1.0 / 6.0 + z * (1.0 / 24.0 + z / 120.0)))
-    return (np.exp(z) - 1.0) / z
-
-
-@njit(cache=True)
-def _cpp_pair_numba(times, marks, offsets, zatoms, phi_atoms,
-                    fhat, ghat, psiA, psiB, zA, zB, cdA, cdB, S, EB1,
-                    has_drift, cF1, cG1, cGend, covF, covG):
-    P = offsets.shape[0] - 1
-    K = fhat.shape[0]
-    n = zatoms.shape[1]
-    for p in range(P):
-        phA = np.ones(K, dtype=np.complex128)
-        phB = np.ones(K, dtype=np.complex128)
-        left = EB1.copy()  # e^{(1-a)psiB} e^{-i a cdB} phB at the interval's left end
-        prev = 0.0
-        for i in range(offsets[p], offsets[p + 1]):
-            v = times[i]
-            dt = v - prev
-            m = marks[i]
-            phi_i = phi_atoms[m]
-            for k in range(K):
-                W = -psiB[k] - 1j * cdB[k]
-                cG1[p, k] -= ghat[k] * left[k] * dt * _q_cplx(dt * W) * S[k]
-                dotA = 0.0
-                dotB = 0.0
-                for j in range(n):
-                    dotA += zA[k, j] * zatoms[m, j]
-                    dotB += zB[k, j] * zatoms[m, j]
-                EAv = np.exp((1.0 - v) * psiA[k])
-                EBv = np.exp((1.0 - v) * psiB[k])
-                if has_drift:
-                    dphA = np.exp(-1j * v * cdA[k])
-                    dphB = np.exp(-1j * v * cdB[k])
-                else:
-                    dphA = 1.0 + 0.0j
-                    dphB = 1.0 + 0.0j
-                pjA = np.exp(-1j * dotA)
-                pjB = np.exp(-1j * dotB)
-                dF = fhat[k] * EAv * phA[k] * dphA * (pjA - 1.0)
-                dG = ghat[k] * EBv * phB[k] * dphB * (pjB - 1.0) * phi_i
-                covF[i, k] = dF
-                covG[i, k] = dG
-                cG1[p, k] += dG
-                phA[k] *= pjA
-                phB[k] *= pjB
-                left[k] = EBv * dphB * phB[k]
-            prev = v
-        dt = 1.0 - prev
-        for k in range(K):
-            W = -psiB[k] - 1j * cdB[k]
-            cG1[p, k] -= ghat[k] * left[k] * dt * _q_cplx(dt * W) * S[k]
-            if has_drift:
-                endA = np.exp(-1j * cdA[k])
-                endB = np.exp(-1j * cdB[k])
-            else:
-                endA = 1.0 + 0.0j
-                endB = 1.0 + 0.0j
-            cF1[p, k] = fhat[k] * phA[k] * endA
-            cGend[p, k] = ghat[k] * phB[k] * endB
 
 
 def _q_vec(z):
@@ -100,16 +39,22 @@ def _q_vec(z):
     return out
 
 
-def _cpp_pair_numpy(times, marks, offsets, zatoms, phi_atoms,
-                    fhat, ghat, psiA, psiB, zA, zB, cdA, cdB, S, EB1,
-                    has_drift, cF1, cG1, cGend, covF, covG):
+def cpp_pair_coeffs(times, marks, offsets, zatoms, phi_atoms,
+                    fhat, ghat, psiA, psiB, zA, zB, cdA, cdB, S):
+    """Frequency coefficients of F1, G1, g(. + B Y1), and per-jump dF, dG
+    for a block of compound-Poisson paths.  Returns (cF1, cG1, cGend, covF, covG).
+    """
     P = offsets.size - 1
     counts = np.diff(offsets)
+    covF = np.zeros((times.size, fhat.size), dtype=complex)
+    covG = np.zeros((times.size, fhat.size), dtype=complex)
+    cG1 = np.zeros((P, fhat.size), dtype=complex)
     phA = np.ones((P, fhat.size), dtype=complex)
     phB = np.ones((P, fhat.size), dtype=complex)
-    left = np.tile(EB1, (P, 1))
+    left = np.tile(np.exp(psiB), (P, 1))  # e^{(1-a)psiB} e^{-i a cdB} phB at the interval's left end
     prev = np.zeros(P)
     W = -psiB - 1j * cdB
+    has_drift = bool(np.any(cdA != 0.0) or np.any(cdB != 0.0))
     jmax = int(counts.max()) if P else 0
     for j in range(jmax):
         act = np.flatnonzero(counts > j)
@@ -138,38 +83,12 @@ def _cpp_pair_numpy(times, marks, offsets, zatoms, phi_atoms,
         prev[act] = v
     dt = (1.0 - prev)[:, None]
     cG1 -= ghat * left * dt * _q_vec(dt * W) * S
-    endA = np.exp(-1j * cdA) if has_drift else 1.0
-    endB = np.exp(-1j * cdB) if has_drift else 1.0
-    cF1[:] = fhat * phA * endA
-    cGend[:] = ghat * phB * endB
-
-
-def cpp_pair_coeffs(times, marks, offsets, zatoms, phi_atoms,
-                    fhat, ghat, psiA, psiB, zA, zB, cdA, cdB, S,
-                    backend: str = None):
-    """Frequency coefficients of F1, G1, g(. + B Y1), and per-jump dF, dG
-    for a block of compound-Poisson paths.  Returns (cF1, cG1, cGend, covF, covG).
-    """
-    P = offsets.size - 1
-    K = fhat.size
-    Jtot = times.size
-    cF1 = np.zeros((P, K), dtype=complex)
-    cG1 = np.zeros((P, K), dtype=complex)
-    cGend = np.zeros((P, K), dtype=complex)
-    covF = np.zeros((Jtot, K), dtype=complex)
-    covG = np.zeros((Jtot, K), dtype=complex)
-    EB1 = np.exp(psiB)
-    has_drift = bool(np.any(cdA != 0.0) or np.any(cdB != 0.0))
-    use_numba = USE_NUMBA if backend is None else backend == "numba"
-    fn = _cpp_pair_numba if use_numba else _cpp_pair_numpy
-    fn(times, marks, offsets, zatoms, np.ascontiguousarray(phi_atoms),
-       np.ascontiguousarray(fhat), np.ascontiguousarray(ghat),
-       np.ascontiguousarray(psiA), np.ascontiguousarray(psiB),
-       np.ascontiguousarray(zA), np.ascontiguousarray(zB),
-       np.ascontiguousarray(cdA), np.ascontiguousarray(cdB),
-       np.ascontiguousarray(S), EB1, has_drift,
-       cF1, cG1, cGend, covF, covG)
-    return cF1, cG1, cGend, covF, covG
+    np.multiply(fhat, phA, out=phA)
+    np.multiply(ghat, phB, out=phB)
+    if has_drift:
+        phA *= np.exp(-1j * cdA)
+        phB *= np.exp(-1j * cdB)
+    return phA, cG1, phB, covF, covG
 
 
 # ---------------------------------------------------------------------------
@@ -177,97 +96,68 @@ def cpp_pair_coeffs(times, marks, offsets, zatoms, phi_atoms,
 # ---------------------------------------------------------------------------
 
 
-@njit(cache=True)
-def _brownian_numba(dW, EA, EB, U, GB, zA, zB, fhat, ghat, want_qv,
-                    cF1, cG1, Tcov, qv_disc, qv_quad, dxi_norm):
-    P, steps, n = dW.shape
-    K = fhat.shape[0]
-    h = 1.0 / steps
-    for p in range(P):
-        phA = np.ones(K, dtype=np.complex128)
-        phB = np.ones(K, dtype=np.complex128)
-        for s in range(steps):
-            tc = 0.0 + 0.0j
-            ug = np.zeros(n, dtype=np.complex128)
-            for k in range(K):
-                pa = phA[k]
-                pb = phB[k]
-                tc += U[k] * EA[s, k] * EB[s, k] * pa * np.conj(pb)
-                gb = EB[s, k] * pb
-                acc = 0.0 + 0.0j
-                for j in range(n):
-                    acc += GB[k, j] * dW[p, s, j]
-                    if want_qv:
-                        ug[j] += GB[k, j] * gb
-                cG1[p, k] += acc * gb
-                angA = 0.0
-                angB = 0.0
-                for j in range(n):
-                    angA += zA[k, j] * dW[p, s, j]
-                    angB += zB[k, j] * dW[p, s, j]
-                phA[k] = pa * np.exp(-1j * angA)
-                phB[k] = pb * np.exp(-1j * angB)
-            Tcov[p] += h * tc
-            if want_qv:
-                unorm = 0.0
-                dg = 0.0 + 0.0j
-                for j in range(n):
-                    uj = ug[j] * dxi_norm
-                    unorm += uj.real * uj.real + uj.imag * uj.imag
-                    dg += uj * dW[p, s, j]
-                qv_quad[p] += h * unorm
-                qv_disc[p] += dg.real * dg.real + dg.imag * dg.imag
-        for k in range(K):
-            cF1[p, k] = fhat[k] * phA[k]
+def lattice_phases(theta, kint):
+    """e^{-i sum_ax kint[k, ax] theta[p, ax]} as a (P, K) array.
+
+    theta is (P, d), kint the (K, d) integer lattice coordinates.  Per axis,
+    the powers w^0 .. w^m of w = e^{-i theta} come from repeated doubling
+    (w^{n+j} = w^n w^j) and the negative powers by conjugation, laid out in
+    FFT order (column k mod (2m+1) holds w^k).  A band in that order is the
+    table itself; any other band is gathered from it.  The axes multiply.
+    """
+    P = theta.shape[0]
+    out = None
+    for ax in range(kint.shape[1]):
+        k = kint[:, ax]
+        m = int(np.abs(k).max())
+        size = 2 * m + 1
+        table = np.empty((P, size), dtype=complex)
+        table[:, 0] = 1.0
+        if m:
+            table[:, 1] = np.exp(-1j * theta[:, ax])
+        n = 2
+        while n <= m:
+            hi = min(2 * n, m + 1)
+            np.multiply(table[:, :hi - n], (table[:, n - 1] * table[:, 1])[:, None],
+                        out=table[:, n:hi])
+            n *= 2
+        np.conjugate(table[:, m:0:-1], out=table[:, m + 1:])
+        col = k % size
+        phase = table if np.array_equal(col, np.arange(size)) else np.take(table, col, axis=1)
+        out = phase if out is None else out * phase
+    return out
 
 
-def _brownian_numpy(dW, EA, EB, U, GB, zA, zB, fhat, ghat, want_qv,
-                    cF1, cG1, Tcov, qv_disc, qv_quad, dxi_norm):
-    P, steps, n = dW.shape
-    K = fhat.size
-    h = 1.0 / steps
-    phA = np.ones((P, K), dtype=complex)
-    phB = np.ones((P, K), dtype=complex)
-    for s in range(steps):
-        gb = EB[s] * phB
-        Tcov += h * ((U * EA[s] * EB[s]) * phA * np.conj(phB)).sum(axis=1)
-        acc = dW[:, s, :] @ GB.T          # (P, K)
-        cG1 += acc * gb
-        if want_qv:
-            ug = (gb @ GB) * dxi_norm      # (P, n)
-            qv_quad += h * (np.abs(ug) ** 2).sum(axis=1)
-            dg = np.einsum("pj,pj->p", ug, dW[:, s, :])
-            qv_disc += np.abs(dg) ** 2
-        phA *= np.exp(-1j * (dW[:, s, :] @ zA.T))
-        phB *= np.exp(-1j * (dW[:, s, :] @ zB.T))
-    cF1[:] = fhat * phA
-
-
-def brownian_accumulate(dW, EA, EB, U, GB, zA, zB, fhat, ghat, dxi_norm,
-                        want_qv: bool = False, backend: str = None):
+def brownian_accumulate(dW, EA, EB, U, GB, kint, TA, TB, fhat, dxi_norm,
+                        want_qv: bool = False):
     """Euler accumulation along a block of Brownian paths.
 
+    dW is (P, steps, n); kint holds the band's integer lattice coordinates
+    and TA, TB the (d, n) angle maps (2 pi / L_ax) A[ax, :], so that the
+    phase of mode k at the path point W is e^{-i(kint_k, TA W)}.
     Returns (cF1, cG1, Tcov, qv_disc, qv_quad): endpoint coefficients of
     f(x + A W_1), the Ito-sum coefficients of G1, the in-path covariation
     x-integral, and (optionally) the discrete vs time-quadrature
     quadratic variations of G at x = 0.
     """
     P, steps, n = dW.shape
-    K = fhat.size
-    cF1 = np.zeros((P, K), dtype=complex)
-    cG1 = np.zeros((P, K), dtype=complex)
+    h = 1.0 / steps
+    W = np.cumsum(dW, axis=1)               # path point at the end of each step
+    theta = np.concatenate([W @ TA.T, W @ TB.T])   # (2P, steps, d): A rows, then B rows
+    cG1 = np.zeros((P, fhat.size), dtype=complex)
     Tcov = np.zeros(P, dtype=complex)
     qv_disc = np.zeros(P)
     qv_quad = np.zeros(P)
-    use_numba = USE_NUMBA if backend is None else backend == "numba"
-    fn = _brownian_numba if use_numba else _brownian_numpy
-    fn(np.ascontiguousarray(dW), np.ascontiguousarray(EA), np.ascontiguousarray(EB),
-       np.ascontiguousarray(U), np.ascontiguousarray(GB),
-       np.ascontiguousarray(zA), np.ascontiguousarray(zB),
-       np.ascontiguousarray(fhat), np.ascontiguousarray(ghat),
-       want_qv, cF1, cG1, Tcov, qv_disc, qv_quad, dxi_norm)
-    return cF1, cG1, Tcov, qv_disc, qv_quad
-
-
-def active_backend() -> str:
-    return backend_name()
+    phA = phB = np.ones((P, fhat.size), dtype=complex)
+    for s in range(steps):
+        GBs = EB[s][:, None] * GB            # (K, n)
+        Tcov += h * ((phA * np.conj(phB)) @ (U * EA[s] * EB[s]))
+        cG1 += (dW[:, s, :] @ GBs.T) * phB
+        if want_qv:
+            ug = (phB @ GBs) * dxi_norm      # (P, n)
+            qv_quad += h * (np.abs(ug) ** 2).sum(axis=1)
+            dg = np.einsum("pj,pj->p", ug, dW[:, s, :])
+            qv_disc += np.abs(dg) ** 2
+        ph = lattice_phases(theta[:, s], kint)
+        phA, phB = ph[:P], ph[P:]
+    return fhat * phA, cG1, Tcov, qv_disc, qv_quad

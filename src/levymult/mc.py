@@ -293,7 +293,7 @@ def mean_and_se(vals: np.ndarray):
 
 def run_cpp_paths(f: SampledField, g: SampledField, data: LevyData, mod: Modulator,
                   n_paths: int, seed: int, *, sub_stride: int = 4,
-                  block_size: int = None, backend: str = None,
+                  block_size: int = None,
                   fend_powers=(), gend_powers=(), keep_x0: bool = True):
     """Shared blocked driver: per-path statistics of the paired martingales.
 
@@ -373,7 +373,6 @@ def run_cpp_paths(f: SampledField, g: SampledField, data: LevyData, mod: Modulat
         cF1, cG1, cGend, covF, covG = cpp_pair_coeffs(
             times, marks, offsets, nu.atoms, phi_atoms,
             fhat[band], ghat[band], psiA, psiB, zA, zB, cdA, cdB, S,
-            backend=backend,
         )
 
         def to_values(coeffs):
@@ -455,12 +454,11 @@ class PairingEstimate:
 
 def estimate_pairing(f: SampledField, g: SampledField, data: LevyData,
                      mod: Modulator, n_paths: int, seed: int, *,
-                     sub_stride: int = 4, block_size: int = None,
-                     backend: str = None) -> PairingEstimate:
+                     sub_stride: int = 4, block_size: int = None) -> PairingEstimate:
     """MC estimate of the pairing integral E F1(x) G1(x) dx (no conjugation),
     with the per-jump covariation route computed on the same paths."""
     stats = run_cpp_paths(f, g, data, mod, n_paths, seed, sub_stride=sub_stride,
-                          block_size=block_size, backend=backend, keep_x0=False)
+                          block_size=block_size, keep_x0=False)
     est, se = mean_and_se(stats["pair"])
     cest, cse = mean_and_se(stats["cov"])
     _, dse = mean_and_se(stats["pair"] - stats["cov"])
@@ -496,7 +494,7 @@ class BrownianEstimate:
 def brownian_pairing(f: SampledField, g: SampledField, A, B, Kmat,
                      n_paths: int, steps: int, seed: int, *,
                      var_scale: float = 0.5, sub_stride: int = 4,
-                     block_size: int = None, backend: str = None,
+                     block_size: int = None,
                      richardson: bool = True, want_qv: bool = False) -> BrownianEstimate:
     """Euler estimate of the Gaussian-branch pairing on shared Brownian paths.
 
@@ -528,11 +526,14 @@ def brownian_pairing(f: SampledField, g: SampledField, A, B, Kmat,
     Xi = freq_grid(L, N, d)[band]
     zA = Xi @ A
     zB = Xi @ B
+    # band frequencies are 2 pi kint / L per axis; the kernel takes phases on that lattice
+    turns = 2.0 * np.pi / np.asarray(L)
+    kint = np.rint(Xi / turns).astype(np.int64)
     h = 1.0 / steps
     v_times = np.arange(steps) * h
     EA = np.exp(-np.outer(1.0 - v_times, var_scale * (zA * zA).sum(axis=1)))
     EB = np.exp(-np.outer(1.0 - v_times, var_scale * (zB * zB).sum(axis=1)))
-    dxi_norm = float(np.prod(2.0 * np.pi / np.asarray(L))) / (2.0 * np.pi) ** d
+    dxi_norm = float(np.prod(turns)) / (2.0 * np.pi) ** d
 
     KzB = zB @ Kmat.T                      # rows K B^T xi_k
     aKb = np.einsum("kj,kj->k", zA.astype(complex), KzB)
@@ -559,8 +560,8 @@ def brownian_pairing(f: SampledField, g: SampledField, A, B, Kmat,
         for i in range(P):
             dW[i] = path_stream(seed, b0 + i).standard_normal((steps, n)) * sig
         cF1, cG1, Tcov, qd, qq = brownian_accumulate(
-            dW, EA, EB, U, GB, zA, zB, fhat[band], ghat[band], dxi_norm,
-            want_qv=want_qv, backend=backend)
+            dW, EA, EB, U, GB, kint, turns[:, None] * A, turns[:, None] * B,
+            fhat[band], dxi_norm, want_qv=want_qv)
         full = np.zeros((P, Nflat), dtype=complex)
         full[:, band] = cF1
         F1v = values_from_coefficients(full, L, N, d)[sl]
@@ -582,7 +583,7 @@ def brownian_pairing(f: SampledField, g: SampledField, A, B, Kmat,
     if richardson and steps >= 4:
         coarse = brownian_pairing(f, g, A, B, Kmat, n_paths, steps // 2, seed,
                                   var_scale=var_scale, sub_stride=sub_stride,
-                                  block_size=block_size, backend=backend,
+                                  block_size=block_size,
                                   richardson=False, want_qv=False)
         gap = abs(result.estimate - coarse.estimate)
         joint = np.hypot(abs(result.stderr), abs(coarse.stderr))

@@ -169,8 +169,9 @@ def symbol_gaussian(A, B, K, xi, var_scale: float = 1.0):
         [e^{-s|a-b|^2} - e^{-s(|a|^2+|b|^2)}] (a, K b) / (a, b),
         a = A^T xi, b = B^T xi,
 
-    falling back to e^{-s(|a|^2+|b|^2)} (a, K b) when the bilinear
-    denominator (a, b) degenerates.  var_scale = 1 gives the unit-scale
+    evaluated as 2 s (a, K b) e^{-s(|a|^2+|b|^2)} q(2 s (a, b)), so that
+    at (a, b) = 0 it takes the limit 2 s e^{-s(|a|^2+|b|^2)} (a, K b) and
+    stays well conditioned nearby.  var_scale = 1 gives the unit-scale
     exponents above; 1/2 is the scale produced by the Brownian
     time-integral, which brownian_pairing verifies against.
     """
@@ -183,17 +184,9 @@ def symbol_gaussian(A, B, K, xi, var_scale: float = 1.0):
     b = X @ B
     s = var_scale
     aKb = np.einsum("kj,kj->k", a.astype(complex), b @ K.T)
-    ab = np.einsum("kj,kj->k", a, b)
-    na2 = np.einsum("kj,kj->k", a, a)
-    nb2 = np.einsum("kj,kj->k", b, b)
-    prod_exp = np.exp(-s * (na2 + nb2))
-    degenerate = np.abs(ab) < 1e-14 * np.sqrt(na2 * nb2) + 1e-300
-    vals = np.where(
-        degenerate,
-        prod_exp * aKb,
-        (np.exp(-s * np.einsum("kj,kj->k", a - b, a - b)) - prod_exp)
-        * aKb / np.where(degenerate, 1.0, ab),
-    )
+    e_cross = -s * np.einsum("kj,kj->k", a - b, a - b).astype(complex)
+    e_prod = -s * (np.einsum("kj,kj->k", a, a) + np.einsum("kj,kj->k", b, b)).astype(complex)
+    vals = 2.0 * s * aKb * _exp_q_pair(e_cross, e_prod)
     return _maybe_scalar(vals, scalar)
 
 
@@ -379,9 +372,11 @@ def symbol_grid_from_values(values: np.ndarray, L, N, d,
         L = L * d
     values = values.reshape(N)
     absvals = np.abs(values)
-    idx = np.unravel_index(int(np.argmax(absvals)), N)
+    idx = np.unravel_index(int(np.argmax(absvals)), N)  # argmax lands on a NaN if any
     xi = freq_grid(L, N, d).reshape(N + (d,))[idx]
     max_abs = float(absvals.max())
+    if check_bound and not np.isfinite(max_abs):
+        raise SymbolBoundViolation(f"symbol is not finite at xi = {xi}")
     if check_bound and max_abs > 1.0 + BOUND_TOL:
         raise SymbolBoundViolation(
             f"max |m| = {max_abs:.12g} exceeds 1 + {BOUND_TOL} at xi = {xi}"

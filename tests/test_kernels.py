@@ -1,49 +1,11 @@
-"""The numba and numpy kernel backends must agree to roundoff."""
+"""The Monte-Carlo kernels against direct per-mode references."""
 
 import numpy as np
 import pytest
 
 from levymult import AtomsMeasure, Modulator, gaussian_bump, make_data, table_mod
-from levymult._backend import NUMBA_IMPORTABLE
+from levymult.kernels import brownian_accumulate, lattice_phases
 from levymult.mc import run_cpp_paths
-
-needs_numba = pytest.mark.skipif(not NUMBA_IMPORTABLE, reason="numba not importable")
-
-
-def _setup(with_drift):
-    nu = AtomsMeasure([[1.0], [-2.0], [0.5]], [0.7, 0.3, 0.4])
-    gamma = [0.4] if with_drift else None
-    data = make_data(nu, gamma=gamma, A=[[1.0]], B=[[-1.0]])
-    mod = Modulator(phi=table_mod([0.5, -0.8j, 0.3 + 0.4j]))
-    f = gaussian_bump(40.0, 512, 1, center=[0.5], width=0.9)
-    g = gaussian_bump(40.0, 512, 1, center=[-0.3], width=1.1)
-    return f, g, data, mod
-
-
-@needs_numba
-@pytest.mark.parametrize("with_drift", [False, True])
-def test_cpp_backends_agree(with_drift):
-    f, g, data, mod = _setup(with_drift)
-    a = run_cpp_paths(f, g, data, mod, 400, 11, backend="numba",
-                      fend_powers=(2.0,), gend_powers=(3.0,))
-    b = run_cpp_paths(f, g, data, mod, 400, 11, backend="numpy",
-                      fend_powers=(2.0,), gend_powers=(3.0,))
-    for key in ("pair", "cov", "f1_x0", "g1_x0"):
-        assert np.max(np.abs(a[key] - b[key])) < 1e-13
-    assert np.max(np.abs(a["fend_pow"][2.0] - b["fend_pow"][2.0])) < 1e-12
-    assert np.max(np.abs(a["gend_pow"][3.0] - b["gend_pow"][3.0])) < 1e-12
-
-
-@needs_numba
-def test_cpp_backends_agree_multidimensional_jumps():
-    nu = AtomsMeasure([[1.0, 0.5], [-0.8, 1.2]], [0.8, 0.6])
-    data = make_data(nu, A=[[1.0, 0.0]], B=[[0.3, 1.0]], d=1, n=2)
-    mod = Modulator(phi=table_mod([0.9, -0.6j]))
-    f = gaussian_bump(40.0, 512, 1)
-    a = run_cpp_paths(f, f, data, mod, 300, 5, backend="numba")
-    b = run_cpp_paths(f, f, data, mod, 300, 5, backend="numpy")
-    assert np.max(np.abs(a["pair"] - b["pair"])) < 1e-13
-    assert np.max(np.abs(a["cov"] - b["cov"])) < 1e-13
 
 
 def test_numpy_backend_handles_empty_blocks():
@@ -51,8 +13,89 @@ def test_numpy_backend_handles_empty_blocks():
     nu = AtomsMeasure([[2.0]], [1e-12])
     data = make_data(nu)
     f = gaussian_bump(40.0, 256, 1)
-    stats = run_cpp_paths(f, f, data, Modulator(phi=table_mod([1.0])),
-                          64, 1, backend="numpy")
+    stats = run_cpp_paths(f, f, data, Modulator(phi=table_mod([1.0])), 64, 1)
     assert np.all(stats["njumps"] == 0)
     assert np.all(stats["cov"] == 0.0)
     assert np.all(np.isfinite(stats["pair"]))
+
+
+@pytest.mark.parametrize("d, band", [(1, "fft-order"), (1, "scattered"), (2, "scattered")])
+def test_lattice_phases_match_direct_exponentials(d, band):
+    rng = np.random.default_rng(4)
+    L = np.array([40.0, 25.0])[:d]
+    if band == "fft-order":
+        kint = np.r_[0:513, -512:0][:, None]
+    else:
+        kint = rng.integers(-512, 513, size=(300, d))
+        kint[0] = 512
+        kint[1] = -512
+        kint[2] = 0
+    theta = rng.normal(scale=0.3, size=(7, d))
+    got = lattice_phases(theta / L * 2.0 * np.pi, kint)
+    want = np.exp(-1j * theta @ (kint * 2.0 * np.pi / L).T)
+    assert got.shape == (7, kint.shape[0])
+    assert np.max(np.abs(got - want)) < 1e-12
+
+
+def _reference_brownian(dW, EA, EB, U, GB, zA, zB, fhat, dxi_norm, want_qv):
+    """Per-step Euler loop with one complex exponential per mode and path."""
+    P, steps, n = dW.shape
+    h = 1.0 / steps
+    phA = np.ones((P, fhat.size), dtype=complex)
+    phB = np.ones((P, fhat.size), dtype=complex)
+    cG1 = np.zeros((P, fhat.size), dtype=complex)
+    Tcov = np.zeros(P, dtype=complex)
+    qv_disc = np.zeros(P)
+    qv_quad = np.zeros(P)
+    for s in range(steps):
+        gb = EB[s] * phB
+        Tcov += h * ((U * EA[s] * EB[s]) * phA * np.conj(phB)).sum(axis=1)
+        cG1 += (dW[:, s, :] @ GB.T) * gb
+        if want_qv:
+            ug = (gb @ GB) * dxi_norm
+            qv_quad += h * (np.abs(ug) ** 2).sum(axis=1)
+            qv_disc += np.abs((ug * dW[:, s, :]).sum(axis=1)) ** 2
+        phA = phA * np.exp(-1j * (dW[:, s, :] @ zA.T))
+        phB = phB * np.exp(-1j * (dW[:, s, :] @ zB.T))
+    return fhat * phA, cG1, Tcov, qv_disc, qv_quad
+
+
+@pytest.mark.parametrize("case", ["1d-A!=B", "2d-nondiagonal-A", "2d-qv"])
+def test_brownian_kernel_matches_direct_exponentials(case):
+    rng = np.random.default_rng(9)
+    if case == "1d-A!=B":
+        L, N = np.array([40.0]), (63,)     # odd: a symmetric band in FFT order
+        A, B = np.array([[1.0]]), np.array([[-0.8]])
+        K = np.array([[0.9j]])
+    else:
+        L, N = np.array([20.0, 16.0]), (16, 16)
+        A = np.array([[1.0, 0.4], [-0.3, 0.9]])
+        B = np.array([[0.7, 0.0], [0.2, 1.1]])
+        K = np.array([[0.3, 0.5j], [0.4, -0.2]])
+    want_qv = case == "2d-qv"
+    axes = [np.fft.fftfreq(n, 1.0 / n) for n in N]
+    kint = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")],
+                    axis=-1).astype(np.int64)
+    turns = 2.0 * np.pi / L
+    Xi = kint * turns
+    zA, zB = Xi @ A, Xi @ B
+    P, steps, n = 5, 40, A.shape[1]
+    v = np.arange(steps) / steps
+    EA = np.exp(-np.outer(1.0 - v, 0.5 * (zA * zA).sum(axis=1)))
+    EB = np.exp(-np.outer(1.0 - v, 0.5 * (zB * zB).sum(axis=1)))
+    fhat = rng.normal(size=Xi.shape[0]) + 1j * rng.normal(size=Xi.shape[0])
+    ghat = rng.normal(size=Xi.shape[0]) + 1j * rng.normal(size=Xi.shape[0])
+    U = fhat * ghat * np.einsum("kj,kj->k", zA, zB @ K.T)
+    GB = -1j * ghat[:, None] * (zB @ K.T)
+    dxi_norm = float(np.prod(turns)) / (2.0 * np.pi) ** L.size
+    dW = rng.normal(scale=np.sqrt(1.0 / steps), size=(P, steps, n))
+
+    got = brownian_accumulate(dW, EA, EB, U, GB, kint, turns[:, None] * A,
+                              turns[:, None] * B, fhat, dxi_norm, want_qv=want_qv)
+    want = _reference_brownian(dW, EA, EB, U, GB, zA, zB, fhat, dxi_norm, want_qv)
+    names = ("cF1", "cG1", "Tcov", "qv_disc", "qv_quad")
+    for name, a, b in zip(names, got, want):
+        scale = np.max(np.abs(b))
+        assert np.max(np.abs(a - b)) <= 1e-12 * scale, name
+    if want_qv:
+        assert np.all(got[3] > 0.0) and np.all(got[4] > 0.0)

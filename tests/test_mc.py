@@ -322,16 +322,6 @@ def test_brownian_matches_spectral_small(bump_f, bump_g):
     assert within_sigmas(est.estimate, est.stderr, ref, 3.5)
 
 
-def test_brownian_backend_agreement(bump_f, bump_g):
-    K = np.array([[0.5]])
-    a = brownian_pairing(bump_f, bump_g, [[1.0]], [[1.0]], K, 100, 60, 3,
-                         richardson=False, backend="numba")
-    b = brownian_pairing(bump_f, bump_g, [[1.0]], [[1.0]], K, 100, 60, 3,
-                         richardson=False, backend="numpy")
-    assert abs(a.estimate - b.estimate) < 1e-12
-    assert abs(a.cov_estimate - b.cov_estimate) < 1e-12
-
-
 def test_brownian_step_too_coarse_triggers(bump_f, bump_g):
     with pytest.raises(StepTooCoarse):
         brownian_pairing(bump_f, bump_g, [[1.0]], [[1.0]], [[1.0]],

@@ -196,6 +196,25 @@ def test_symbol_gaussian_var_scale_branches_coincide_up_to_matrix_scaling():
     s2 = symbol_gaussian([[np.sqrt(2.0)]], [[0.6 * np.sqrt(2.0)]], [[0.5j]], xi,
                          var_scale=0.5)
     assert np.max(np.abs(s1 - s2)) < 1e-14
+    # degenerate bilinear denominator: (a, b) = 0 at every xi
+    A, B = np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]])
+    K = 0.9 * np.array([[0.0, 1.0], [1.0, 0.0]])
+    d1 = symbol_gaussian(A, B, K, xi, var_scale=1.0)
+    d2 = symbol_gaussian(np.sqrt(2.0) * A, np.sqrt(2.0) * B, K, xi, var_scale=0.5)
+    assert np.max(np.abs(d1)) > 0.1
+    assert np.max(np.abs(d1 - d2)) < 1e-14
+
+
+@pytest.mark.parametrize("var_scale", [0.5, 1.0, 2.0])
+def test_symbol_gaussian_continuous_across_degenerate_denominator(var_scale):
+    K = 0.9 * np.array([[0.0, 1.0], [1.0, 0.0]])
+
+    def at(eps):
+        return symbol_gaussian([[1.0, 0.0]], [[eps, 1.0]], K, [1.3], var_scale=var_scale)
+
+    limit = 2.0 * var_scale * np.exp(-var_scale * 2.0 * 1.3 ** 2) * 0.9 * 1.3 ** 2
+    assert at(0.0) == pytest.approx(limit, rel=1e-14)
+    assert abs(at(1e-7) - at(0.0)) < 1e-6 * abs(at(0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -304,6 +323,15 @@ def test_evaluate_grid_records_argmax(single_atom_data):
     xi = grid.argmax_xi[0]
     assert abs(symbol_q(single_atom_data, IDENTITY_MOD, [xi])) == \
         pytest.approx(grid.max_abs, rel=1e-12)
+
+
+def test_evaluate_grid_rejects_nan_symbol():
+    # the alpha = 1.9 sign-weighted stable q-form overflows in the radial quadrature
+    data = make_data(StableMeasure(1.9, 1), A=[[-1.0]], B=[[1.0]])
+    spec = SymbolSpec(variant="q_form", data=data, mod=Modulator(phi=sign_mod()))
+    with np.errstate(all="ignore"), \
+            pytest.raises(SymbolBoundViolation, match="not finite at xi"):
+        evaluate_grid(spec, L=40.0, N=8)
 
 
 def test_evaluate_grid_bound_violation_raises():
