@@ -25,18 +25,7 @@ path and axis; the Brownian kernel takes its path phases that way.
 
 import numpy as np
 
-_Q_CUT = 1e-3
-
-
-def _q_vec(z):
-    z = np.asarray(z, dtype=complex)
-    out = np.empty_like(z)
-    small = np.abs(z) < _Q_CUT
-    zs = z[small]
-    out[small] = 1.0 + zs * (0.5 + zs * (1.0 / 6.0 + zs * (1.0 / 24.0 + zs / 120.0)))
-    zb = z[~small]
-    out[~small] = np.expm1(zb) / zb
-    return out
+from .symbols import q_func
 
 
 def cpp_pair_coeffs(times, marks, offsets, zatoms, phi_atoms,
@@ -62,7 +51,7 @@ def cpp_pair_coeffs(times, marks, offsets, zatoms, phi_atoms,
         v = times[idx]
         z = zatoms[marks[idx]]
         dt = (v - prev[act])[:, None]
-        cG1[act] -= ghat * left[act] * dt * _q_vec(dt * W) * S
+        cG1[act] -= ghat * left[act] * dt * q_func(dt * W) * S
         EAv = np.exp((1.0 - v)[:, None] * psiA)
         EBv = np.exp((1.0 - v)[:, None] * psiB)
         if has_drift:
@@ -82,7 +71,7 @@ def cpp_pair_coeffs(times, marks, offsets, zatoms, phi_atoms,
         left[act] = EBv * dphB * phB[act]
         prev[act] = v
     dt = (1.0 - prev)[:, None]
-    cG1 -= ghat * left * dt * _q_vec(dt * W) * S
+    cG1 -= ghat * left * dt * q_func(dt * W) * S
     np.multiply(fhat, phA, out=phA)
     np.multiply(ghat, phB, out=phB)
     if has_drift:

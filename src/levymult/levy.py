@@ -10,7 +10,9 @@ the output operator.  The two exponents evaluated here are
     psi_tilde(zeta) = same jump/sphere integrals tilted by bounded
                       weights phi(z) and psi(theta), without the drift.
 
-The boundary convention includes |z| = 1 in the compensated region.
+One evaluator computes both: psi is psi_tilde with unit weights plus the
+drift term i(zeta, gamma).  The boundary convention includes |z| = 1 in
+the compensated region.
 """
 
 import math
@@ -442,26 +444,24 @@ def validate(data: LevyData, mod: Modulator = None) -> LevyData:
 # ---------------------------------------------------------------------------
 
 
-def _sphere_part(data: LevyData, Z: np.ndarray, psi_vals=None) -> np.ndarray:
-    """-1/2 sum_j b_j (zeta, theta_j)^2 [psi_j], batched over rows of Z."""
+def _sphere_part(data: LevyData, Z: np.ndarray, psi_vals) -> np.ndarray:
+    """-1/2 sum_j b_j (zeta, theta_j)^2 psi_j, batched over rows of Z."""
     if data.mu.is_empty:
         return np.zeros(Z.shape[0], dtype=complex)
     dots = Z @ data.mu.directions.T  # (K, M)
-    w = data.mu.weights.astype(complex)
-    if psi_vals is not None:
-        w = w * psi_vals
+    w = data.mu.weights.astype(complex) * psi_vals
     return -0.5 * (dots * dots) @ w
 
 
-def _atoms_jump_part(nu: AtomsMeasure, Z: np.ndarray, phi_vals=None) -> np.ndarray:
-    """Exact compensated atom sum, batched over rows of Z.
+def _atoms_jump_part(nu: AtomsMeasure, Z: np.ndarray, phi_vals) -> np.ndarray:
+    """Exact compensated atom sum weighted by phi (per atom, or one constant),
+    batched over rows of Z.
 
     Chunked over atoms so quadrature-generated measures with millions of
     atoms do not blow up temporaries.
     """
     w = nu.weights.astype(complex)
-    if phi_vals is not None:
-        w = w * phi_vals
+    w *= phi_vals
     m_total = nu.atoms.shape[0]
     chunk = max(1, int(4e6) // max(Z.shape[0], 1))
     out = np.zeros(Z.shape[0], dtype=complex)
@@ -476,89 +476,55 @@ def _atoms_jump_part(nu: AtomsMeasure, Z: np.ndarray, phi_vals=None) -> np.ndarr
     return out
 
 
-def _radial_exponent_1d(profile: RadialProfile, c: float, r_max: float,
-                        order: int, phi_fn=None, rel_tol=DEFAULT_REL_TOL):
-    """integral over (0, inf) of (e^{icr} - 1 - icr 1_{r<=1}) [phi(r)] rho(r) dr.
+def _radial_1d(profile: RadialProfile, integrand, head: float, osc: float, terms,
+               r_max: float, order: int, phi_fn):
+    """integral over (0, inf) of integrand(r) [phi(r)] rho(r) dr for the stable profile.
 
-    Numerical panels run on [floor, r_max]; the stable tail past r_max is
-    added analytically.  phi_fn, when given, maps radii to weight values
-    along the current direction (its tail is then taken constant, valid
-    for the shipped presets, which depend only on the direction for large r).
+    head is the r^2 coefficient of |integrand| at the origin (head = 0 makes
+    the integrand vanish), osc the fastest oscillation rate, and terms the
+    (sign, c) pairs with integrand(r) = sum sign e^{icr} past r_max.
+    Numerical panels run on [floor, r_max]; the mass below the floor is
+    booked as error and the tail past r_max is added analytically, each
+    e^{icr} term by its asymptotic series (exactly when c = 0).  An
+    infinite r_max (the stable measure has no cut of its own) becomes
+    60 / osc, at least 100, so every oscillating term is resolved.  phi_fn,
+    when given, maps radii to weight values along the current direction
+    (its tail is then taken constant, valid for the shipped presets, which
+    depend only on the direction for large r).
     Returns (value, error_estimate).
     """
     alpha, coeff = profile.alpha, profile.coeff
-    if c == 0.0:
+    if head == 0.0:
         return 0.0 + 0.0j, 0.0
-    floor = singular_floor(alpha, 0.5 * c * c * coeff, 1e-16)
-    floor = min(floor, 0.5 / abs(c), 0.5)
+    if r_max == np.inf:
+        r_max = max(100.0, 60.0 / osc)
+    floor = singular_floor(alpha, head * coeff, 1e-16)
+    floor = min(floor, 0.5 / osc, 0.5)
 
-    def integrand(r):
-        base = np.exp(1j * c * r) - 1.0 - 1j * c * r * (r <= 1.0)
-        vals = base * profile.density(r)
+    def weighted(r):
+        vals = integrand(r) * profile.density(r)
         if phi_fn is not None:
             vals = vals * phi_fn(r)
         return vals
 
-    edges = radial_edges(floor, r_max, abs(c), order)
+    edges = radial_edges(floor, r_max, osc, order)
     nodes, weights = panel_rule(edges, order)
-    value = np.sum(integrand(nodes) * weights)
+    value = np.sum(weighted(nodes) * weights)
     nodes2, weights2 = panel_rule(edges, order + 8)
-    value2 = np.sum(integrand(nodes2) * weights2)
+    value2 = np.sum(weighted(nodes2) * weights2)
     err = abs(value2 - value)
     value = value2
 
-    # head below the panel floor: integrand ~ -c^2 r^2 rho / 2
-    err += 0.5 * c * c * coeff * floor ** (2.0 - alpha) / (2.0 - alpha)
+    # head below the panel floor: |integrand| ~ head r^2
+    err += head * coeff * floor ** (2.0 - alpha) / (2.0 - alpha)
 
     # analytic stable tail beyond r_max
     tail_phi = 1.0 + 0.0j
     if phi_fn is not None:
         tail_phi = complex(np.asarray(phi_fn(np.array([r_max]))).ravel()[0])
     mass = stable_tail_const(r_max, alpha, coeff)
-    if abs(c) * r_max >= 30.0:
-        osc, osc_err = stable_tail_exp(c, r_max, alpha, coeff)
-        value += tail_phi * (osc - mass)
-        err += osc_err
-    else:
-        value += tail_phi * (-mass)
-        err += mass  # unresolved oscillatory part
-
-    return value, float(err)
-
-
-def _radial_cross_1d(profile: RadialProfile, c1: float, c2: float, r_max: float,
-                     order: int, phi_fn=None):
-    """integral of (e^{ic1 r} - 1)(e^{ic2 r} - 1) [phi(r)] rho(r) dr on (0, inf)."""
-    alpha, coeff = profile.alpha, profile.coeff
-    if c1 == 0.0 or c2 == 0.0:
-        return 0.0 + 0.0j, 0.0
-    floor = singular_floor(alpha, abs(c1 * c2) * coeff, 1e-16)
-    floor = min(floor, 0.5 / max(abs(c1), abs(c2)), 0.5)
-
-    def integrand(r):
-        vals = (np.expm1(1j * c1 * r)) * (np.expm1(1j * c2 * r)) * profile.density(r)
-        if phi_fn is not None:
-            vals = vals * phi_fn(r)
-        return vals
-
-    osc = max(abs(c1), abs(c2), abs(c1 + c2))
-    edges = radial_edges(floor, r_max, osc, order)
-    nodes, weights = panel_rule(edges, order)
-    value = np.sum(integrand(nodes) * weights)
-    nodes2, weights2 = panel_rule(edges, order + 8)
-    value2 = np.sum(integrand(nodes2) * weights2)
-    err = abs(value2 - value)
-    value = value2
-
-    err += abs(c1 * c2) * coeff * floor ** (2.0 - alpha) / (2.0 - alpha)
-
-    tail_phi = 1.0 + 0.0j
-    if phi_fn is not None:
-        tail_phi = complex(np.asarray(phi_fn(np.array([r_max]))).ravel()[0])
-    # (e^{ic1 r}-1)(e^{ic2 r}-1) = e^{i(c1+c2)r} - e^{ic1 r} - e^{ic2 r} + 1
     tail = 0.0 + 0.0j
-    mass = stable_tail_const(r_max, alpha, coeff)
-    for sgn, c in ((1.0, c1 + c2), (-1.0, c1), (-1.0, c2)):
+    for sgn, c in terms:
         if c == 0.0:
             tail += sgn * mass
         elif abs(c) * r_max >= 30.0:
@@ -566,14 +532,36 @@ def _radial_cross_1d(profile: RadialProfile, c1: float, c2: float, r_max: float,
             tail += sgn * osc_val
             err += osc_err
         else:
-            err += mass
-    tail += mass
+            err += mass  # unresolved oscillatory part
     value += tail_phi * tail
     return value, float(err)
 
 
+def _radial_exponent_1d(profile: RadialProfile, c: float, r_max: float,
+                        order: int, phi_fn=None):
+    """integral over (0, inf) of (e^{icr} - 1 - icr 1_{r<=1}) [phi(r)] rho(r) dr."""
+    return _radial_1d(
+        profile, lambda r: np.exp(1j * c * r) - 1.0 - 1j * c * r * (r <= 1.0),
+        0.5 * c * c, abs(c), ((1.0, c), (-1.0, 0.0)), r_max, order, phi_fn,
+    )
+
+
+def _radial_cross_1d(profile: RadialProfile, c1: float, c2: float, r_max: float,
+                     order: int, phi_fn=None):
+    """integral of (e^{ic1 r} - 1)(e^{ic2 r} - 1) [phi(r)] rho(r) dr on (0, inf)."""
+    # (e^{ic1 r}-1)(e^{ic2 r}-1) = e^{i(c1+c2)r} - e^{ic1 r} - e^{ic2 r} + 1
+    return _radial_1d(
+        profile, lambda r: np.expm1(1j * c1 * r) * np.expm1(1j * c2 * r),
+        abs(c1 * c2), max(abs(c1), abs(c2), abs(c1 + c2)),
+        ((1.0, c1 + c2), (-1.0, c1), (-1.0, c2), (1.0, 0.0)), r_max, order, phi_fn,
+    )
+
+
 def _direction_phi_fn(mod: Modulator, theta: np.ndarray):
-    """phi restricted to the ray r -> r * theta, as a function of r."""
+    """phi restricted to the ray r -> r * theta, as a function of r; None for
+    a constant phi, whose value the callers apply themselves."""
+    if mod.phi.kind == "constant":
+        return None
     if mod.phi.kind == "table":
         raise ModulatorUndefinedOnSupport(
             "per-atom phi table cannot be integrated against a radial density"
@@ -584,6 +572,25 @@ def _direction_phi_fn(mod: Modulator, theta: np.ndarray):
         return eval_modspec(mod.phi, pts)
 
     return fn
+
+
+def _direction_sum(radial: RadialProductMeasure, mod: Modulator, term):
+    """sum_j a_j term(theta_j, phi_j) over the angular atoms, phi_j being phi
+    on the ray through theta_j (see _direction_phi_fn).
+
+    term returns (value, error).  Returns (value, error, max_j |a_j value_j|).
+    """
+    total = 0.0 + 0.0j
+    err = 0.0
+    scale = 0.0
+    for theta, aj in zip(radial.directions, radial.dir_weights):
+        if aj == 0.0:
+            continue
+        val, e = term(theta, _direction_phi_fn(mod, theta))
+        total += aj * val
+        err += aj * e
+        scale = max(scale, abs(val) * aj)
+    return total, err, scale
 
 
 def _psi_values_at_sphere(mod: Modulator, mu: SphericalMeasure) -> np.ndarray:
@@ -601,86 +608,46 @@ def _as_batch(zeta, n):
     return Z, scalar
 
 
+def _exponent(data: LevyData, mod: Modulator, Z: np.ndarray, rel_tol: float) -> np.ndarray:
+    """Jump part weighted by phi plus sphere part weighted by psi, over rows of Z."""
+    nu = data.nu
+    sphere_psi = None if data.mu.is_empty else _psi_values_at_sphere(mod, data.mu)
+    if isinstance(nu, AtomsMeasure):
+        # a constant phi stays a scalar: no per-atom array for psi's unit weight
+        phi = mod.phi.value if mod.phi.kind == "constant" else _phi_values_at_atoms(mod, nu)
+        jump = _atoms_jump_part(nu, Z, phi)
+    elif isinstance(nu, StableMeasure) and mod.phi.kind == "constant":
+        jump = mod.phi.value * (-np.linalg.norm(Z, axis=1).astype(complex) ** nu.alpha)
+    elif isinstance(nu, (StableMeasure, RadialProductMeasure)):
+        radial = nu.as_radial(r_max=np.inf) if isinstance(nu, StableMeasure) else nu
+        jump = np.zeros(Z.shape[0], dtype=complex)
+        for k, z in enumerate(Z):
+            total, err, scale = _direction_sum(
+                radial, mod, lambda theta, phi_fn: _radial_exponent_1d(
+                    radial.profile, float(z @ theta), radial.r_max, radial.quad_order, phi_fn))
+            if not err <= rel_tol * max(scale, 1.0):  # a NaN error fails too
+                raise QuadratureNotConverged(
+                    f"radial quadrature error {err:.3e} above tolerance at zeta={z}"
+                )
+            jump[k] = total
+        if mod.phi.kind == "constant":
+            jump = mod.phi.value * jump
+    else:
+        raise MeasureValidationError(f"unknown jump measure type {type(nu).__name__}")
+    return jump + _sphere_part(data, Z, sphere_psi)
+
+
 def psi(data: LevyData, zeta, rel_tol: float = DEFAULT_REL_TOL):
     """The characteristic exponent at zeta; accepts a batch (K, n) of rows."""
     Z, scalar = _as_batch(zeta, data.n)
-    nu = data.nu
-    if isinstance(nu, AtomsMeasure):
-        jump = _atoms_jump_part(nu, Z)
-    elif isinstance(nu, StableMeasure):
-        jump = -np.linalg.norm(Z, axis=1).astype(complex) ** nu.alpha
-    elif isinstance(nu, RadialProductMeasure):
-        jump = np.zeros(Z.shape[0], dtype=complex)
-        for k in range(Z.shape[0]):
-            total = 0.0 + 0.0j
-            err = 0.0
-            scale = 0.0
-            for theta, aj in zip(nu.directions, nu.dir_weights):
-                if aj == 0.0:
-                    continue
-                c = float(Z[k] @ theta)
-                val, e = _radial_exponent_1d(nu.profile, c, nu.r_max, nu.quad_order)
-                total += aj * val
-                err += aj * e
-                scale = max(scale, abs(val) * aj)
-            if err > rel_tol * max(scale, 1.0):
-                raise QuadratureNotConverged(
-                    f"radial quadrature error {err:.3e} above tolerance at zeta={Z[k]}"
-                )
-            jump[k] = total
-    else:
-        raise MeasureValidationError(f"unknown jump measure type {type(nu).__name__}")
-
-    out = jump + _sphere_part(data, Z) + 1j * (Z @ data.gamma)
+    out = _exponent(data, IDENTITY_MOD, Z, rel_tol) + 1j * (Z @ data.gamma)
     return complex(out[0]) if scalar else out
 
 
 def psi_tilde(data: LevyData, mod: Modulator, zeta, rel_tol: float = DEFAULT_REL_TOL):
     """The modulated exponent at zeta (no drift term); batch rows allowed."""
     Z, scalar = _as_batch(zeta, data.n)
-    nu = data.nu
-    psi_sphere = _psi_values_at_sphere(mod, data.mu) if not data.mu.is_empty else None
-
-    if isinstance(nu, AtomsMeasure):
-        phi_vals = _phi_values_at_atoms(mod, nu)
-        jump = _atoms_jump_part(nu, Z, phi_vals)
-    elif isinstance(nu, (StableMeasure, RadialProductMeasure)):
-        if mod.phi.kind == "constant":
-            if isinstance(nu, StableMeasure):
-                jump = mod.phi.value * (-np.linalg.norm(Z, axis=1).astype(complex) ** nu.alpha)
-            else:
-                plain = psi(replace(data, mu=SphericalMeasure.empty(data.n),
-                                    gamma=np.zeros(data.n)), Z, rel_tol)
-                jump = mod.phi.value * np.atleast_1d(plain)
-        else:
-            radial = nu.as_radial() if isinstance(nu, StableMeasure) else nu
-            r_max = np.inf if isinstance(nu, StableMeasure) else radial.r_max
-            jump = np.zeros(Z.shape[0], dtype=complex)
-            for k in range(Z.shape[0]):
-                total = 0.0 + 0.0j
-                err = 0.0
-                scale = 0.0
-                for theta, aj in zip(radial.directions, radial.dir_weights):
-                    if aj == 0.0:
-                        continue
-                    c = float(Z[k] @ theta)
-                    rm = radial.r_max if np.isfinite(r_max) else max(100.0, 60.0 / max(abs(c), 1e-3))
-                    val, e = _radial_exponent_1d(
-                        radial.profile, c, rm, radial.quad_order,
-                        phi_fn=_direction_phi_fn(mod, theta),
-                    )
-                    total += aj * val
-                    err += aj * e
-                    scale = max(scale, abs(val) * aj)
-                if err > rel_tol * max(scale, 1.0):
-                    raise QuadratureNotConverged(
-                        f"radial quadrature error {err:.3e} above tolerance at zeta={Z[k]}"
-                    )
-                jump[k] = total
-    else:
-        raise MeasureValidationError(f"unknown jump measure type {type(nu).__name__}")
-
-    out = jump + _sphere_part(data, Z, psi_sphere)
+    out = _exponent(data, mod, Z, rel_tol)
     return complex(out[0]) if scalar else out
 
 
@@ -726,30 +693,19 @@ def cross_form(data: LevyData, mod: Modulator, zeta1, zeta2,
         d2 = nu.atoms @ z2
         jump = np.sum(np.expm1(1j * d1) * np.expm1(1j * d2) * phi_vals * nu.weights)
     elif isinstance(nu, (RadialProductMeasure, StableMeasure)):
-        radial = nu.as_radial() if isinstance(nu, StableMeasure) else nu
-        total = 0.0 + 0.0j
-        err = 0.0
-        for theta, aj in zip(radial.directions, radial.dir_weights):
-            if aj == 0.0:
-                continue
-            c1 = float(z1 @ theta)
-            c2 = float(z2 @ theta)
-            phi_fn = None if mod.phi.kind == "constant" else _direction_phi_fn(mod, theta)
-            rm = radial.r_max
-            if isinstance(nu, StableMeasure):
-                cmax = max(abs(c1), abs(c2), abs(c1 + c2), 1e-3)
-                rm = max(100.0, 60.0 / cmax)
-            val, e = _radial_cross_1d(radial.profile, c1, c2, rm,
-                                      radial.quad_order, phi_fn)
-            if mod.phi.kind == "constant":
-                val = val * mod.phi.value
-            total += aj * val
-            err += aj * e
-        if err > rel_tol * max(abs(total), 1.0):
+        radial = nu.as_radial(r_max=np.inf) if isinstance(nu, StableMeasure) else nu
+
+        def term(theta, phi_fn):
+            val, e = _radial_cross_1d(radial.profile, float(z1 @ theta), float(z2 @ theta),
+                                      radial.r_max, radial.quad_order, phi_fn)
+            # a constant phi (no phi_fn) weighs each direction's value
+            return (val if phi_fn is not None else val * mod.phi.value), e
+
+        jump, err, _ = _direction_sum(radial, mod, term)
+        if not err <= rel_tol * max(abs(jump), 1.0):  # a NaN error fails too
             raise QuadratureNotConverged(
                 f"cross-integral quadrature error {err:.3e} above tolerance"
             )
-        jump = total
     else:
         raise MeasureValidationError(f"unknown jump measure type {type(nu).__name__}")
 

@@ -147,6 +147,33 @@ def test_psi_tilde_identity_modulator_matches_psi(mixed_atoms_data):
                          - psi(mixed_atoms_data, Z))) < 1e-14
 
 
+@pytest.mark.parametrize("model", ["atoms", "stable", "radial"])
+def test_psi_is_unit_weight_psi_tilde_plus_drift(model):
+    # one exponent evaluator: psi adds only the drift to the unit-weight psi_tilde
+    mu = SphericalMeasure([[1.0, 0.0], [0.6, -0.8]], [0.5, 0.25])
+    if model == "atoms":
+        data = make_data(AtomsMeasure([[0.5, 0.0], [0.0, -2.0], [1.2, 0.9]],
+                                      [0.7, 0.3, 0.4]), mu=mu, gamma=[0.3, -0.2])
+    elif model == "stable":
+        data = make_data(StableMeasure(0.75, 1), mu=SphericalMeasure([[1.0]], [0.4]),
+                         gamma=[0.3])
+    else:
+        radial = RadialProductMeasure(RadialProfile("stable", 0.7, 0.5),
+                                      [[1.0, 0.0], [-0.6, 0.8]], [1.0, 0.5])
+        data = make_data(radial, mu=mu, gamma=[0.3, -0.2])
+    Z = np.random.default_rng(4).normal(size=(6, data.n)) * 1.5
+    want = psi_tilde(data, IDENTITY_MOD, Z) + 1j * (Z @ data.gamma)
+    assert np.array_equal(psi(data, Z), want)
+
+
+def test_psi_tilde_nonfinite_quadrature_raises():
+    # at alpha = 1.9 the radial density overflows at the panel floor; the NaN
+    # error estimate must fail the convergence test, not pass it
+    data = stable_data(1.9)
+    with np.errstate(all="ignore"), pytest.raises(QuadratureNotConverged):
+        psi_tilde(data, Modulator(phi=sign_mod()), [0.6])
+
+
 def test_psi_tilde_zero_modulator(mixed_atoms_data):
     mod = Modulator(phi=table_mod([0.0, 0.0, 0.0]))
     assert psi_tilde(mixed_atoms_data, mod, [1.7]) == 0.0
@@ -234,6 +261,26 @@ def test_cross_stable_sign_closed_form_vs_quadrature():
         quad = cross_form(data, mod, [z1], [z2], route="direct")
         closed = cross_form(data, mod, [z1], [z2], route="difference")
         assert quad == pytest.approx(closed, rel=1e-8, abs=1e-10)
+
+
+def test_cross_radial_halfspace_direct_vs_difference():
+    # the direct route and the exponent share the per-direction sum; check it
+    # with a weight that differs between directions and along them
+    from levymult import constant_mod, halfspace_mod
+
+    radial = RadialProductMeasure(RadialProfile("stable", 0.7, 0.5),
+                                  [[1.0, 0.0], [0.6, 0.8], [-0.6, -0.8], [0.0, -1.0]],
+                                  [1.0, 0.5, 0.7, 0.3])
+    data = make_data(radial, mu=SphericalMeasure([[0.0, 1.0]], [0.5]), gamma=[0.2, -0.1])
+    mod = Modulator(phi=halfspace_mod([1.0, 0.5]), psi=constant_mod(0.5))
+    rng = np.random.default_rng(5)
+    for _ in range(4):
+        z1, z2 = rng.normal(size=(2, 2)) * 1.5
+        direct = cross_form(data, mod, z1, z2, route="direct")
+        diff = (psi_tilde(data, mod, z1 + z2) - psi_tilde(data, mod, z1)
+                - psi_tilde(data, mod, z2))
+        assert abs(direct) > 0.5
+        assert abs(direct - diff) < 1e-9
 
 
 def test_cross_with_sphere_part():

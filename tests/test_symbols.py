@@ -1,5 +1,7 @@
 """Symbol formulas, equivalences, presets, and grid tabulation."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -257,6 +259,35 @@ def test_symbol_stable_alpha_one_window_continuity():
     assert hi == pytest.approx(mid, rel=1e-5)
 
 
+def test_symbol_stable_conditioned_near_alpha_one():
+    # no switch window and no warning: the tan form itself tends to the limit
+    x = np.array([0.3, 1.0, 2.4])
+    limit = symbol_stable(1.0, x)
+    for k in range(3, 13):
+        for alpha in (1.0 - 10.0**-k, 1.0 + 10.0**-k):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                vals = symbol_stable(alpha, x)
+            assert np.all(np.abs(vals - limit) <= 10.0 * abs(alpha - 1.0) * np.abs(limit))
+
+
+def test_symbol_stable_finite_at_large_frequency():
+    # e^{-2p} and expm1(-2pE) alone under- and overflow for alpha < 1
+    for alpha in (0.5, 0.9, 1.5):
+        vals = symbol_stable(alpha, [2e4, -3e6])
+        assert np.all(np.isfinite(vals)) and np.max(np.abs(vals)) < 1e-80
+
+
+def test_symbol_q_stable_small_frequency_sweep():
+    # the radial quadrature of the sign-weighted stable model down to |xi| = 1e-4
+    x = np.geomspace(1e-4, 0.05, 200)
+    x = np.concatenate([x, -x])
+    for alpha in (0.5, 0.75):
+        data = make_data(StableMeasure(alpha, 1), A=[[-1.0]], B=[[1.0]])
+        got = symbol_q(data, Modulator(phi=sign_mod()), x[:, None])
+        assert np.max(np.abs(got - symbol_stable(alpha, x))) < 1e-12
+
+
 def test_symbol_stable_alpha_range():
     with pytest.raises(AlphaOutOfRange):
         symbol_stable(2.0, 1.0)
@@ -326,12 +357,17 @@ def test_evaluate_grid_records_argmax(single_atom_data):
 
 
 def test_evaluate_grid_rejects_nan_symbol():
-    # the alpha = 1.9 sign-weighted stable q-form overflows in the radial quadrature
-    data = make_data(StableMeasure(1.9, 1), A=[[-1.0]], B=[[1.0]])
-    spec = SymbolSpec(variant="q_form", data=data, mod=Modulator(phi=sign_mod()))
-    with np.errstate(all="ignore"), \
-            pytest.raises(SymbolBoundViolation, match="not finite at xi"):
-        evaluate_grid(spec, L=40.0, N=8)
+    class OneNaN:
+        variant = "preset"
+        dim = 1
+
+        def __call__(self, xi, on_degenerate="zero"):
+            vals = np.zeros(np.atleast_2d(xi).shape[0], dtype=complex)
+            vals[3] = np.nan
+            return vals
+
+    with pytest.raises(SymbolBoundViolation, match="not finite at xi"):
+        evaluate_grid(OneNaN(), L=40.0, N=8)
 
 
 def test_evaluate_grid_bound_violation_raises():
