@@ -34,14 +34,11 @@ from .levy import (
 from .mc import (
     BrownianEstimate,
     JumpPath,
-    MartingaleTrace,
     PairingEstimate,
     brownian_pairing,
     check_subordination,
     estimate_pairing,
     gaussian_spectral_value,
-    general_G,
-    parabolic_F,
     run_cpp_paths,
     simulate_cpp,
     spectral_pairing_value,

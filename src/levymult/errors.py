@@ -69,10 +69,6 @@ class GridMismatch(LevyMultError):
     pass
 
 
-class TraceMismatch(LevyMultError):
-    pass
-
-
 class StepTooCoarse(LevyMultError):
     pass
 
@@ -94,7 +90,3 @@ class ParseError(LevyMultError):
 
 class ConfigValidationError(LevyMultError):
     """Config parsed but describes an invalid run."""
-
-
-class QuadratureNodesInsufficient(UserWarning):
-    """Doubling compensator quadrature nodes moved the result noticeably."""

@@ -485,9 +485,13 @@ def _radial_1d(profile: RadialProfile, integrand, head: float, osc: float, terms
     (sign, c) pairs with integrand(r) = sum sign e^{icr} past r_max.
     Numerical panels run on [floor, r_max]; the mass below the floor is
     booked as error and the tail past r_max is added analytically, each
-    e^{icr} term by its asymptotic series (exactly when c = 0).  An
-    infinite r_max (the stable measure has no cut of its own) becomes
-    60 / osc, at least 100, so every oscillating term is resolved.  phi_fn,
+    e^{icr} term by its asymptotic series (exactly when c = 0).  The series
+    needs |c| r_max >= 30, so the cut follows the slowest nonzero rate,
+    `slow`: an infinite r_max (the stable measure has no cut of its own)
+    becomes 60 / slow, at least 100, and a finite r_max below 30 / slow
+    (r_max only says where the panels stop) runs on to 60 / slow.  slow is
+    kept above 1e-3 osc, which bounds the panels at about 2400; the tail of
+    a slower term is then booked as error.  phi_fn,
     when given, maps radii to weight values along the current direction
     (its tail is then taken constant, valid for the shipped presets, which
     depend only on the direction for large r).
@@ -496,8 +500,11 @@ def _radial_1d(profile: RadialProfile, integrand, head: float, osc: float, terms
     alpha, coeff = profile.alpha, profile.coeff
     if head == 0.0:
         return 0.0 + 0.0j, 0.0
+    slow = max(min(abs(c) for _, c in terms if c != 0.0), 1e-3 * osc)
     if r_max == np.inf:
-        r_max = max(100.0, 60.0 / osc)
+        r_max = max(100.0, 60.0 / slow)
+    elif slow * r_max < 30.0:
+        r_max = 60.0 / slow
     floor = singular_floor(alpha, head * coeff, 1e-16)
     floor = min(floor, 0.5 / osc, 0.5)
 
@@ -540,8 +547,9 @@ def _radial_1d(profile: RadialProfile, integrand, head: float, osc: float, terms
 def _radial_exponent_1d(profile: RadialProfile, c: float, r_max: float,
                         order: int, phi_fn=None):
     """integral over (0, inf) of (e^{icr} - 1 - icr 1_{r<=1}) [phi(r)] rho(r) dr."""
+    # expm1 keeps the digits of cos(cr) - 1 at small cr, where exp(icr) - 1 cancels
     return _radial_1d(
-        profile, lambda r: np.exp(1j * c * r) - 1.0 - 1j * c * r * (r <= 1.0),
+        profile, lambda r: np.expm1(1j * c * r) - 1j * c * r * (r <= 1.0),
         0.5 * c * c, abs(c), ((1.0, c), (-1.0, 0.0)), r_max, order, phi_fn,
     )
 

@@ -1,24 +1,19 @@
 """Monte-Carlo verification of the martingale construction.
 
-Single paths get exact traces (parabolic endpoint-type martingale F, the
-jump-transformed martingale G, their quadratic variations); bulk
-estimates run through the blocked frequency-coefficient kernels.  All
+One engine runs every compound-Poisson check: the blocked kernel gives,
+per block of paths, the frequency coefficients of the endpoints F1, G1
+and of each jump's increments dF, dG.  The pairing and L^p estimates
+reduce the endpoints on the x-grid; the differential-subordination check
+sums the per-jump increments against the phases of one point x.  All
 randomness flows from one master seed through counter-based per-path
 streams, so results are independent of block size and scheduling.
 """
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    GridMismatch,
-    MeasureValidationError,
-    QuadratureNodesInsufficient,
-    StepTooCoarse,
-    TraceMismatch,
-)
+from .errors import MeasureValidationError, StepTooCoarse
 from .grids import freq_grid, negate_index
 from .kernels import brownian_accumulate, cpp_pair_coeffs
 from .levy import (
@@ -30,9 +25,9 @@ from .levy import (
     psi,
     validate,
 )
-from .quadrature import panel_rule
 from .spectral import (
     SampledField,
+    _check_compat,
     pairing,
     semigroup_eval,
     transform_forward,
@@ -61,201 +56,19 @@ class JumpPath:
     intensity: float    # total mass of the jump measure
 
 
-def simulate_cpp(nu: AtomsMeasure, seed, index: int = 0) -> JumpPath:
+def simulate_cpp(nu: AtomsMeasure, seed: int, index: int = 0) -> JumpPath:
     """Sample jump count Poisson(|nu|), times as uniform order statistics,
     marks with law nu/|nu|.  Deterministic for a fixed (seed, index)."""
     lam = nu.total_mass
     if not lam > 0.0:
         raise MeasureValidationError("compound-Poisson simulation needs |nu| > 0")
-    rng = seed if isinstance(seed, np.random.Generator) else path_stream(seed, index)
+    rng = path_stream(seed, index)
     count = int(rng.poisson(lam))
     times = np.sort(rng.random(count))
     cum = np.cumsum(nu.weights) / lam
     marks = np.minimum(np.searchsorted(cum, rng.random(count), side="right"),
                        nu.weights.size - 1)
     return JumpPath(times=times, marks=marks, jumps=nu.atoms[marks], intensity=lam)
-
-
-# ---------------------------------------------------------------------------
-# exact single-path traces
-# ---------------------------------------------------------------------------
-
-
-class _Semigroup:
-    """Cached spectral semigroup for one (field, map, data) triple.
-
-    Precomputes the exponent on the frequency lattice once, so repeated
-    evaluations along a path cost only the phase sums.
-    """
-
-    def __init__(self, f: SampledField, A, data: LevyData):
-        self.A = np.atleast_2d(np.asarray(A, dtype=float))
-        fhat = transform_forward(f).ravel()
-        Xi = freq_grid(f.L, f.N, f.d)
-        keep = np.abs(fhat) > 1e-16 * np.abs(fhat).max()
-        self.Xi = Xi[keep]
-        self.psiA = np.atleast_1d(psi(data, -(self.Xi @ self.A)))
-        dxi = float(np.prod(2.0 * np.pi / np.asarray(f.L)))
-        self.base = fhat[keep] * dxi / (2.0 * np.pi) ** f.d
-
-    def at(self, s: float, points) -> np.ndarray:
-        P = np.atleast_2d(np.asarray(points, dtype=float))
-        weights = self.base * np.exp(s * self.psiA)
-        return np.exp(-1j * (P @ self.Xi.T)) @ weights
-
-
-@dataclass(frozen=True, eq=False)
-class MartingaleTrace:
-    """Values of a martingale along one path at 0, the jump times, and 1.
-
-    qv is the running quadratic variation: the squared-modulus jump sums,
-    plus the |F_0|^2 head start for the endpoint-type martingale.
-    """
-
-    path: JumpPath
-    kind: str                # "parabolic" | "general"
-    times: np.ndarray        # (J+2,)
-    values: np.ndarray       # right-continuous values at `times`
-    left_values: np.ndarray  # left limits at the jump times (J,)
-    jump_deltas: np.ndarray  # (J,)
-    head: float
-
-    @property
-    def qv(self) -> np.ndarray:
-        run = np.concatenate([[0.0], np.cumsum(np.abs(self.jump_deltas) ** 2), [0.0]])
-        run[-1] = run[-2]
-        return self.head + run
-
-    @property
-    def final(self) -> complex:
-        return complex(self.values[-1])
-
-
-def _jump_states(path: JumpPath, h: np.ndarray):
-    """Positions just before and just after each jump, drift included."""
-    n = h.size
-    csum = np.vstack([np.zeros(n), np.cumsum(path.jumps, axis=0)]) if path.times.size \
-        else np.zeros((1, n))
-    before = csum[:-1] + h * path.times[:, None]
-    after = csum[1:] + h * path.times[:, None]
-    y_final = csum[-1] + h
-    return before, after, y_final
-
-
-def parabolic_F(path: JumpPath, f: SampledField, A, data: LevyData, x,
-                _sg: "_Semigroup" = None) -> MartingaleTrace:
-    """Endpoint-type martingale F_t = P^A_{1-t} f(x + A Y_t) along one path."""
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    x = np.asarray(x, dtype=float).ravel()
-    _, h = drift_reduce(data)
-    before, after, y_final = _jump_states(path, h)
-    sg = _sg if _sg is not None else _Semigroup(f, A, data)
-    f0 = complex(sg.at(1.0, x)[0])
-    lefts = np.empty(path.times.size, dtype=complex)
-    rights = np.empty(path.times.size, dtype=complex)
-    for i, v in enumerate(path.times):
-        s = 1.0 - v
-        pair = sg.at(s, np.vstack([x + A @ before[i], x + A @ after[i]]))
-        lefts[i] = pair[0]
-        rights[i] = pair[1]
-    f1 = complex(sg.at(0.0, x + A @ y_final)[0])
-    values = np.concatenate([[f0], rights, [f1]])
-    times = np.concatenate([[0.0], path.times, [1.0]])
-    return MartingaleTrace(path=path, kind="parabolic", times=times, values=values,
-                           left_values=lefts, jump_deltas=rights - lefts,
-                           head=abs(f0) ** 2)
-
-
-def general_G(path: JumpPath, g: SampledField, B, mod: Modulator, data: LevyData,
-              x, nodes: int = 8, check_nodes: bool = True,
-              _sg: "_Semigroup" = None) -> MartingaleTrace:
-    """Jump-transformed martingale: the phi-weighted jump sum of the
-    endpoint-type increments minus its jump-measure compensator.
-
-    The compensator's time integral over each inter-jump interval uses
-    Gauss-Legendre quadrature (`nodes` points); with check_nodes the node
-    count is doubled and a change of G_1 above 1e-8 warns.
-    """
-    B = np.atleast_2d(np.asarray(B, dtype=float))
-    x = np.asarray(x, dtype=float).ravel()
-    nu = data.nu
-    if not isinstance(nu, AtomsMeasure):
-        raise MeasureValidationError("general_G needs a finite atomic jump measure")
-    phi_atoms = _phi_values_at_atoms(mod, nu)
-    _, h = drift_reduce(data)
-    before, after, y_final = _jump_states(path, h)
-    sg = _sg if _sg is not None else _Semigroup(g, B, data)
-
-    deltas = np.empty(path.times.size, dtype=complex)
-    for i, v in enumerate(path.times):
-        s = 1.0 - v
-        pair = sg.at(s, np.vstack([x + B @ after[i], x + B @ before[i]]))
-        deltas[i] = (pair[0] - pair[1]) * phi_atoms[path.marks[i]]
-
-    def compensator_increments(q):
-        csum = np.vstack([np.zeros(h.size), np.cumsum(path.jumps, axis=0)]) \
-            if path.times.size else np.zeros((1, h.size))
-        edges = np.concatenate([[0.0], path.times, [1.0]])
-        out = np.zeros(edges.size - 1, dtype=complex)
-        wz = phi_atoms * nu.weights
-        for i in range(edges.size - 1):
-            a, b = edges[i], edges[i + 1]
-            if b <= a:
-                continue
-            vs, ws = panel_rule(np.array([a, b]), q)
-            total = 0.0 + 0.0j
-            for v, w in zip(vs, ws):
-                y = csum[i] + h * v
-                pts = np.vstack([x + B @ (y + z) for z in nu.atoms] + [x + B @ y])
-                vals = sg.at(1.0 - v, pts)
-                total += w * np.sum((vals[:-1] - vals[-1]) * wz)
-            out[i] = total
-        return out
-
-    comp = compensator_increments(nodes)
-    if check_nodes:
-        comp2 = compensator_increments(2 * nodes)
-        if abs(comp2.sum() - comp.sum()) > 1e-8:
-            warnings.warn(
-                f"compensator quadrature moved by {abs(comp2.sum() - comp.sum()):.2e} "
-                f"when doubling nodes",
-                QuadratureNodesInsufficient,
-                stacklevel=2,
-            )
-        comp = comp2
-
-    comp_at = np.cumsum(comp)  # compensator value at jump times then at 1
-    jump_cum = np.cumsum(deltas) if deltas.size else np.zeros(0, dtype=complex)
-    values = np.empty(path.times.size + 2, dtype=complex)
-    lefts = np.empty(path.times.size, dtype=complex)
-    values[0] = 0.0
-    for i in range(path.times.size):
-        lefts[i] = (jump_cum[i - 1] if i else 0.0) - comp_at[i]
-        values[i + 1] = jump_cum[i] - comp_at[i]
-    values[-1] = (jump_cum[-1] if deltas.size else 0.0) - comp_at[-1]
-    times = np.concatenate([[0.0], path.times, [1.0]])
-    return MartingaleTrace(path=path, kind="general", times=times, values=values,
-                           left_values=lefts, jump_deltas=deltas, head=0.0)
-
-
-def check_subordination(trace_f: MartingaleTrace, trace_g: MartingaleTrace,
-                        rel_slack: float = 1e-12):
-    """Per-jump domination |dG|^2 <= |dF|^2 and nonnegativity of
-    [F,F] - [G,G] including the |F_0|^2 head.  Returns (ok, max_violation);
-    rel_slack absorbs floating-point roundoff only.
-    """
-    if trace_f.path is not trace_g.path or not np.array_equal(trace_f.times, trace_g.times):
-        raise TraceMismatch("traces come from different paths")
-    df2 = np.abs(trace_f.jump_deltas) ** 2
-    dg2 = np.abs(trace_g.jump_deltas) ** 2
-    slack = rel_slack * (1.0 + df2)
-    per_jump = dg2 - df2
-    running = trace_g.qv - trace_f.qv
-    worst = max(
-        float(np.max(per_jump - slack, initial=-np.inf)),
-        float(np.max(running - rel_slack * (1.0 + trace_f.qv), initial=-np.inf)),
-    )
-    return worst <= 0.0, max(worst, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -268,11 +81,6 @@ def _mode_band(N, *hats, tol=1e-15):
     keep = mags > tol * mags.max()
     keep |= keep[negate_index(N)]
     return np.flatnonzero(keep)
-
-
-def _check_fields(f: SampledField, g: SampledField):
-    if f.d != g.d or tuple(f.N) != tuple(g.N) or not np.allclose(f.L, g.L):
-        raise GridMismatch("f and g must share one grid")
 
 
 def _sub_slices(d, stride):
@@ -291,24 +99,18 @@ def mean_and_se(vals: np.ndarray):
     return float(m), float(vals.std(ddof=1) / rt)
 
 
-def run_cpp_paths(f: SampledField, g: SampledField, data: LevyData, mod: Modulator,
-                  n_paths: int, seed: int, *, sub_stride: int = 4,
-                  block_size: int = None,
-                  fend_powers=(), gend_powers=(), keep_x0: bool = True):
-    """Shared blocked driver: per-path statistics of the paired martingales.
+def _cpp_blocks(f: SampledField, g: SampledField, data: LevyData, mod: Modulator,
+                n_paths: int, seed: int, block_size: int = None):
+    """Set-up and block loop of the compound-Poisson engine.
 
-    Returns a dict with per-path arrays:
-      pair      integral of F1(x) G1(x) over the x-subgrid
-      cov       integral of sum_jumps dF(x) dG(x)  (covariation route)
-      fend_pow  {p: integral |f(x + A Y1)|^p}
-      gend_pow  {q: integral |g(x + B Y1)|^q}
-      g1_pow    {q: integral |G1(x)|^q}
-      f1_x0/g1_x0  F1 and G1 at the central subgrid point
-      njumps    jump counts
-    plus meta entries (f0_x0, dV_sub, band size).
+    Returns the frequency band (flat indices into the grid) and a generator
+    that yields (b0, offsets, coefficients) per block of paths starting at
+    path b0: the jumps of path b0 + i are rows offsets[i]:offsets[i+1] of
+    the per-jump coefficients, and coefficients is the output of
+    cpp_pair_coeffs, (cF1, cG1, cGend, covF, covG), on the band.
     """
     validate(data, mod)
-    _check_fields(f, g)
+    _check_compat(f, g)
     nu = data.nu
     if not isinstance(nu, AtomsMeasure):
         raise MeasureValidationError("bulk estimation needs a finite atomic measure")
@@ -316,15 +118,13 @@ def run_cpp_paths(f: SampledField, g: SampledField, data: LevyData, mod: Modulat
     if not lam > 0.0:
         raise MeasureValidationError("bulk estimation needs |nu| > 0")
 
-    d, L, N = f.d, f.L, f.N
-    Nflat = int(np.prod(N))
     fhat = transform_forward(f).ravel()
     ghat = transform_forward(g).ravel()
-    band = _mode_band(N, fhat, ghat)
-    Xi = freq_grid(L, N, d)[band]
-    A, B = data.A, data.B
-    zA = Xi @ A
-    zB = Xi @ B
+    band = _mode_band(f.N, fhat, ghat)
+    fband, gband = fhat[band], ghat[band]
+    Xi = freq_grid(f.L, f.N, f.d)[band]
+    zA = Xi @ data.A
+    zB = Xi @ data.B
     psiA = np.atleast_1d(psi(data, -zA))
     psiB = np.atleast_1d(psi(data, -zB))
     _, h = drift_reduce(data)
@@ -338,9 +138,48 @@ def run_cpp_paths(f: SampledField, g: SampledField, data: LevyData, mod: Modulat
         blockz = nu.atoms[m0:m0 + chunk]
         ph = np.exp(-1j * (blockz @ zB.T))
         S += ((ph - 1.0) * (phi_atoms[m0:m0 + chunk] * nu.weights[m0:m0 + chunk])[:, None]).sum(axis=0)
-
     if block_size is None:
-        block_size = max(16, min(1024, (1 << 24) // Nflat))
+        block_size = max(16, min(1024, (1 << 24) // int(np.prod(f.N))))
+
+    def blocks():
+        for b0 in range(0, n_paths, block_size):
+            P = min(block_size, n_paths - b0)
+            times_l, marks_l = [], []
+            offsets = np.zeros(P + 1, dtype=np.int64)
+            for i in range(P):
+                pth = simulate_cpp(nu, seed, b0 + i)
+                times_l.append(pth.times)
+                marks_l.append(pth.marks)
+                offsets[i + 1] = offsets[i] + pth.times.size
+            times = np.concatenate(times_l) if times_l else np.zeros(0)
+            marks = np.concatenate(marks_l).astype(np.int64) if marks_l else np.zeros(0, dtype=np.int64)
+            yield b0, offsets, cpp_pair_coeffs(
+                times, marks, offsets, nu.atoms, phi_atoms,
+                fband, gband, psiA, psiB, zA, zB, cdA, cdB, S,
+            )
+
+    return band, blocks()
+
+
+def run_cpp_paths(f: SampledField, g: SampledField, data: LevyData, mod: Modulator,
+                  n_paths: int, seed: int, *, sub_stride: int = 4,
+                  block_size: int = None,
+                  fend_powers=(), gend_powers=(), keep_x0: bool = True):
+    """Per-path statistics of the paired martingales from the blocked engine.
+
+    Returns a dict with per-path arrays:
+      pair      integral of F1(x) G1(x) over the x-subgrid
+      cov       integral of sum_jumps dF(x) dG(x)  (covariation route)
+      fend_pow  {p: integral |f(x + A Y1)|^p}
+      gend_pow  {q: integral |g(x + B Y1)|^q}
+      g1_pow    {q: integral |G1(x)|^q}
+      f1_x0/g1_x0  F1 and G1 at the central subgrid point
+      njumps    jump counts
+    plus meta entries (f0_x0, dV_sub, band size).
+    """
+    band, blocks = _cpp_blocks(f, g, data, mod, n_paths, seed, block_size)
+    d, L, N = f.d, f.L, f.N
+    Nflat = int(np.prod(N))
     sl = _sub_slices(d, sub_stride)
     dV_sub = float(np.prod(np.asarray(f.dx) * sub_stride))
 
@@ -357,23 +196,9 @@ def run_cpp_paths(f: SampledField, g: SampledField, data: LevyData, mod: Modulat
     }
     x0_idx = tuple((n // sub_stride) // 2 for n in N)
 
-    for b0 in range(0, n_paths, block_size):
-        P = min(block_size, n_paths - b0)
-        times_l, marks_l = [], []
-        offsets = np.zeros(P + 1, dtype=np.int64)
-        for i in range(P):
-            pth = simulate_cpp(nu, seed, b0 + i)
-            times_l.append(pth.times)
-            marks_l.append(pth.marks)
-            offsets[i + 1] = offsets[i] + pth.times.size
-        times = np.concatenate(times_l) if times_l else np.zeros(0)
-        marks = np.concatenate(marks_l).astype(np.int64) if marks_l else np.zeros(0, dtype=np.int64)
+    for b0, offsets, (cF1, cG1, cGend, covF, covG) in blocks:
+        P = offsets.size - 1
         out["njumps"][b0:b0 + P] = np.diff(offsets)
-
-        cF1, cG1, cGend, covF, covG = cpp_pair_coeffs(
-            times, marks, offsets, nu.atoms, phi_atoms,
-            fhat[band], ghat[band], psiA, psiB, zA, zB, cdA, cdB, S,
-        )
 
         def to_values(coeffs):
             full = np.zeros((coeffs.shape[0], Nflat), dtype=complex)
@@ -398,23 +223,64 @@ def run_cpp_paths(f: SampledField, g: SampledField, data: LevyData, mod: Modulat
                 out["gend_pow"][q][b0:b0 + P] = (np.abs(Gendv) ** q).sum(axis=axes) * dV_sub
                 out["g1_pow"][q][b0:b0 + P] = (np.abs(G1v) ** q).sum(axis=axes) * dV_sub
 
-        if times.size:
+        if covF.shape[0]:
             dFv = to_values(covF)
             dGv = to_values(covG)
             prod = (dFv * dGv).sum(axis=tuple(range(1, d + 1))) * dV_sub
             path_of_jump = np.repeat(np.arange(P), np.diff(offsets))
             np.add.at(out["cov"], b0 + path_of_jump, prod)
 
-    x0_point = np.array([ax[::sub_stride][x0_idx[i]] for i, ax in
-                         enumerate(SampledField(d=d, L=L, N=N,
-                                                values=np.zeros(N)).space_points())])
+    x0_point = np.array([ax[::sub_stride][x0_idx[i]] for i, ax in enumerate(f.space_points())])
     out["meta"] = {
         "band_size": int(band.size),
         "dV_sub": dV_sub,
         "x0_point": x0_point,
-        "f0_x0": semigroup_eval(f, A, data, 1.0, x0_point),
+        "f0_x0": semigroup_eval(f, data.A, data, 1.0, x0_point),
     }
     return out
+
+
+def check_subordination(f: SampledField, g: SampledField, data: LevyData,
+                        mod: Modulator, n_paths: int, seed: int, x):
+    """Differential subordination of G to F at the point x, path by path.
+
+    Two rules, each with a relative slack of 1e-12 that absorbs
+    floating-point roundoff only: per jump |dG(x)|^2 <= |dF(x)|^2, and
+    after every jump [G,G] - [F,F] - |F_0(x)|^2 <= 0, the quadratic
+    variations being the running sums of the squared jump moduli.  dF(x)
+    and dG(x) are the kernel's per-jump coefficients summed against the
+    phases of x.  Returns (violating_paths, jumps, worst), worst being the
+    largest violation over all paths (0.0 when there is none).
+    """
+    rel_slack = 1e-12
+    x = np.asarray(x, dtype=float).ravel()
+    band, blocks = _cpp_blocks(f, g, data, mod, n_paths, seed)
+    dxi = float(np.prod(2.0 * np.pi / np.asarray(f.L)))
+    phase = dxi / (2.0 * np.pi) ** f.d * np.exp(-1j * (freq_grid(f.L, f.N, f.d)[band] @ x))
+    head = abs(semigroup_eval(f, data.A, data, 1.0, x)) ** 2
+    violating = jumps = 0
+    worst = 0.0
+    for _, offsets, (_, _, _, covF, covG) in blocks:
+        counts = np.diff(offsets)
+        df2 = np.abs(covF @ phase) ** 2
+        dg2 = np.abs(covG @ phase) ** 2
+        # running sums in time order: one row per path, padded with zeros
+        path_of_jump = np.repeat(np.arange(counts.size), counts)
+        col = np.arange(covF.shape[0]) - offsets[path_of_jump]
+        qf = np.zeros((counts.size, counts.max()))
+        qg = np.zeros_like(qf)
+        qf[path_of_jump, col] = df2
+        qg[path_of_jump, col] = dg2
+        qf = head + np.cumsum(qf, axis=1)[path_of_jump, col]
+        qg = np.cumsum(qg, axis=1)[path_of_jump, col]
+        excess = np.maximum(dg2 - df2 - rel_slack * (1.0 + df2),
+                            qg - qf - rel_slack * (1.0 + qf))
+        per_path = np.zeros(counts.size)
+        np.maximum.at(per_path, path_of_jump, excess)
+        violating += int(np.count_nonzero(per_path))
+        jumps += covF.shape[0]
+        worst = max(worst, float(per_path.max()))
+    return violating, jumps, worst
 
 
 def within_sigmas(estimate: complex, stderr: complex, reference: complex,
@@ -508,7 +374,7 @@ def brownian_pairing(f: SampledField, g: SampledField, A, B, Kmat,
     """
     from .symbols import _check_contraction
 
-    _check_fields(f, g)
+    _check_compat(f, g)
     A = np.atleast_2d(np.asarray(A, dtype=float))
     B = np.atleast_2d(np.asarray(B, dtype=float))
     Kmat = np.atleast_2d(np.asarray(Kmat, dtype=complex))

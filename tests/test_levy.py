@@ -112,6 +112,14 @@ def test_psi_radial_quadrature_matches_closed_form():
         assert psi(data, [z]) == pytest.approx(-abs(z) ** ALPHA, rel=1e-8)
 
 
+def test_psi_radial_runs_past_r_max_at_slow_rates():
+    # r_max = 1e4 leaves |zeta| r_max < 30 below zeta = 3e-3: the panels run on
+    # until the tail series holds instead of booking the tail as error
+    data = make_data(StableMeasure(0.5, 1).as_radial(r_max=1e4))
+    for z in (0.001, 0.002):
+        assert abs(psi(data, [z]) + z ** 0.5) < 1e-14
+
+
 def test_psi_quadrature_error_control():
     radial = StableMeasure(ALPHA, 1).as_radial(r_max=1e6)
     data = make_data(radial)
@@ -261,6 +269,23 @@ def test_cross_stable_sign_closed_form_vs_quadrature():
         quad = cross_form(data, mod, [z1], [z2], route="direct")
         closed = cross_form(data, mod, [z1], [z2], route="difference")
         assert quad == pytest.approx(closed, rel=1e-8, abs=1e-10)
+
+
+@pytest.mark.parametrize("z1, z2", [(1.0, 0.2), (2.0, -0.25)])
+def test_cross_stable_direct_resolves_slowest_tail_term(z1, z2):
+    # the tail cut follows the slowest rate, here |z2|, not the fastest |z1 + z2|
+    data = make_data(StableMeasure(0.5, 1))
+    direct = cross_form(data, IDENTITY_MOD, [z1], [z2], route="direct")
+    diff = cross_form(data, IDENTITY_MOD, [z1], [z2], route="difference")
+    assert abs(direct - diff) < 1e-13
+
+
+def test_cross_stable_direct_near_cancelling_rates_raise():
+    # |z1 + z2| = 1e-7 |z1|: following that rate would take 2e8 panels, so its
+    # tail stays booked as error and the direct route raises a named error
+    data = make_data(StableMeasure(0.5, 1))
+    with pytest.raises(QuadratureNotConverged):
+        cross_form(data, IDENTITY_MOD, [1.0], [-0.9999999], route="direct")
 
 
 def test_cross_radial_halfspace_direct_vs_difference():

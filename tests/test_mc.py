@@ -1,4 +1,4 @@
-"""Path simulation, martingale traces, subordination, bulk estimators."""
+"""Path simulation, the trace oracle, subordination, bulk estimators."""
 
 import numpy as np
 import pytest
@@ -7,15 +7,14 @@ from levymult import (
     AtomsMeasure,
     IDENTITY_MOD,
     Modulator,
+    SampledField,
     brownian_pairing,
     check_subordination,
     estimate_pairing,
     gaussian_bump,
     gaussian_spectral_value,
-    general_G,
     lp_norm,
     make_data,
-    parabolic_F,
     run_cpp_paths,
     semigroup_eval,
     simulate_cpp,
@@ -23,13 +22,16 @@ from levymult import (
     table_mod,
     within_sigmas,
 )
-from levymult.errors import (
-    MeasureValidationError,
-    QuadratureNodesInsufficient,
-    StepTooCoarse,
-    TraceMismatch,
-)
+from levymult.errors import GridMismatch, MeasureValidationError, StepTooCoarse
 from levymult.mc import mean_and_se
+
+from _traces import (
+    QuadratureNodesInsufficient,
+    TraceMismatch,
+    check_subordination as trace_subordination,
+    general_G,
+    parabolic_F,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -72,7 +74,7 @@ def test_mark_law_matches_weights():
 
 
 # ---------------------------------------------------------------------------
-# traces
+# trace oracle (tests/_traces.py)
 # ---------------------------------------------------------------------------
 
 
@@ -174,7 +176,7 @@ def test_subordination_unit_weight_equality(bump_g):
     path = simulate_cpp(nu, 3, 1)
     tF = parabolic_F(path, bump_g, data.A, data, [0.2])
     tG = general_G(path, bump_g, data.B, mod1, data, [0.2], check_nodes=False)
-    ok, viol = check_subordination(tF, tG)
+    ok, viol = trace_subordination(tF, tG)
     assert ok and viol == 0.0
     assert np.allclose(np.abs(tG.jump_deltas), np.abs(tF.jump_deltas))
 
@@ -187,7 +189,7 @@ def test_subordination_half_weight_quarter_increments(bump_g):
     assert path.times.size > 0
     tF = parabolic_F(path, bump_g, data.A, data, [0.2])
     tG = general_G(path, bump_g, data.B, mod, data, [0.2], check_nodes=False)
-    ok, _ = check_subordination(tF, tG)
+    ok, _ = trace_subordination(tF, tG)
     assert ok
     assert np.allclose(np.abs(tG.jump_deltas) ** 2,
                        0.25 * np.abs(tF.jump_deltas) ** 2)
@@ -201,7 +203,7 @@ def test_subordination_random_phi_no_violations(bump_g):
         tF = parabolic_F(path, bump_g, data_eq.A, data_eq, [0.3])
         tG = general_G(path, bump_g, data_eq.B, mod, data_eq, [0.3],
                        check_nodes=False)
-        ok, viol = check_subordination(tF, tG)
+        ok, viol = trace_subordination(tF, tG)
         assert ok, f"violation {viol} on path {i}"
 
 
@@ -212,7 +214,42 @@ def test_subordination_trace_mismatch(bump_g):
     tF = parabolic_F(p1, bump_g, data.A, data, [0.0])
     tG = general_G(p2, bump_g, data.B, mod, data, [0.0], check_nodes=False)
     with pytest.raises(TraceMismatch):
-        check_subordination(tF, tG)
+        trace_subordination(tF, tG)
+
+
+def _doubled(f):
+    return SampledField(d=f.d, L=f.L, N=f.N, values=2.0 * f.values)
+
+
+def test_check_subordination_flags_every_path_with_a_jump(bump_f):
+    # g = 2 f with A = B and phi = 1: |dG|^2 = 4 |dF|^2 at every jump
+    data = make_data(_config()[0].nu, A=[[1.0]], B=[[1.0]])
+    violating, jumps, worst = check_subordination(bump_f, _doubled(bump_f), data,
+                                                  IDENTITY_MOD, 300, 29, [0.3])
+    counts = [simulate_cpp(data.nu, 29, i).times.size for i in range(300)]
+    assert jumps == sum(counts)
+    assert violating == np.count_nonzero(counts) and worst > 0.0
+
+
+# the worst violation comes from the running rule at x = 2 in the first
+# case and from the per-jump rule at x = 0.3 in the second
+@pytest.mark.parametrize("case, x", [("g=2f,A=B", 2.0), ("A!=B", 0.3)])
+def test_check_subordination_matches_trace_oracle(bump_f, bump_g, case, x):
+    data, mod = _config()
+    g = bump_g
+    if case == "g=2f,A=B":
+        data = make_data(data.nu, A=[[1.0]], B=[[1.0]])
+        mod, g = IDENTITY_MOD, _doubled(bump_f)
+    violating, jumps, worst = check_subordination(bump_f, g, data, mod, 300, 29, [x])
+    oracle = []
+    for i in range(300):
+        path = simulate_cpp(data.nu, 29, i)
+        tF = parabolic_F(path, bump_f, data.A, data, [x])
+        tG = general_G(path, g, data.B, mod, data, [x], check_nodes=False)
+        oracle.append(trace_subordination(tF, tG)[1])
+    oracle = np.array(oracle)
+    assert violating == np.count_nonzero(oracle) > 0
+    assert worst == pytest.approx(oracle.max(), rel=1e-12, abs=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -231,6 +268,17 @@ def test_blocked_kernel_matches_traces(bump_f, bump_g):
                        check_nodes=False)
         assert abs(tF.final - stats["f1_x0"][i]) < 1e-11
         assert abs(tG.final - stats["g1_x0"][i]) < 1e-9
+
+
+def test_mc_entry_points_reject_fields_on_different_grids(bump_f):
+    data, mod = _config()
+    for other in (gaussian_bump(40.0, 512, 1), gaussian_bump(20.0, 1024, 1)):
+        with pytest.raises(GridMismatch):
+            run_cpp_paths(bump_f, other, data, mod, 10, 1)
+        with pytest.raises(GridMismatch):
+            check_subordination(bump_f, other, data, mod, 10, 1, [0.3])
+        with pytest.raises(GridMismatch):
+            brownian_pairing(bump_f, other, [[1.0]], [[1.0]], [[0.5]], 10, 4, 1)
 
 
 def test_blocked_kernel_block_size_invariance(bump_f, bump_g):

@@ -288,6 +288,18 @@ def test_symbol_q_stable_small_frequency_sweep():
         assert np.max(np.abs(got - symbol_stable(alpha, x))) < 1e-12
 
 
+def test_symbol_q_stable_mid_alpha_sweep():
+    # the compensated integrand is formed with expm1, so the order-64 and
+    # order-72 panel sums no longer differ by the roundoff of cos(cr) - 1
+    x = np.array([0.6, 1.2, -0.8, 2.0])
+    x = np.concatenate([x, -x])
+    for alpha in (1.25, 1.5, 1.7):
+        data = make_data(StableMeasure(alpha, 1), A=[[-1.0]], B=[[1.0]])
+        got = symbol_q(data, Modulator(phi=sign_mod()), x[:, None])
+        assert np.max(np.abs(got - symbol_stable(alpha, x))) < 1e-9
+        assert np.max(np.abs(got[:4] + got[4:])) <= 1e-12
+
+
 def test_symbol_stable_alpha_range():
     with pytest.raises(AlphaOutOfRange):
         symbol_stable(2.0, 1.0)
