@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigValidationError, ParseError
+from .grids import Grid
 from .levy import (
     AtomsMeasure,
     LevyData,
@@ -241,8 +242,10 @@ def parse_config(text: str) -> RunConfig:
     cfg = RunConfig(raw=raw)
     cfg.build_data()          # validates measure + modulator together
     cfg.build_symbol_spec()
-    if cfg.grid_points & (cfg.grid_points - 1):
-        raise ConfigValidationError(f"grid points {cfg.grid_points} is not a power of two")
+    try:
+        Grid(cfg.d, cfg.raw["grid"]["length"], cfg.raw["grid"]["points"])
+    except ValueError as exc:
+        raise ConfigValidationError(f"grid: {exc}") from None
     return cfg
 
 

@@ -20,7 +20,7 @@ import struct
 import numpy as np
 
 from .errors import ParseError
-from .grids import freq_grid, sorted_order, space_axes
+from .grids import Grid
 from .spectral import SampledField
 from .symbols import SymbolGrid, symbol_grid_from_values
 
@@ -30,12 +30,12 @@ FIELD_MAGIC = b"LMFIELD1"
 _FMT = "%.17g"
 
 
-def _write_binary(path, magic, d, N, L, flat_complex):
+def _write_binary(path, magic, grid: Grid, flat_complex):
     with open(path, "wb") as fh:
         fh.write(magic)
-        fh.write(struct.pack("<Q", d))
-        fh.write(np.asarray(N, dtype="<u8").tobytes())
-        fh.write(np.asarray(L, dtype="<f8").tobytes())
+        fh.write(struct.pack("<Q", grid.d))
+        fh.write(np.asarray(grid.N, dtype="<u8").tobytes())
+        fh.write(np.asarray(grid.L, dtype="<f8").tobytes())
         inter = np.empty(2 * flat_complex.size)
         inter[0::2] = flat_complex.real
         inter[1::2] = flat_complex.imag
@@ -51,37 +51,39 @@ def _read_binary(path, magic):
         N = np.frombuffer(fh.read(8 * d), dtype="<u8").astype(int)
         L = np.frombuffer(fh.read(8 * d), dtype="<f8").copy()
         raw = np.frombuffer(fh.read(), dtype="<f8")
-    count = 2 * int(np.prod(N))
+    try:
+        grid = Grid(d, L, N)
+    except ValueError as exc:
+        raise ParseError(f"bad header in {path}: {exc}") from None
+    count = 2 * grid.size
     if raw.size != count:
         raise ParseError(f"payload holds {raw.size} floats, expected {count}")
-    return int(d), N, L, raw[0::2] + 1j * raw[1::2]
+    return grid, raw[0::2] + 1j * raw[1::2]
 
 
 def write_symbol_grid(path, grid: SymbolGrid):
-    order = sorted_order(grid.N)
-    _write_binary(path, GRID_MAGIC, grid.d, grid.N, grid.L, grid.flat[order])
+    _write_binary(path, GRID_MAGIC, grid, grid.flat[grid.order])
 
 
 def read_symbol_grid(path) -> SymbolGrid:
-    d, N, L, flat = _read_binary(path, GRID_MAGIC)
+    grid, flat = _read_binary(path, GRID_MAGIC)
     values = np.empty(flat.size, dtype=complex)
-    values[sorted_order(tuple(N))] = flat
-    return symbol_grid_from_values(values, L, tuple(N), d, check_bound=False)
+    values[grid.order] = flat
+    return symbol_grid_from_values(values, grid, check_bound=False)
 
 
 def write_field(path, field: SampledField):
-    _write_binary(path, FIELD_MAGIC, field.d, field.N, field.L, field.values.ravel())
+    _write_binary(path, FIELD_MAGIC, field, field.values.ravel())
 
 
 def read_field(path) -> SampledField:
-    d, N, L, flat = _read_binary(path, FIELD_MAGIC)
-    return SampledField(d=d, L=tuple(L), N=tuple(N), values=flat.reshape(tuple(N)))
+    grid, flat = _read_binary(path, FIELD_MAGIC)
+    return SampledField(d=grid.d, L=grid.L, N=grid.N, values=flat)
 
 
 def symbol_grid_csv(grid: SymbolGrid) -> str:
-    order = sorted_order(grid.N)
-    xi = freq_grid(grid.L, grid.N, grid.d)[order]
-    vals = grid.flat[order]
+    xi = grid.xi[grid.order]
+    vals = grid.flat[grid.order]
     header = ",".join(f"xi_{i + 1}" for i in range(grid.d)) + ",re_m,im_m"
     lines = [header]
     for row, v in zip(xi, vals):
@@ -91,8 +93,7 @@ def symbol_grid_csv(grid: SymbolGrid) -> str:
 
 
 def field_csv(field: SampledField) -> str:
-    axes = space_axes(field.L, field.N, field.d)
-    mesh = np.meshgrid(*axes, indexing="ij")
+    mesh = np.meshgrid(*field.space_axes, indexing="ij")
     pts = np.stack([m.ravel() for m in mesh], axis=-1)
     vals = field.values.ravel()
     header = ",".join(f"x_{i + 1}" for i in range(field.d)) + ",re_f,im_f"

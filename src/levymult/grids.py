@@ -1,59 +1,127 @@
-"""Shared periodic-grid layout.
+"""The periodic box shared by every route: one `Grid` value.
 
-Space grid: x_j = -L/2 + j L/N, j = 0..N-1 per axis.
-Frequency grid: xi_k = 2 pi k / L with k in [-N/2, N/2), stored in numpy
-FFT index order.  The transform pair used everywhere is
+`Grid(d, L, N)` takes the box lengths L and the point counts N as scalars
+or per-axis sequences; its constructor normalises them to d-tuples and
+validates them, once.  Every other fact about the box is a member derived
+lazily and kept on the grid: the space axes x_j = -L/2 + j L/N (j = 0..N-1
+per axis), the frequency lattice xi_k = 2 pi k / L (k in [-N/2, N/2) per
+axis, rows in numpy FFT index order) with its integer points k, the
+negation index, the sorted order, the DFT signs, dx, the cell volume and
+dxi/(2pi)^d.  Everyone holding the grid shares them, so the arrays are
+read-only.  SampledField and SymbolGrid extend Grid with their values.
+The transform pair used everywhere is
 
     fhat(xi) = I f(x) e^{+i(xi,x)} dx,    f(x) = (2pi)^{-d} I fhat e^{-i(xi,x)} dxi.
 """
 
+from dataclasses import dataclass
+from functools import cached_property
+
 import numpy as np
 
 
-def _per_axis(value, d):
-    arr = np.asarray(value, dtype=float).ravel()
-    if arr.size == 1:
-        arr = np.repeat(arr, d)
-    if arr.size != d:
-        raise ValueError(f"expected {d} per-axis values, got {arr.size}")
+def _read_only(arr):
+    arr.flags.writeable = False
     return arr
 
 
-def space_axes(L, N, d):
-    L = _per_axis(L, d)
-    N = np.asarray(N).ravel().astype(int)
-    if N.size == 1:
-        N = np.repeat(N, d)
-    return [(-L[i] / 2.0 + L[i] / N[i] * np.arange(N[i])) for i in range(d)]
-
-
-def freq_axes(L, N, d):
-    """Per-axis frequencies 2 pi k / L in FFT index order."""
-    L = _per_axis(L, d)
-    N = np.asarray(N).ravel().astype(int)
-    if N.size == 1:
-        N = np.repeat(N, d)
-    return [2.0 * np.pi * np.fft.fftfreq(N[i], d=L[i] / N[i]) for i in range(d)]
-
-
-def freq_grid(L, N, d) -> np.ndarray:
-    """All frequency vectors as a (prod(N), d) array, row-major in FFT order."""
-    axes = freq_axes(L, N, d)
+def _lattice(axes):
     mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=-1)
+    return _read_only(np.stack([m.ravel() for m in mesh], axis=-1))
 
 
-def negate_index(shape):
-    """Flat index permutation mapping frequency index k to -k (mod N per axis)."""
-    idx = np.arange(int(np.prod(shape))).reshape(shape)
-    for ax in range(len(shape)):
-        idx = np.flip(np.roll(idx, -1, axis=ax), axis=ax)
-    return idx.ravel()
+@dataclass(frozen=True, eq=False)
+class Grid:
+    """Uniform periodic grid on [-L/2, L/2)^d with N points per axis.
 
+    Raises ValueError, naming the field, for a dimension below 1, a count
+    of L or N values other than 1 or d, a box length that is not positive
+    and finite, or a point count that is not a power of two.
+    """
 
-def sorted_order(shape):
-    """Flat permutation putting FFT-ordered frequencies into ascending order."""
-    perm = np.arange(int(np.prod(shape))).reshape(shape)
-    for ax, n in enumerate(shape):
-        perm = np.take(perm, np.fft.fftshift(np.arange(n)), axis=ax)
-    return perm.ravel()
+    d: int
+    L: tuple
+    N: tuple
+
+    def __post_init__(self):
+        d = int(self.d)
+        if d < 1 or d != self.d:
+            raise ValueError(f"dimension d = {self.d!r} is not a positive integer")
+        L, N = ([float(v) for v in np.ravel(vals)] for vals in (self.L, self.N))
+        for name, vals in (("L", L), ("N", N)):
+            if len(vals) not in (1, d):
+                raise ValueError(f"{name} needs 1 or d = {d} values, got {len(vals)}")
+        if not all(0.0 < v < np.inf for v in L):
+            raise ValueError(f"box length L = {L} is not positive and finite")
+        if not all(0 < n < 2**62 and n == int(n) and not int(n) & (int(n) - 1) for n in N):
+            raise ValueError(f"grid size N = {N} is not a power of two")
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "L", tuple(L * d if len(L) == 1 else L))
+        object.__setattr__(self, "N", tuple(int(n) for n in (N * d if len(N) == 1 else N)))
+
+    @property
+    def size(self) -> int:
+        return int(np.prod(self.N))
+
+    @cached_property
+    def dx(self) -> np.ndarray:
+        return _read_only(np.asarray(self.L) / np.asarray(self.N))
+
+    @cached_property
+    def cell_volume(self) -> float:
+        return float(np.prod(self.dx))
+
+    @cached_property
+    def dxi_norm(self) -> float:
+        """dxi/(2pi)^d: the weight of one lattice point in the inverse transform."""
+        return float(np.prod(2.0 * np.pi / np.asarray(self.L))) / (2.0 * np.pi) ** self.d
+
+    @cached_property
+    def space_axes(self) -> tuple:
+        return tuple(_read_only(-L / 2.0 + L / n * np.arange(n))
+                     for L, n in zip(self.L, self.N))
+
+    def space_points(self) -> list:
+        return list(self.space_axes)
+
+    @cached_property
+    def k(self) -> np.ndarray:
+        """Integer lattice points, (prod(N), d), FFT order."""
+        return _lattice([np.fft.fftfreq(n, 1.0 / n).astype(np.int64) for n in self.N])
+
+    @cached_property
+    def xi_axes(self) -> tuple:
+        """Per-axis frequencies 2 pi k / L in FFT order."""
+        return tuple(_read_only(2.0 * np.pi * np.fft.fftfreq(n, d=L / n))
+                     for L, n in zip(self.L, self.N))
+
+    @cached_property
+    def xi(self) -> np.ndarray:
+        """Frequencies 2 pi k / L, (prod(N), d), FFT order."""
+        return _lattice(self.xi_axes)
+
+    @cached_property
+    def neg(self) -> np.ndarray:
+        """Flat index permutation mapping frequency index k to -k (mod N per axis)."""
+        idx = np.arange(self.size).reshape(self.N)
+        for ax in range(self.d):
+            idx = np.flip(np.roll(idx, -1, axis=ax), axis=ax)
+        return _read_only(idx.ravel())
+
+    @cached_property
+    def order(self) -> np.ndarray:
+        """Flat permutation putting FFT-ordered frequencies into ascending order."""
+        perm = np.arange(self.size).reshape(self.N)
+        for ax, n in enumerate(self.N):
+            perm = np.take(perm, np.fft.fftshift(np.arange(n)), axis=ax)
+        return _read_only(perm.ravel())
+
+    @cached_property
+    def phases(self) -> np.ndarray:
+        """(-1)^(k_1 + ... + k_d) in the grid's shape."""
+        out = np.ones(self.N)
+        for ax, n in enumerate(self.N):
+            shape = [1] * self.d
+            shape[ax] = n
+            out = out * ((-1.0) ** np.arange(n)).reshape(shape)
+        return _read_only(out)

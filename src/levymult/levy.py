@@ -506,7 +506,9 @@ def _radial_1d(profile: RadialProfile, integrand, head: float, osc: float, terms
     elif slow * r_max < 30.0:
         r_max = 60.0 / slow
     floor = singular_floor(alpha, head * coeff, 1e-16)
-    floor = min(floor, 0.5 / osc, 0.5)
+    # r^(-1-alpha) overflows below 1e300^(-1/(1+alpha)) (near alpha = 2, where the
+    # floor above is ~1e-147); the mass below the floor is booked as error
+    floor = max(min(floor, 0.5 / osc, 0.5), 1e300 ** (-1.0 / (1.0 + alpha)))
 
     def weighted(r):
         vals = integrand(r) * profile.density(r)

@@ -4,7 +4,8 @@ One engine runs every compound-Poisson check: the blocked kernel gives,
 per block of paths, the frequency coefficients of the endpoints F1, G1
 and of each jump's increments dF, dG.  The pairing and L^p estimates
 reduce the endpoints on the x-grid; the differential-subordination check
-sums the per-jump increments against the phases of one point x.  All
+sums the per-jump increments against the phases of one point x.  The
+Brownian engine shares its band set-up and its reduction to the x-grid.  All
 randomness flows from one master seed through counter-based per-path
 streams, so results are independent of block size and scheduling.
 """
@@ -14,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MeasureValidationError, StepTooCoarse
-from .grids import freq_grid, negate_index
 from .kernels import brownian_accumulate, cpp_pair_coeffs
 from .levy import (
     AtomsMeasure,
@@ -76,15 +76,45 @@ def simulate_cpp(nu: AtomsMeasure, seed: int, index: int = 0) -> JumpPath:
 # ---------------------------------------------------------------------------
 
 
-def _mode_band(N, *hats, tol=1e-15):
-    mags = sum(np.abs(h) for h in hats)
-    keep = mags > tol * mags.max()
-    keep |= keep[negate_index(N)]
-    return np.flatnonzero(keep)
+def _band(f: SampledField, g: SampledField, A, B):
+    """Set-up shared by the compound-Poisson and the Brownian engines.
+
+    Returns the transforms fhat, ghat (flat, FFT order), the band of modes
+    where |fhat| + |ghat| exceeds 1e-15 of its largest value, closed under
+    negation, and the band frequencies mapped by A and B (rows xi_k A, xi_k B).
+    """
+    _check_compat(f, g)
+    fhat = transform_forward(f).ravel()
+    ghat = transform_forward(g).ravel()
+    mags = np.abs(fhat) + np.abs(ghat)
+    keep = mags > 1e-15 * mags.max()
+    keep |= keep[f.neg]
+    band = np.flatnonzero(keep)
+    Xi = f.xi[band]
+    return fhat, ghat, band, Xi @ A, Xi @ B
 
 
-def _sub_slices(d, stride):
-    return (slice(None),) + tuple(slice(None, None, stride) for _ in range(d))
+class _Subgrid:
+    """Reduction of band coefficients to every stride-th point of the grid.
+
+    values maps a batch of band coefficients (rows) to the batch's values
+    on the subgrid; integral sums a batch of subgrid values times the
+    subgrid cell volume dV.
+    """
+
+    def __init__(self, f: SampledField, band, stride: int):
+        self.grid, self.band = f, band
+        self.sl = (slice(None),) + (slice(None, None, stride),) * f.d
+        self.axes = tuple(range(1, f.d + 1))
+        self.dV = float(np.prod(f.dx * stride))
+
+    def values(self, coeffs):
+        full = np.zeros((coeffs.shape[0], self.grid.size), dtype=complex)
+        full[:, self.band] = coeffs
+        return values_from_coefficients(full, self.grid)[self.sl]
+
+    def integral(self, vals):
+        return vals.sum(axis=self.axes) * self.dV
 
 
 def mean_and_se(vals: np.ndarray):
@@ -110,21 +140,19 @@ def _cpp_blocks(f: SampledField, g: SampledField, data: LevyData, mod: Modulator
     cpp_pair_coeffs, (cF1, cG1, cGend, covF, covG), on the band.
     """
     validate(data, mod)
-    _check_compat(f, g)
     nu = data.nu
     if not isinstance(nu, AtomsMeasure):
         raise MeasureValidationError("bulk estimation needs a finite atomic measure")
     lam = nu.total_mass
     if not lam > 0.0:
         raise MeasureValidationError("bulk estimation needs |nu| > 0")
+    if np.any(data.mu.weights):
+        raise MeasureValidationError(
+            "the compound-Poisson engine samples no Gaussian part: "
+            "the sphere measure mu must have no weight")
 
-    fhat = transform_forward(f).ravel()
-    ghat = transform_forward(g).ravel()
-    band = _mode_band(f.N, fhat, ghat)
+    fhat, ghat, band, zA, zB = _band(f, g, data.A, data.B)
     fband, gband = fhat[band], ghat[band]
-    Xi = freq_grid(f.L, f.N, f.d)[band]
-    zA = Xi @ data.A
-    zB = Xi @ data.B
     psiA = np.atleast_1d(psi(data, -zA))
     psiB = np.atleast_1d(psi(data, -zB))
     _, h = drift_reduce(data)
@@ -139,7 +167,7 @@ def _cpp_blocks(f: SampledField, g: SampledField, data: LevyData, mod: Modulator
         ph = np.exp(-1j * (blockz @ zB.T))
         S += ((ph - 1.0) * (phi_atoms[m0:m0 + chunk] * nu.weights[m0:m0 + chunk])[:, None]).sum(axis=0)
     if block_size is None:
-        block_size = max(16, min(1024, (1 << 24) // int(np.prod(f.N))))
+        block_size = max(16, min(1024, (1 << 24) // f.size))
 
     def blocks():
         for b0 in range(0, n_paths, block_size):
@@ -178,10 +206,7 @@ def run_cpp_paths(f: SampledField, g: SampledField, data: LevyData, mod: Modulat
     plus meta entries (f0_x0, dV_sub, band size).
     """
     band, blocks = _cpp_blocks(f, g, data, mod, n_paths, seed, block_size)
-    d, L, N = f.d, f.L, f.N
-    Nflat = int(np.prod(N))
-    sl = _sub_slices(d, sub_stride)
-    dV_sub = float(np.prod(np.asarray(f.dx) * sub_stride))
+    sub = _Subgrid(f, band, sub_stride)
 
     out = {
         "pair": np.zeros(n_paths, dtype=complex),
@@ -194,46 +219,37 @@ def run_cpp_paths(f: SampledField, g: SampledField, data: LevyData, mod: Modulat
         "gend_pow": {q: np.zeros(n_paths) for q in gend_powers},
         "g1_pow": {q: np.zeros(n_paths) for q in gend_powers},
     }
-    x0_idx = tuple((n // sub_stride) // 2 for n in N)
+    x0_idx = tuple((n // sub_stride) // 2 for n in f.N)
 
     for b0, offsets, (cF1, cG1, cGend, covF, covG) in blocks:
         P = offsets.size - 1
         out["njumps"][b0:b0 + P] = np.diff(offsets)
-
-        def to_values(coeffs):
-            full = np.zeros((coeffs.shape[0], Nflat), dtype=complex)
-            full[:, band] = coeffs
-            return values_from_coefficients(full, L, N, d)[sl]
-
-        F1v = to_values(cF1)
-        G1v = to_values(cG1)
-        axes = tuple(range(1, d + 1))
-        out["pair"][b0:b0 + P] = (F1v * G1v).sum(axis=axes) * dV_sub
+        F1v = sub.values(cF1)
+        G1v = sub.values(cG1)
+        out["pair"][b0:b0 + P] = sub.integral(F1v * G1v)
         if keep_x0:
             sel = (slice(None),) + x0_idx
             out["f1_x0"][b0:b0 + P] = F1v[sel]
             out["g1_x0"][b0:b0 + P] = G1v[sel]
         for p in fend_powers:
-            out["fend_pow"][p][b0:b0 + P] = (np.abs(F1v) ** p).sum(axis=axes) * dV_sub
+            out["fend_pow"][p][b0:b0 + P] = sub.integral(np.abs(F1v) ** p)
         if gend_powers:
-            Gendv = to_values(cGend)
+            Gendv = sub.values(cGend)
             if keep_x0:
                 out["gend_x0"][b0:b0 + P] = Gendv[(slice(None),) + x0_idx]
             for q in gend_powers:
-                out["gend_pow"][q][b0:b0 + P] = (np.abs(Gendv) ** q).sum(axis=axes) * dV_sub
-                out["g1_pow"][q][b0:b0 + P] = (np.abs(G1v) ** q).sum(axis=axes) * dV_sub
+                out["gend_pow"][q][b0:b0 + P] = sub.integral(np.abs(Gendv) ** q)
+                out["g1_pow"][q][b0:b0 + P] = sub.integral(np.abs(G1v) ** q)
 
         if covF.shape[0]:
-            dFv = to_values(covF)
-            dGv = to_values(covG)
-            prod = (dFv * dGv).sum(axis=tuple(range(1, d + 1))) * dV_sub
+            prod = sub.integral(sub.values(covF) * sub.values(covG))
             path_of_jump = np.repeat(np.arange(P), np.diff(offsets))
             np.add.at(out["cov"], b0 + path_of_jump, prod)
 
-    x0_point = np.array([ax[::sub_stride][x0_idx[i]] for i, ax in enumerate(f.space_points())])
+    x0_point = np.array([ax[::sub_stride][x0_idx[i]] for i, ax in enumerate(f.space_axes)])
     out["meta"] = {
         "band_size": int(band.size),
-        "dV_sub": dV_sub,
+        "dV_sub": sub.dV,
         "x0_point": x0_point,
         "f0_x0": semigroup_eval(f, data.A, data, 1.0, x0_point),
     }
@@ -255,8 +271,7 @@ def check_subordination(f: SampledField, g: SampledField, data: LevyData,
     rel_slack = 1e-12
     x = np.asarray(x, dtype=float).ravel()
     band, blocks = _cpp_blocks(f, g, data, mod, n_paths, seed)
-    dxi = float(np.prod(2.0 * np.pi / np.asarray(f.L)))
-    phase = dxi / (2.0 * np.pi) ** f.d * np.exp(-1j * (freq_grid(f.L, f.N, f.d)[band] @ x))
+    phase = f.dxi_norm * np.exp(-1j * (f.xi[band] @ x))
     head = abs(semigroup_eval(f, data.A, data, 1.0, x)) ** 2
     violating = jumps = 0
     worst = 0.0
@@ -336,7 +351,7 @@ def spectral_pairing_value(f: SampledField, g: SampledField, data: LevyData,
                            mod: Modulator, u: float = 1.0) -> complex:
     """Deterministic reference: the grid pairing with the q-form symbol."""
     grid = evaluate_grid(SymbolSpec(variant="q_form", data=data, mod=mod, u=u),
-                         L=f.L[0], N=f.N)
+                         L=f.L, N=f.N)
     return pairing(grid, f, g).spectral
 
 
@@ -374,7 +389,6 @@ def brownian_pairing(f: SampledField, g: SampledField, A, B, Kmat,
     """
     from .symbols import _check_contraction
 
-    _check_compat(f, g)
     A = np.atleast_2d(np.asarray(A, dtype=float))
     B = np.atleast_2d(np.asarray(B, dtype=float))
     Kmat = np.atleast_2d(np.asarray(Kmat, dtype=complex))
@@ -382,37 +396,25 @@ def brownian_pairing(f: SampledField, g: SampledField, A, B, Kmat,
     if steps < 2:
         raise ValueError("need at least 2 time steps")
 
-    d, L, N = f.d, f.L, f.N
     n = A.shape[1]
-    Nflat = int(np.prod(N))
-    fhat = transform_forward(f).ravel()
-    ghat = transform_forward(g).ravel()
-    band = _mode_band(N, fhat, ghat)
-    neg = negate_index(N)
-    Xi = freq_grid(L, N, d)[band]
-    zA = Xi @ A
-    zB = Xi @ B
-    # band frequencies are 2 pi kint / L per axis; the kernel takes phases on that lattice
-    turns = 2.0 * np.pi / np.asarray(L)
-    kint = np.rint(Xi / turns).astype(np.int64)
+    fhat, ghat, band, zA, zB = _band(f, g, A, B)
+    # band frequencies are 2 pi k / L per axis: the kernel takes the integer k and
+    # the angle maps (2 pi / L) A, (2 pi / L) B
+    turns = 2.0 * np.pi / np.asarray(f.L)
     h = 1.0 / steps
     v_times = np.arange(steps) * h
     EA = np.exp(-np.outer(1.0 - v_times, var_scale * (zA * zA).sum(axis=1)))
     EB = np.exp(-np.outer(1.0 - v_times, var_scale * (zB * zB).sum(axis=1)))
-    dxi_norm = float(np.prod(turns)) / (2.0 * np.pi) ** d
 
     KzB = zB @ Kmat.T                      # rows K B^T xi_k
     aKb = np.einsum("kj,kj->k", zA.astype(complex), KzB)
-    ghat_neg = ghat[neg][band]
     sigma2 = 2.0 * var_scale
-    U = sigma2 * aKb * fhat[band] * ghat_neg * dxi_norm
+    U = sigma2 * aKb * fhat[band] * ghat[f.neg][band] * f.dxi_norm
     GB = -1j * ghat[band][:, None] * KzB
 
     if block_size is None:
         block_size = max(8, min(256, (1 << 22) // max(steps, 1)))
-    sl = _sub_slices(d, sub_stride)
-    dV_sub = float(np.prod(np.asarray(f.dx) * sub_stride))
-    axes = tuple(range(1, d + 1))
+    sub = _Subgrid(f, band, sub_stride)
 
     pair_stats = np.zeros(n_paths, dtype=complex)
     cov_stats = np.zeros(n_paths, dtype=complex)
@@ -426,14 +428,9 @@ def brownian_pairing(f: SampledField, g: SampledField, A, B, Kmat,
         for i in range(P):
             dW[i] = path_stream(seed, b0 + i).standard_normal((steps, n)) * sig
         cF1, cG1, Tcov, qd, qq = brownian_accumulate(
-            dW, EA, EB, U, GB, kint, turns[:, None] * A, turns[:, None] * B,
-            fhat[band], dxi_norm, want_qv=want_qv)
-        full = np.zeros((P, Nflat), dtype=complex)
-        full[:, band] = cF1
-        F1v = values_from_coefficients(full, L, N, d)[sl]
-        full[:, band] = cG1
-        G1v = values_from_coefficients(full, L, N, d)[sl]
-        pair_stats[b0:b0 + P] = (F1v * G1v).sum(axis=axes) * dV_sub
+            dW, EA, EB, U, GB, f.k[band], turns[:, None] * A, turns[:, None] * B,
+            fhat[band], f.dxi_norm, want_qv=want_qv)
+        pair_stats[b0:b0 + P] = sub.integral(sub.values(cF1) * sub.values(cG1))
         cov_stats[b0:b0 + P] = Tcov
         qv_d[b0:b0 + P] = qd
         qv_q[b0:b0 + P] = qq
@@ -467,5 +464,5 @@ def gaussian_spectral_value(f: SampledField, g: SampledField, A, B, Kmat,
     grid = evaluate_grid(
         SymbolSpec(variant="gaussian", A=np.atleast_2d(A), B=np.atleast_2d(B),
                    K=np.atleast_2d(Kmat), var_scale=var_scale),
-        L=f.L[0], N=f.N)
+        L=f.L, N=f.N)
     return pairing(grid, f, g).spectral

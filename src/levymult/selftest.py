@@ -147,10 +147,9 @@ def check_u_limit():
 def check_transforms():
     f = gaussian_bump(40.0, 1024, 1)
     fhat = transform_forward(f)
-    from .grids import freq_grid
-    xi = freq_grid(f.L, f.N, 1).ravel()
+    xi = f.xi.ravel()
     err = np.max(np.abs(fhat - np.sqrt(2 * np.pi) * np.exp(-xi**2 / 2.0)))
-    rt = np.max(np.abs(transform_inverse(fhat, f.L, f.N, 1).values - f.values))
+    rt = np.max(np.abs(transform_inverse(fhat, f).values - f.values))
     ok = err < 1e-8 and rt < 1e-12
     return "transform pair (closed form + round trip)", ok, f"gaussian {err:.2e}, roundtrip {rt:.2e}"
 
@@ -179,7 +178,7 @@ def check_semigroup():
     direct = semigroup_eval(f, data.A, data, 0.7, x)
     half = semigroup_eval(f, data.A, data, 0.3, x)
     from .spectral import semigroup_multiplier
-    pt = apply_multiplier(semigroup_multiplier(data, data.A, 40.0, f.N, 1, 0.4), f)
+    pt = apply_multiplier(semigroup_multiplier(data, data.A, f, 0.4), f)
     comp = semigroup_eval(pt, data.A, data, 0.3, x)
     ok = abs(direct - comp) < 1e-10 and abs(semigroup_eval(f, data.A, data, 0.0, x)
                                             - f_exact(x[0])) < 1e-8

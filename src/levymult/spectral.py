@@ -11,67 +11,30 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridMismatch, LevyMultError
-from .grids import freq_grid, negate_index, space_axes
+from .grids import Grid
 from .levy import LevyData, psi
 from .symbols import SymbolGrid, symbol_grid_from_values
 
 
-def _axis_phases(N):
-    """Per-axis (-1)^k factors relating the DFT to the centered box."""
-    return [(-1.0) ** np.arange(n) for n in N]
-
-
-def _phase_array(N):
-    out = np.ones(N)
-    for ax, ph in enumerate(_axis_phases(N)):
-        shape = [1] * len(N)
-        shape[ax] = N[ax]
-        out = out * ph.reshape(shape)
-    return out
-
-
 @dataclass(frozen=True, eq=False)
-class SampledField:
+class SampledField(Grid):
     """Complex samples f(x_j) on the uniform periodic grid."""
 
-    d: int
-    L: tuple
-    N: tuple
     values: np.ndarray
 
     def __post_init__(self):
-        N = tuple(int(v) for v in np.atleast_1d(self.N))
-        if len(N) == 1 and self.d > 1:
-            N = N * self.d
-        L = tuple(float(v) for v in np.atleast_1d(self.L))
-        if len(L) == 1 and self.d > 1:
-            L = L * self.d
-        for n in N:
-            if n & (n - 1) or n <= 0:
-                raise ValueError(f"grid size {n} is not a power of two")
-        vals = np.asarray(self.values, dtype=complex).reshape(N)
+        super().__post_init__()
+        vals = np.asarray(self.values, dtype=complex).reshape(self.N)
         if not np.all(np.isfinite(vals)):
             raise ValueError("field samples must be finite")
-        object.__setattr__(self, "N", N)
-        object.__setattr__(self, "L", L)
         object.__setattr__(self, "values", vals)
-
-    @property
-    def dx(self) -> np.ndarray:
-        return np.asarray(self.L) / np.asarray(self.N)
-
-    @property
-    def cell_volume(self) -> float:
-        return float(np.prod(self.dx))
-
-    def space_points(self):
-        return space_axes(self.L, self.N, self.d)
 
 
 def field_from_function(fn, L, N, d) -> SampledField:
-    axes = space_axes(L, N, d)
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return SampledField(d=d, L=L, N=N, values=np.asarray(fn(*mesh), dtype=complex))
+    grid = Grid(d, L, N)
+    mesh = np.meshgrid(*grid.space_axes, indexing="ij")
+    return SampledField(d=grid.d, L=grid.L, N=grid.N,
+                        values=np.asarray(fn(*mesh), dtype=complex))
 
 
 def gaussian_bump(L, N, d, center=None, width=1.0, phase_freq=None,
@@ -90,42 +53,26 @@ def gaussian_bump(L, N, d, center=None, width=1.0, phase_freq=None,
 
 def transform_forward(f: SampledField) -> np.ndarray:
     """fhat(xi_k) in FFT index order; xi_k = 2 pi k / L."""
-    ph = _phase_array(f.N)
-    scale = f.cell_volume * float(np.prod(f.N))
-    return scale * ph * np.fft.ifftn(f.values)
+    scale = f.cell_volume * float(f.size)
+    return scale * f.phases * np.fft.ifftn(f.values)
 
 
-def transform_inverse(fhat: np.ndarray, L, N, d) -> SampledField:
-    N = tuple(int(v) for v in np.atleast_1d(N))
-    if len(N) == 1 and d > 1:
-        N = N * d
-    ph = _phase_array(N)
-    vals = np.fft.fftn(ph * np.asarray(fhat, dtype=complex).reshape(N))
-    Lt = tuple(float(v) for v in np.atleast_1d(L))
-    if len(Lt) == 1 and d > 1:
-        Lt = Lt * d
-    vals = vals / float(np.prod(Lt))
-    return SampledField(d=d, L=Lt, N=N, values=vals)
+def transform_inverse(fhat: np.ndarray, grid: Grid) -> SampledField:
+    vals = np.fft.fftn(grid.phases * np.asarray(fhat, dtype=complex).reshape(grid.N))
+    return SampledField(d=grid.d, L=grid.L, N=grid.N, values=vals * grid.dxi_norm)
 
 
-def values_from_coefficients(coeffs: np.ndarray, L, N, d) -> np.ndarray:
+def values_from_coefficients(coeffs: np.ndarray, grid: Grid) -> np.ndarray:
     """Grid samples of (2pi)^{-d} sum_k c_k e^{-i(xi_k, x)} dxi^d.
 
     coeffs holds the flattened frequency lattice (FFT order) in its last
     axis; leading axes are batch dimensions.  Returns batch + grid shape.
     """
-    N = tuple(int(v) for v in np.atleast_1d(N))
-    if len(N) == 1 and d > 1:
-        N = N * d
     c = np.asarray(coeffs, dtype=complex)
     batch = c.shape[:-1]
-    c = c.reshape(batch + N)
-    ph = _phase_array(N)
-    axes = tuple(range(len(batch), len(batch) + d))
-    Lt = np.atleast_1d(np.asarray(L, dtype=float))
-    if Lt.size == 1:
-        Lt = np.repeat(Lt, d)
-    return np.fft.fftn(ph * c, axes=axes) / float(np.prod(Lt))
+    c = c.reshape(batch + grid.N)
+    axes = tuple(range(len(batch), len(batch) + grid.d))
+    return np.fft.fftn(grid.phases * c, axes=axes) * grid.dxi_norm
 
 
 def _check_compat(a, b):
@@ -139,7 +86,7 @@ def apply_multiplier(m: SymbolGrid, f: SampledField) -> SampledField:
     """Frequency-wise product: the operator M with symbol m applied to f."""
     _check_compat(m, f)
     fhat = transform_forward(f)
-    return transform_inverse(m.values * fhat, f.L, f.N, f.d)
+    return transform_inverse(m.values * fhat, f)
 
 
 @dataclass(frozen=True)
@@ -167,9 +114,7 @@ def pairing(m: SymbolGrid, f: SampledField, g: SampledField,
 
     fhat = transform_forward(f).ravel()
     ghat = transform_forward(g).ravel()
-    neg = negate_index(f.N)
-    dxi = float(np.prod(2.0 * np.pi / np.asarray(f.L)))
-    spectral = complex(np.sum(m.flat * fhat * ghat[neg]) * dxi / (2.0 * np.pi) ** f.d)
+    spectral = complex(np.sum(m.flat * fhat * ghat[f.neg]) * f.dxi_norm)
 
     if check:
         # floor at the natural bilinear scale so pairings that vanish by
@@ -202,20 +147,17 @@ def semigroup_eval(f: SampledField, A, data: LevyData, s: float, x):
     scalar = X.ndim == 1
     X = np.atleast_2d(X)
     fhat = transform_forward(f).ravel()
-    Xi = freq_grid(f.L, f.N, f.d)
-    expo = np.exp(s * np.atleast_1d(psi(data, -(Xi @ A))))
-    dxi = float(np.prod(2.0 * np.pi / np.asarray(f.L)))
-    weights = fhat * expo * dxi / (2.0 * np.pi) ** f.d
-    vals = np.exp(-1j * (X @ Xi.T)) @ weights
+    expo = np.exp(s * np.atleast_1d(psi(data, -(f.xi @ A))))
+    weights = fhat * expo * f.dxi_norm
+    vals = np.exp(-1j * (X @ f.xi.T)) @ weights
     return complex(vals[0]) if scalar else vals
 
 
-def semigroup_multiplier(data: LevyData, A, L, N, d, s: float) -> SymbolGrid:
+def semigroup_multiplier(data: LevyData, A, grid: Grid, s: float) -> SymbolGrid:
     """The multiplier e^{s psi(-A^T xi)} tabulated on the grid (|.| <= 1)."""
-    Xi = freq_grid(L, N, d)
     A = np.atleast_2d(np.asarray(A, dtype=float))
-    vals = np.exp(s * np.atleast_1d(psi(data, -(Xi @ A))))
-    return symbol_grid_from_values(vals, L, N, d)
+    vals = np.exp(s * np.atleast_1d(psi(data, -(grid.xi @ A))))
+    return symbol_grid_from_values(vals, grid)
 
 
 # ---------------------------------------------------------------------------
@@ -240,19 +182,19 @@ def p_star_minus_one(p: float) -> float:
     return max(p - 1.0, 1.0 / (p - 1.0))
 
 
-def _ratio_from_coeffs(coeffs, m: SymbolGrid, L, N, d, p) -> float:
-    f = transform_inverse(coeffs, L, N, d)
+def _ratio_from_coeffs(coeffs, m: SymbolGrid, p) -> float:
+    f = transform_inverse(coeffs, m)
     nf = lp_norm(f, p)
     if nf == 0.0:
         return 0.0
-    mf = transform_inverse(np.asarray(m.values) * coeffs.reshape(m.values.shape), L, N, d)
+    mf = transform_inverse(np.asarray(m.values) * coeffs.reshape(m.values.shape), m)
     return lp_norm(mf, p) / nf
 
 
-def _trig_poly_coeffs(rng, N, d):
-    shape = tuple(N)
-    coeffs = np.zeros(shape, dtype=complex)
-    band = rng.integers(2, max(3, min(N) // 8))
+def _trig_poly_coeffs(rng, grid: Grid):
+    d = grid.d
+    coeffs = np.zeros(grid.N, dtype=complex)
+    band = rng.integers(2, max(3, min(grid.N) // 8))
     slices = tuple(slice(0, band + 1) for _ in range(d))
     # fill low modes (positive and negative wings) with complex Gaussians
     def fill(sign_slices):
@@ -267,14 +209,12 @@ def _trig_poly_coeffs(rng, N, d):
     return coeffs
 
 
-def _bump_coeffs(rng, L, N, d):
-    Lr = np.atleast_1d(np.asarray(L, dtype=float))
-    if Lr.size == 1:
-        Lr = np.repeat(Lr, d)
-    center = rng.uniform(-0.125, 0.125, size=d) * Lr
+def _bump_coeffs(rng, grid: Grid):
+    Lr = np.asarray(grid.L)
+    center = rng.uniform(-0.125, 0.125, size=grid.d) * Lr
     width = rng.uniform(0.3, 2.0)
-    omega = rng.integers(-8, 9, size=d) * 2.0 * np.pi / Lr
-    f = gaussian_bump(Lr, N, d, center=center, width=width, phase_freq=omega)
+    omega = rng.integers(-8, 9, size=grid.d) * 2.0 * np.pi / Lr
+    f = gaussian_bump(grid.L, grid.N, grid.d, center=center, width=width, phase_freq=omega)
     return transform_forward(f)
 
 
@@ -289,7 +229,6 @@ def norm_probe(m: SymbolGrid, p: float, trials: int = 500, seed: int = 0,
     lower-bound method: it can falsify the bound, never certify it.
     Deterministic for a fixed seed (per-trial counter-based streams).
     """
-    L, N, d = m.L, m.N, m.d
     bound = p_star_minus_one(p)
     best = -1.0
     best_coeffs = None
@@ -297,12 +236,12 @@ def norm_probe(m: SymbolGrid, p: float, trials: int = 500, seed: int = 0,
     for t in range(trials):
         rng = np.random.default_rng(np.random.Philox(key=(seed << 16) + t))
         if t % 2 == 0:
-            coeffs = _trig_poly_coeffs(rng, N, d)
+            coeffs = _trig_poly_coeffs(rng, m)
             desc = f"trig-poly trial={t}"
         else:
-            coeffs = _bump_coeffs(rng, L, N, d)
+            coeffs = _bump_coeffs(rng, m)
             desc = f"gaussian-bump trial={t}"
-        ratio = _ratio_from_coeffs(coeffs, m, L, N, d, p)
+        ratio = _ratio_from_coeffs(coeffs, m, p)
         if ratio > best:
             best, best_coeffs, best_desc = ratio, coeffs, desc
 
@@ -315,7 +254,7 @@ def norm_probe(m: SymbolGrid, p: float, trials: int = 500, seed: int = 0,
         idx = live[rng.integers(live.size)] if live.size else rng.integers(flat.size)
         old = flat[idx]
         flat[idx] = old + 0.25 * scale * (rng.standard_normal() + 1j * rng.standard_normal())
-        ratio = _ratio_from_coeffs(coeffs, m, L, N, d, p)
+        ratio = _ratio_from_coeffs(coeffs, m, p)
         if ratio > best:
             best = ratio
             best_desc += "+ascent"

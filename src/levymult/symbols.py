@@ -27,7 +27,7 @@ from .errors import (
     ZeroCoordinate,
     ZeroFrequencyVector,
 )
-from .grids import freq_grid
+from .grids import Grid
 from .levy import IDENTITY_MOD, LevyData, Modulator, cross_form, psi, psi_tilde
 
 BOUND_TOL = 1e-9
@@ -340,12 +340,9 @@ class SymbolSpec:
 
 
 @dataclass(frozen=True, eq=False)
-class SymbolGrid:
+class SymbolGrid(Grid):
     """Symbol samples m(xi_k) on the frequency lattice, FFT index order."""
 
-    d: int
-    L: tuple
-    N: tuple
     values: np.ndarray  # shape N, complex
     max_abs: float
     argmax_xi: np.ndarray
@@ -355,19 +352,12 @@ class SymbolGrid:
         return self.values.ravel()
 
 
-def symbol_grid_from_values(values: np.ndarray, L, N, d,
+def symbol_grid_from_values(values: np.ndarray, grid: Grid,
                             check_bound: bool = True) -> SymbolGrid:
-    values = np.asarray(values, dtype=complex)
-    N = tuple(int(v) for v in np.atleast_1d(N)) if np.ndim(N) else (int(N),) * d
-    if len(N) == 1 and d > 1:
-        N = N * d
-    L = tuple(float(v) for v in np.atleast_1d(L)) if np.ndim(L) else (float(L),) * d
-    if len(L) == 1 and d > 1:
-        L = L * d
-    values = values.reshape(N)
+    values = np.asarray(values, dtype=complex).reshape(grid.N)
     absvals = np.abs(values)
-    idx = np.unravel_index(int(np.argmax(absvals)), N)  # argmax lands on a NaN if any
-    xi = freq_grid(L, N, d).reshape(N + (d,))[idx]
+    top = np.unravel_index(int(np.argmax(absvals)), grid.N)  # lands on a NaN if any
+    xi = np.array([ax[i] for ax, i in zip(grid.xi_axes, top)])
     max_abs = float(absvals.max())
     if check_bound and not np.isfinite(max_abs):
         raise SymbolBoundViolation(f"symbol is not finite at xi = {xi}")
@@ -375,8 +365,8 @@ def symbol_grid_from_values(values: np.ndarray, L, N, d,
         raise SymbolBoundViolation(
             f"max |m| = {max_abs:.12g} exceeds 1 + {BOUND_TOL} at xi = {xi}"
         )
-    return SymbolGrid(d=d, L=L, N=N, values=values, max_abs=max_abs,
-                      argmax_xi=np.asarray(xi))
+    return SymbolGrid(d=grid.d, L=grid.L, N=grid.N, values=values, max_abs=max_abs,
+                      argmax_xi=xi)
 
 
 def evaluate_grid(spec: SymbolSpec, L=None, N=None,
@@ -390,9 +380,6 @@ def evaluate_grid(spec: SymbolSpec, L=None, N=None,
         Ld, Nd = _DEFAULT_GRIDS[d]
         L = Ld if L is None else L
         N = Nd if N is None else N
-    Ns = tuple(int(v) for v in np.atleast_1d(N)) if np.ndim(N) else (int(N),) * d
-    if len(Ns) == 1 and d > 1:
-        Ns = Ns * d
-    X = freq_grid(L, Ns, d)
-    vals = np.asarray(spec(X, on_degenerate="zero"), dtype=complex)
-    return symbol_grid_from_values(vals, L, Ns, d, check_bound=check_bound)
+    grid = Grid(d, L, N)
+    vals = np.asarray(spec(grid.xi, on_degenerate="zero"), dtype=complex)
+    return symbol_grid_from_values(vals, grid, check_bound=check_bound)

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from levymult.errors import LevyMultError, MeasureValidationError
-from levymult.grids import freq_grid
 from levymult.levy import (
     AtomsMeasure,
     LevyData,
@@ -45,12 +44,10 @@ class _Semigroup:
     def __init__(self, f: SampledField, A, data: LevyData):
         self.A = np.atleast_2d(np.asarray(A, dtype=float))
         fhat = transform_forward(f).ravel()
-        Xi = freq_grid(f.L, f.N, f.d)
         keep = np.abs(fhat) > 1e-16 * np.abs(fhat).max()
-        self.Xi = Xi[keep]
+        self.Xi = f.xi[keep]
         self.psiA = np.atleast_1d(psi(data, -(self.Xi @ self.A)))
-        dxi = float(np.prod(2.0 * np.pi / np.asarray(f.L)))
-        self.base = fhat[keep] * dxi / (2.0 * np.pi) ** f.d
+        self.base = fhat[keep] * f.dxi_norm
 
     def at(self, s: float, points) -> np.ndarray:
         P = np.atleast_2d(np.asarray(points, dtype=float))

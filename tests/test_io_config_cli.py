@@ -2,6 +2,7 @@
 
 import json
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +13,12 @@ import pytest
 import levymult
 from levymult import SampledField, SymbolSpec, evaluate_grid, gaussian_bump
 from levymult.config import emit_config, parse_config
-from levymult.errors import MeasureValidationError, ModulatorExceedsOne, ParseError
+from levymult.errors import (
+    ConfigValidationError,
+    MeasureValidationError,
+    ModulatorExceedsOne,
+    ParseError,
+)
 from levymult.gridio import (
     field_csv,
     read_field,
@@ -53,6 +59,29 @@ def test_bad_magic_rejected(tmp_path):
     path = tmp_path / "junk.bin"
     path.write_bytes(b"NOTMAGIC" + b"\x00" * 64)
     with pytest.raises(ParseError):
+        read_field(path)
+
+
+def _write_header(path, magic, d, N, L, payload_floats):
+    path.write_bytes(magic + struct.pack("<Q", d) + np.asarray(N, dtype="<u8").tobytes()
+                     + np.asarray(L, dtype="<f8").tobytes()
+                     + np.zeros(payload_floats, dtype="<f8").tobytes())
+
+
+@pytest.mark.parametrize("N,L,field", [(3, 10.0, "N"), (8, -10.0, "L"), (8, 0.0, "L"),
+                                       (0, 10.0, "N")])
+def test_read_symbol_grid_rejects_bad_header(tmp_path, N, L, field):
+    path = tmp_path / "bad.lmgrid"
+    _write_header(path, b"LMGRID1\x00", 1, [N], [L], 2 * N)
+    with pytest.raises(ParseError, match=f"{field} ="):
+        read_symbol_grid(path)
+
+
+@pytest.mark.parametrize("N,L,field", [(8, np.nan, "L"), (8, np.inf, "L"), (6, 10.0, "N")])
+def test_read_field_rejects_bad_header(tmp_path, N, L, field):
+    path = tmp_path / "bad.lmfield"
+    _write_header(path, b"LMFIELD1", 1, [N], [L], 2 * N)
+    with pytest.raises(ParseError, match=f"{field} ="):
         read_field(path)
 
 
@@ -125,6 +154,16 @@ def test_config_oversized_table_rejected():
     bad["measure"] = {"variant": "atoms", "atoms": [[1.0]], "weights": [1.0]}
     bad["modulator"] = {"phi": {"kind": "table", "table": [[1.5, 0.0]]}}
     with pytest.raises(ModulatorExceedsOne):
+        parse_config(json.dumps(bad))
+
+
+@pytest.mark.parametrize("grid", [{"length": 0.0}, {"length": -40.0},
+                                  {"length": 40.0, "points": 1000},
+                                  {"length": 40.0, "points": 4.5}])
+def test_config_bad_grid_rejected(grid):
+    bad = json.loads(STABLE_CONFIG)
+    bad["grid"] = grid
+    with pytest.raises(ConfigValidationError, match="grid"):
         parse_config(json.dumps(bad))
 
 
@@ -229,6 +268,26 @@ def test_cli_error_reports_reason_on_last_line(tmp_path):
     last = json.loads(res.stdout.strip().split("\n")[-1])
     assert last["status"] == "error"
     assert "fooo" in last["message"]
+
+
+def test_cli_mc_names_a_gaussian_part_it_cannot_sample(tmp_path):
+    cfg = json.loads(STABLE_CONFIG)
+    cfg["matrices"] = {"A": [[1.0]], "B": [[-1.0]]}
+    cfg["measure"] = {"variant": "atoms", "atoms": [[1.0], [-2.0]], "weights": [0.7, 0.3]}
+    cfg["sphere"] = {"directions": [[1.0]], "weights": [0.6]}
+    cfg["modulator"] = {"phi": {"kind": "table", "table": [[0.5, 0.0], [0.0, -0.8]]},
+                        "psi": {"kind": "table", "table": [[-0.9, 0.0]]}}
+    cfg["symbol"] = {"variant": "q_form"}
+    cfg["grid"] = {"length": 40.0, "points": 256}
+    cfg["params"].update({"paths": 100, "seed": 5})
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    res = _run_cli(["mc", "--config", str(path), "--out", "mc"], tmp_path)
+    assert res.returncode == 2, res.stdout + res.stderr
+    last = json.loads(res.stdout.strip().split("\n")[-1])
+    assert last["status"] == "error"
+    assert last["code"] == "MeasureValidationError"
+    assert "sphere measure" in last["message"]
 
 
 def test_cli_flag_overrides(tmp_path, stable_cfg_file):

@@ -8,13 +8,17 @@ from levymult import (
     IDENTITY_MOD,
     Modulator,
     SampledField,
+    SphericalMeasure,
+    SymbolSpec,
     brownian_pairing,
     check_subordination,
     estimate_pairing,
     gaussian_bump,
+    evaluate_grid,
     gaussian_spectral_value,
     lp_norm,
     make_data,
+    pairing,
     run_cpp_paths,
     semigroup_eval,
     simulate_cpp,
@@ -23,6 +27,7 @@ from levymult import (
     within_sigmas,
 )
 from levymult.errors import GridMismatch, MeasureValidationError, StepTooCoarse
+from levymult import mc
 from levymult.mc import mean_and_se
 
 from _traces import (
@@ -279,6 +284,59 @@ def test_mc_entry_points_reject_fields_on_different_grids(bump_f):
             check_subordination(bump_f, other, data, mod, 10, 1, [0.3])
         with pytest.raises(GridMismatch):
             brownian_pairing(bump_f, other, [[1.0]], [[1.0]], [[0.5]], 10, 4, 1)
+
+
+def test_jump_engine_rejects_gaussian_part(bump_f, bump_g):
+    # the compound-Poisson paths carry no Brownian component, so a sphere
+    # part with weight would be dropped from F and G without a word
+    data = make_data(AtomsMeasure([[1.0], [-2.0]], [0.7, 0.3]),
+                     mu=SphericalMeasure([[1.0]], [0.6]), A=[[1.0]], B=[[-1.0]])
+    mod = Modulator(phi=table_mod([0.5, -0.8j]), psi=table_mod([-0.9]))
+    with pytest.raises(MeasureValidationError, match="sphere"):
+        run_cpp_paths(bump_f, bump_g, data, mod, 10, 5)
+    with pytest.raises(MeasureValidationError, match="sphere"):
+        estimate_pairing(bump_f, bump_g, data, mod, 10, 5)
+    with pytest.raises(MeasureValidationError, match="sphere"):
+        check_subordination(bump_f, bump_g, data, mod, 10, 5, [0.3])
+
+
+def test_reference_pairings_use_the_fields_grid():
+    # a box with unequal sides: the references must tabulate the symbol on
+    # the field's own grid, not on a square box of the first side
+    f = gaussian_bump((20.0, 40.0), 64, 2, center=[0.5, -1.0], width=1.2)
+    g = gaussian_bump((20.0, 40.0), 64, 2, center=[-0.3, 0.8], width=1.0)
+    data = make_data(AtomsMeasure([[1.0, 0.5], [-0.8, 1.2]], [0.8, 0.6]),
+                     A=[[1.0, 0.0], [0.0, 1.0]], B=[[0.3, 1.0], [-1.0, 0.2]])
+    mod = Modulator(phi=table_mod([0.9, -0.6j]))
+    spec = SymbolSpec(variant="q_form", data=data, mod=mod)
+    want = pairing(evaluate_grid(spec, L=f.L, N=f.N), f, g).spectral
+    assert spectral_pairing_value(f, g, data, mod) == want
+    A, B, K = np.eye(2), [[0.5, 0.2], [0.1, -0.7]], [[0.0, 0.6j], [0.6j, 0.0]]
+    spec = SymbolSpec(variant="gaussian", A=A, B=B, K=K, var_scale=0.5)
+    want = pairing(evaluate_grid(spec, L=f.L, N=f.N), f, g).spectral
+    assert gaussian_spectral_value(f, g, A, B, K) == want
+
+
+def test_criterion_6_gate_catches_scaled_compensator(monkeypatch):
+    """Planted fault for criterion 6: the compensator atom sum S scaled by 1.1.
+
+    Criterion 6's two-atom A = -B model at 20,000 paths on 512 points, seed
+    405: the planted run lands 7.9 sigma off the spectral value and 5.4
+    sigma between the two routes, the unplanted run 0.9 and 0.2 sigma.
+    """
+    data = make_data(AtomsMeasure([[1.0], [-2.0]], [0.7, 0.3]), A=[[1.0]], B=[[-1.0]])
+    mod = Modulator(phi=table_mod([0.5, -0.8j]))
+    f = gaussian_bump(40.0, 512, 1, center=[0.5], width=0.9)
+    g = gaussian_bump(40.0, 512, 1, center=[-0.3], width=1.1)
+    ref = spectral_pairing_value(f, g, data, mod)
+    est = estimate_pairing(f, g, data, mod, 20000, 405)
+    assert est.agrees_with(ref, 3.0) and est.routes_agree(3.0)
+
+    kernel = mc.cpp_pair_coeffs
+    monkeypatch.setattr(mc, "cpp_pair_coeffs", lambda *a: kernel(*a[:-1], 1.1 * a[-1]))
+    est = estimate_pairing(f, g, data, mod, 20000, 405)
+    assert not est.agrees_with(ref, 3.0)
+    assert not est.routes_agree(3.0)
 
 
 def test_blocked_kernel_block_size_invariance(bump_f, bump_g):

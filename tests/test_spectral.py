@@ -5,6 +5,7 @@ import pytest
 
 from levymult import (
     AtomsMeasure,
+    SampledField,
     SymbolSpec,
     apply_multiplier,
     drift_reduce,
@@ -20,14 +21,14 @@ from levymult import (
     transform_inverse,
 )
 from levymult.errors import GridMismatch
-from levymult.grids import freq_grid
+from levymult.grids import Grid
 from levymult.symbols import symbol_grid_from_values
 
 
 def test_forward_transform_gaussian_closed_form():
     f = gaussian_bump(40.0, 1024, 1)
     fhat = transform_forward(f)
-    xi = freq_grid(f.L, f.N, 1).ravel()
+    xi = f.xi.ravel()
     exact = np.sqrt(2.0 * np.pi) * np.exp(-xi**2 / 2.0)
     assert np.max(np.abs(fhat - exact)) < 1e-8
 
@@ -36,37 +37,44 @@ def test_transform_round_trip():
     rng = np.random.default_rng(0)
     f = gaussian_bump(40.0, 512, 1, center=[1.0], width=0.7,
                       phase_freq=[2.0 * np.pi / 40.0 * 3])
-    rt = transform_inverse(transform_forward(f), f.L, f.N, 1)
+    rt = transform_inverse(transform_forward(f), f)
     scale = np.abs(f.values).max()
     assert np.max(np.abs(rt.values - f.values)) < 1e-12 * scale
     # and in 2-D
     f2 = gaussian_bump(20.0, 64, 2, center=[0.5, -1.0], width=0.8)
-    rt2 = transform_inverse(transform_forward(f2), f2.L, f2.N, 2)
+    rt2 = transform_inverse(transform_forward(f2), f2)
     assert np.max(np.abs(rt2.values - f2.values)) < 1e-12
 
 
 def test_zero_field_transforms_to_zero():
-    from levymult import SampledField
     f = SampledField(d=1, L=(40.0,), N=(256,), values=np.zeros(256))
     assert np.all(transform_forward(f) == 0.0)
 
 
 def test_power_of_two_enforced():
-    from levymult import SampledField
     with pytest.raises(ValueError):
         SampledField(d=1, L=(40.0,), N=(257,), values=np.zeros(257))
 
 
+@pytest.mark.parametrize("d,L,N,field", [
+    (1, -4.0, 8, "L"), (1, 0.0, 8, "L"), (1, np.inf, 8, "L"), (1, np.nan, 8, "L"),
+    (2, (20.0, 40.0, 10.0), 8, "L"), (2, 20.0, (8, 8, 8), "N"), (1, 40.0, 0, "N"),
+])
+def test_sampled_field_rejects_bad_box(d, L, N, field):
+    with pytest.raises(ValueError, match=f"{field}"):
+        SampledField(d=d, L=L, N=N, values=np.zeros((8,) * d))
+
+
 def test_apply_multiplier_identity_and_zero(bump_f):
-    ones = symbol_grid_from_values(np.ones(bump_f.N[0]), bump_f.L, bump_f.N, 1)
+    ones = symbol_grid_from_values(np.ones(bump_f.N[0]), bump_f)
     out = apply_multiplier(ones, bump_f)
     assert np.max(np.abs(out.values - bump_f.values)) < 1e-12
-    zeros = symbol_grid_from_values(np.zeros(bump_f.N[0]), bump_f.L, bump_f.N, 1)
+    zeros = symbol_grid_from_values(np.zeros(bump_f.N[0]), bump_f)
     assert np.max(np.abs(apply_multiplier(zeros, bump_f).values)) == 0.0
 
 
 def test_apply_multiplier_grid_mismatch(bump_f):
-    small = symbol_grid_from_values(np.ones(256), 40.0, (256,), 1)
+    small = symbol_grid_from_values(np.ones(256), Grid(1, 40.0, 256))
     with pytest.raises(GridMismatch):
         apply_multiplier(small, bump_f)
 
@@ -128,7 +136,7 @@ def test_riesz_apply_centered_gaussian_closed_form():
 
 
 def test_pairing_identity_symbol(bump_f, bump_g):
-    ones = symbol_grid_from_values(np.ones(bump_f.N[0]), bump_f.L, bump_f.N, 1)
+    ones = symbol_grid_from_values(np.ones(bump_f.N[0]), bump_f)
     res = pairing(ones, bump_f, bump_g)
     direct = np.sum(bump_f.values * bump_g.values) * bump_f.cell_volume
     assert res.spatial == pytest.approx(direct, rel=1e-12)
@@ -170,7 +178,6 @@ def test_lp_norm_values():
     f = gaussian_bump(40.0, 1024, 1)
     assert lp_norm(f, 2.0) == pytest.approx(np.pi ** 0.25, rel=1e-12)
     # scaling property
-    from levymult import SampledField
     cf = SampledField(d=1, L=f.L, N=f.N, values=(-2.0 + 1.5j) * f.values)
     assert lp_norm(cf, 3.0) == pytest.approx(abs(-2.0 + 1.5j) * lp_norm(f, 3.0),
                                              rel=1e-12)
@@ -221,7 +228,7 @@ def test_semigroup_additivity(single_atom_data):
     f = gaussian_bump(40.0, 1024, 1)
     x = np.array([0.21])
     p4 = apply_multiplier(semigroup_multiplier(single_atom_data, single_atom_data.A,
-                                               40.0, f.N, 1, 0.4), f)
+                                               f, 0.4), f)
     comp = semigroup_eval(p4, single_atom_data.A, single_atom_data, 0.3, x)
     direct = semigroup_eval(f, single_atom_data.A, single_atom_data, 0.7, x)
     assert comp == pytest.approx(direct, abs=1e-10)
@@ -239,7 +246,7 @@ def test_p_star():
 
 
 def test_probe_identity_symbol_ratio_one():
-    ones = symbol_grid_from_values(np.ones(512), 40.0, (512,), 1)
+    ones = symbol_grid_from_values(np.ones(512), Grid(1, 40.0, 512))
     rep = norm_probe(ones, 3.0, trials=40, seed=0, ascent_steps=20)
     assert rep.best_ratio == pytest.approx(1.0, abs=1e-9)
     assert rep.passed

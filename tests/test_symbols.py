@@ -300,6 +300,19 @@ def test_symbol_q_stable_mid_alpha_sweep():
         assert np.max(np.abs(got[:4] + got[4:])) <= 1e-12
 
 
+def test_symbol_q_stable_alpha_1_9():
+    # the radial panel floor is kept where r^(-2.9) is finite (it was ~1e-147,
+    # where the density overflowed and the q-form came out NaN)
+    x = np.array([0.314, 0.6, 1.2, 2.0, -0.8])
+    data = make_data(StableMeasure(1.9, 1), A=[[-1.0]], B=[[1.0]])
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        got = symbol_q(data, Modulator(phi=sign_mod()), np.concatenate([x, -x])[:, None])
+    want = symbol_stable(1.9, x)
+    assert np.max(np.abs(got[:5] - want) / np.abs(want)) < 1e-9
+    assert np.max(np.abs(got[:5] + got[5:])) <= 1e-12
+
+
 def test_symbol_stable_alpha_range():
     with pytest.raises(AlphaOutOfRange):
         symbol_stable(2.0, 1.0)
@@ -380,6 +393,13 @@ def test_evaluate_grid_rejects_nan_symbol():
 
     with pytest.raises(SymbolBoundViolation, match="not finite at xi"):
         evaluate_grid(OneNaN(), L=40.0, N=8)
+
+
+@pytest.mark.parametrize("L,N,field", [(40.0, 6, "N"), (-20.0, 64, "L"),
+                                        (0.0, 64, "L"), ((20.0, 40.0), 64, "L")])
+def test_evaluate_grid_rejects_bad_box(L, N, field):
+    with pytest.raises(ValueError, match=field):
+        evaluate_grid(SymbolSpec(variant="stable", alpha=0.5), L=L, N=N)
 
 
 def test_evaluate_grid_bound_violation_raises():
