@@ -102,8 +102,7 @@ def cmd_mc(cfg, out, seed, paths):
     f = cfg.build_field("field")
     g = cfg.build_field("field_g")
     block = int(cfg.params["block_size"]) or None
-    est = estimate_pairing(f, g, data, mod, paths, seed,
-                           sub_stride=int(cfg.params["sub_stride"]), block_size=block)
+    est = estimate_pairing(f, g, data, mod, paths, seed, block_size=block)
     ref = spectral_pairing_value(f, g, data, mod)
     ok_spec = est.agrees_with(ref)
     ok_routes = est.routes_agree()
@@ -133,8 +132,7 @@ def cmd_gaussian_mc(cfg, out, seed, paths):
         raise LevyMultError("gaussian-mc needs a gaussian symbol variant in the config")
     var_scale = float(cfg.params["var_scale"])
     est = brownian_pairing(f, g, cfg.A, cfg.B, spec.K, paths,
-                           int(cfg.params["steps"]), seed, var_scale=var_scale,
-                           sub_stride=int(cfg.params["sub_stride"]))
+                           int(cfg.params["steps"]), seed, var_scale=var_scale)
     ref = gaussian_spectral_value(f, g, cfg.A, cfg.B, spec.K, var_scale=var_scale)
     from .mc import within_sigmas
 

@@ -66,7 +66,6 @@ _DEFAULTS = {
         "eps": 0.001,
         "u_scale": 1.0,
         "seed": 12345,
-        "sub_stride": 4,
         "var_scale": 0.5,
         "zeta_max": 8.0,
         "ascent_steps": 200,

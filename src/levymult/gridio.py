@@ -15,6 +15,7 @@ digits, in the same row order, so identical inputs give byte-identical
 files.
 """
 
+import math
 import struct
 
 import numpy as np
@@ -44,20 +45,29 @@ def _write_binary(path, magic, grid: Grid, flat_complex):
 
 def _read_binary(path, magic):
     with open(path, "rb") as fh:
-        got = fh.read(8)
-        if got != magic:
-            raise ParseError(f"bad magic {got!r}, expected {magic!r}")
-        d = struct.unpack("<Q", fh.read(8))[0]
-        N = np.frombuffer(fh.read(8 * d), dtype="<u8").astype(int)
-        L = np.frombuffer(fh.read(8 * d), dtype="<f8").copy()
-        raw = np.frombuffer(fh.read(), dtype="<f8")
+        buf = fh.read()
+    if buf[:8] != magic:
+        raise ParseError(f"bad magic {buf[:8]!r}, expected {magic!r}")
+    if len(buf) < 16:
+        raise ParseError(f"header of {path} cut short inside d: {len(buf)} bytes")
+    d = struct.unpack_from("<Q", buf, 8)[0]
+    start = 16 + 16 * d
+    if len(buf) < start:
+        raise ParseError(f"header of {path} cut short: d = {d} needs {start} bytes, "
+                         f"the file has {len(buf)}")
+    N = np.frombuffer(buf, dtype="<u8", count=d, offset=16).astype(int)
+    L = np.frombuffer(buf, dtype="<f8", count=d, offset=16 + 8 * d).copy()
     try:
         grid = Grid(d, L, N)
     except ValueError as exc:
         raise ParseError(f"bad header in {path}: {exc}") from None
-    count = 2 * grid.size
-    if raw.size != count:
-        raise ParseError(f"payload holds {raw.size} floats, expected {count}")
+    # math.prod: the int64 product of crafted point counts could wrap
+    expected = 16 * math.prod(grid.N)
+    if len(buf) - start != expected:
+        raise ParseError(f"payload holds {len(buf) - start} bytes, expected {expected}")
+    raw = np.frombuffer(buf, dtype="<f8", offset=start)
+    if not np.isfinite(raw).all():
+        raise ParseError(f"payload of {path} holds non-finite values")
     return grid, raw[0::2] + 1j * raw[1::2]
 
 

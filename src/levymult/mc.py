@@ -2,11 +2,12 @@
 
 One engine runs every compound-Poisson check: the blocked kernel gives,
 per block of paths, the frequency coefficients of the endpoints F1, G1
-and of each jump's increments dF, dG.  The pairing and L^p estimates
-reduce the endpoints on the x-grid; the differential-subordination check
-sums the per-jump increments against the phases of one point x.  The
-Brownian engine shares its band set-up and its reduction to the x-grid.  All
-randomness flows from one master seed through counter-based per-path
+and of each jump's increments dF, dG.  These are trig polynomials on one
+band of the frequency lattice, so the box integrals of F1 G1 and dF dG
+are the discrete Parseval sums over the band, and point values are sums
+against the phases of the point; only the L^p powers are taken on the
+x-grid.  The Brownian engine shares the band set-up and the Parseval sum.
+All randomness flows from one master seed through counter-based per-path
 streams, so results are independent of block size and scheduling.
 """
 
@@ -81,7 +82,8 @@ def _band(f: SampledField, g: SampledField, A, B):
 
     Returns the transforms fhat, ghat (flat, FFT order), the band of modes
     where |fhat| + |ghat| exceeds 1e-15 of its largest value, closed under
-    negation, and the band frequencies mapped by A and B (rows xi_k A, xi_k B).
+    negation, the position in the band of each band mode's negative, and
+    the band frequencies mapped by A and B (rows xi_k A, xi_k B).
     """
     _check_compat(f, g)
     fhat = transform_forward(f).ravel()
@@ -91,30 +93,30 @@ def _band(f: SampledField, g: SampledField, A, B):
     keep |= keep[f.neg]
     band = np.flatnonzero(keep)
     Xi = f.xi[band]
-    return fhat, ghat, band, Xi @ A, Xi @ B
+    return fhat, ghat, band, np.searchsorted(band, f.neg[band]), Xi @ A, Xi @ B
 
 
-class _Subgrid:
-    """Reduction of band coefficients to every stride-th point of the grid.
+def _parseval(f: SampledField, cF, cG, neg):
+    """Box integral of F G per row of band coefficients: dxi/(2pi)^d sum_k cF[k] cG[-k]."""
+    return (cF * cG[:, neg]).sum(axis=1) * f.dxi_norm
 
-    values maps a batch of band coefficients (rows) to the batch's values
-    on the subgrid; integral sums a batch of subgrid values times the
-    subgrid cell volume dV.
-    """
 
-    def __init__(self, f: SampledField, band, stride: int):
-        self.grid, self.band = f, band
-        self.sl = (slice(None),) + (slice(None, None, stride),) * f.d
-        self.axes = tuple(range(1, f.d + 1))
-        self.dV = float(np.prod(f.dx * stride))
+def _point_phases(f: SampledField, band, x):
+    """dxi/(2pi)^d e^{-i(xi_k, x)} on the band: band coefficients @ this = values at x."""
+    return f.dxi_norm * np.exp(-1j * (f.xi[band] @ x))
 
-    def values(self, coeffs):
-        full = np.zeros((coeffs.shape[0], self.grid.size), dtype=complex)
-        full[:, self.band] = coeffs
-        return values_from_coefficients(full, self.grid)[self.sl]
 
-    def integral(self, vals):
-        return vals.sum(axis=self.axes) * self.dV
+def _subgrid_powers(f: SampledField, band, stride: int, coeffs, powers):
+    """{p: integral |values|^p} per row of band coefficients, summed over every
+    stride-th point of the x-grid; the powers are no trig polynomials on the band."""
+    if not powers:
+        return {}
+    full = np.zeros((coeffs.shape[0], f.size), dtype=complex)
+    full[:, band] = coeffs
+    sl = (slice(None),) + (slice(None, None, stride),) * f.d
+    mods = np.abs(values_from_coefficients(full, f)[sl])
+    axes, dV = tuple(range(1, f.d + 1)), float(np.prod(f.dx * stride))
+    return {p: (mods ** p).sum(axis=axes) * dV for p in powers}
 
 
 def mean_and_se(vals: np.ndarray):
@@ -133,8 +135,9 @@ def _cpp_blocks(f: SampledField, g: SampledField, data: LevyData, mod: Modulator
                 n_paths: int, seed: int, block_size: int = None):
     """Set-up and block loop of the compound-Poisson engine.
 
-    Returns the frequency band (flat indices into the grid) and a generator
-    that yields (b0, offsets, coefficients) per block of paths starting at
+    Returns the frequency band (flat indices into the grid), the position
+    in the band of each mode's negative, and a generator that yields
+    (b0, offsets, coefficients) per block of paths starting at
     path b0: the jumps of path b0 + i are rows offsets[i]:offsets[i+1] of
     the per-jump coefficients, and coefficients is the output of
     cpp_pair_coeffs, (cF1, cG1, cGend, covF, covG), on the band.
@@ -151,7 +154,7 @@ def _cpp_blocks(f: SampledField, g: SampledField, data: LevyData, mod: Modulator
             "the compound-Poisson engine samples no Gaussian part: "
             "the sphere measure mu must have no weight")
 
-    fhat, ghat, band, zA, zB = _band(f, g, data.A, data.B)
+    fhat, ghat, band, neg, zA, zB = _band(f, g, data.A, data.B)
     fband, gband = fhat[band], ghat[band]
     psiA = np.atleast_1d(psi(data, -zA))
     psiB = np.atleast_1d(psi(data, -zB))
@@ -186,7 +189,7 @@ def _cpp_blocks(f: SampledField, g: SampledField, data: LevyData, mod: Modulator
                 fband, gband, psiA, psiB, zA, zB, cdA, cdB, S,
             )
 
-    return band, blocks()
+    return band, neg, blocks()
 
 
 def run_cpp_paths(f: SampledField, g: SampledField, data: LevyData, mod: Modulator,
@@ -195,18 +198,22 @@ def run_cpp_paths(f: SampledField, g: SampledField, data: LevyData, mod: Modulat
                   fend_powers=(), gend_powers=(), keep_x0: bool = True):
     """Per-path statistics of the paired martingales from the blocked engine.
 
-    Returns a dict with per-path arrays:
-      pair      integral of F1(x) G1(x) over the x-subgrid
+    pair and cov are box integrals of trig polynomials on the band, taken
+    by the Parseval sum over the band; the L^p powers are sums over every
+    sub_stride-th point of the x-grid.  Returns a dict with per-path arrays:
+      pair      integral of F1(x) G1(x) over the box
       cov       integral of sum_jumps dF(x) dG(x)  (covariation route)
       fend_pow  {p: integral |f(x + A Y1)|^p}
       gend_pow  {q: integral |g(x + B Y1)|^q}
       g1_pow    {q: integral |G1(x)|^q}
-      f1_x0/g1_x0  F1 and G1 at the central subgrid point
+      f1_x0/g1_x0/gend_x0  F1, G1 and g(x0 + B Y1) at the central subgrid point x0
       njumps    jump counts
-    plus meta entries (f0_x0, dV_sub, band size).
+    plus meta entries (f0_x0, x0_point, band size).
     """
-    band, blocks = _cpp_blocks(f, g, data, mod, n_paths, seed, block_size)
-    sub = _Subgrid(f, band, sub_stride)
+    band, neg, blocks = _cpp_blocks(f, g, data, mod, n_paths, seed, block_size)
+    x0_point = np.array([ax[::sub_stride][(n // sub_stride) // 2]
+                         for ax, n in zip(f.space_axes, f.N)])
+    at_x0 = _point_phases(f, band, x0_point)
 
     out = {
         "pair": np.zeros(n_paths, dtype=complex),
@@ -219,37 +226,24 @@ def run_cpp_paths(f: SampledField, g: SampledField, data: LevyData, mod: Modulat
         "gend_pow": {q: np.zeros(n_paths) for q in gend_powers},
         "g1_pow": {q: np.zeros(n_paths) for q in gend_powers},
     }
-    x0_idx = tuple((n // sub_stride) // 2 for n in f.N)
 
     for b0, offsets, (cF1, cG1, cGend, covF, covG) in blocks:
-        P = offsets.size - 1
-        out["njumps"][b0:b0 + P] = np.diff(offsets)
-        F1v = sub.values(cF1)
-        G1v = sub.values(cG1)
-        out["pair"][b0:b0 + P] = sub.integral(F1v * G1v)
-        if keep_x0:
-            sel = (slice(None),) + x0_idx
-            out["f1_x0"][b0:b0 + P] = F1v[sel]
-            out["g1_x0"][b0:b0 + P] = G1v[sel]
-        for p in fend_powers:
-            out["fend_pow"][p][b0:b0 + P] = sub.integral(np.abs(F1v) ** p)
-        if gend_powers:
-            Gendv = sub.values(cGend)
+        rows = slice(b0, b0 + offsets.size - 1)
+        out["njumps"][rows] = np.diff(offsets)
+        out["pair"][rows] = _parseval(f, cF1, cG1, neg)
+        for x0_key, pow_key, coeffs, powers in (("f1_x0", "fend_pow", cF1, fend_powers),
+                                                ("g1_x0", "g1_pow", cG1, gend_powers),
+                                                ("gend_x0", "gend_pow", cGend, gend_powers)):
             if keep_x0:
-                out["gend_x0"][b0:b0 + P] = Gendv[(slice(None),) + x0_idx]
-            for q in gend_powers:
-                out["gend_pow"][q][b0:b0 + P] = sub.integral(np.abs(Gendv) ** q)
-                out["g1_pow"][q][b0:b0 + P] = sub.integral(np.abs(G1v) ** q)
-
+                out[x0_key][rows] = coeffs @ at_x0
+            for p, val in _subgrid_powers(f, band, sub_stride, coeffs, powers).items():
+                out[pow_key][p][rows] = val
         if covF.shape[0]:
-            prod = sub.integral(sub.values(covF) * sub.values(covG))
-            path_of_jump = np.repeat(np.arange(P), np.diff(offsets))
-            np.add.at(out["cov"], b0 + path_of_jump, prod)
+            path_of_jump = np.repeat(np.arange(offsets.size - 1), np.diff(offsets))
+            np.add.at(out["cov"], b0 + path_of_jump, _parseval(f, covF, covG, neg))
 
-    x0_point = np.array([ax[::sub_stride][x0_idx[i]] for i, ax in enumerate(f.space_axes)])
     out["meta"] = {
         "band_size": int(band.size),
-        "dV_sub": sub.dV,
         "x0_point": x0_point,
         "f0_x0": semigroup_eval(f, data.A, data, 1.0, x0_point),
     }
@@ -270,8 +264,8 @@ def check_subordination(f: SampledField, g: SampledField, data: LevyData,
     """
     rel_slack = 1e-12
     x = np.asarray(x, dtype=float).ravel()
-    band, blocks = _cpp_blocks(f, g, data, mod, n_paths, seed)
-    phase = f.dxi_norm * np.exp(-1j * (f.xi[band] @ x))
+    band, _, blocks = _cpp_blocks(f, g, data, mod, n_paths, seed)
+    phase = _point_phases(f, band, x)
     head = abs(semigroup_eval(f, data.A, data, 1.0, x)) ** 2
     violating = jumps = 0
     worst = 0.0
@@ -335,11 +329,11 @@ class PairingEstimate:
 
 def estimate_pairing(f: SampledField, g: SampledField, data: LevyData,
                      mod: Modulator, n_paths: int, seed: int, *,
-                     sub_stride: int = 4, block_size: int = None) -> PairingEstimate:
+                     block_size: int = None) -> PairingEstimate:
     """MC estimate of the pairing integral E F1(x) G1(x) dx (no conjugation),
     with the per-jump covariation route computed on the same paths."""
-    stats = run_cpp_paths(f, g, data, mod, n_paths, seed, sub_stride=sub_stride,
-                          block_size=block_size, keep_x0=False)
+    stats = run_cpp_paths(f, g, data, mod, n_paths, seed, block_size=block_size,
+                          keep_x0=False)
     est, se = mean_and_se(stats["pair"])
     cest, cse = mean_and_se(stats["cov"])
     _, dse = mean_and_se(stats["pair"] - stats["cov"])
@@ -374,16 +368,16 @@ class BrownianEstimate:
 
 def brownian_pairing(f: SampledField, g: SampledField, A, B, Kmat,
                      n_paths: int, steps: int, seed: int, *,
-                     var_scale: float = 0.5, sub_stride: int = 4,
-                     block_size: int = None,
+                     var_scale: float = 0.5, block_size: int = None,
                      richardson: bool = True, want_qv: bool = False) -> BrownianEstimate:
     """Euler estimate of the Gaussian-branch pairing on shared Brownian paths.
 
     Both stochastic integrals are accumulated along one path per draw; the
-    endpoint route integrates F1 G1 over the x-subgrid and the covariation
-    route uses the time-quadrature of the integrand product (full-box
-    x-integral via the frequency lattice).  With var_scale = 1/2 the
-    matching spectral symbol is the Gaussian form at the same scale.
+    endpoint route integrates F1 G1 over the box by the Parseval sum on the
+    band and the covariation route uses the time-quadrature of the
+    integrand product (full-box x-integral via the frequency lattice).
+    With var_scale = 1/2 the matching spectral symbol is the Gaussian form
+    at the same scale.
     With richardson, a run at steps//2 must agree within one standard
     error, otherwise StepTooCoarse is raised.
     """
@@ -397,7 +391,7 @@ def brownian_pairing(f: SampledField, g: SampledField, A, B, Kmat,
         raise ValueError("need at least 2 time steps")
 
     n = A.shape[1]
-    fhat, ghat, band, zA, zB = _band(f, g, A, B)
+    fhat, ghat, band, neg, zA, zB = _band(f, g, A, B)
     # band frequencies are 2 pi k / L per axis: the kernel takes the integer k and
     # the angle maps (2 pi / L) A, (2 pi / L) B
     turns = 2.0 * np.pi / np.asarray(f.L)
@@ -409,12 +403,11 @@ def brownian_pairing(f: SampledField, g: SampledField, A, B, Kmat,
     KzB = zB @ Kmat.T                      # rows K B^T xi_k
     aKb = np.einsum("kj,kj->k", zA.astype(complex), KzB)
     sigma2 = 2.0 * var_scale
-    U = sigma2 * aKb * fhat[band] * ghat[f.neg][band] * f.dxi_norm
+    U = sigma2 * aKb * fhat[band] * ghat[band][neg] * f.dxi_norm
     GB = -1j * ghat[band][:, None] * KzB
 
     if block_size is None:
         block_size = max(8, min(256, (1 << 22) // max(steps, 1)))
-    sub = _Subgrid(f, band, sub_stride)
 
     pair_stats = np.zeros(n_paths, dtype=complex)
     cov_stats = np.zeros(n_paths, dtype=complex)
@@ -430,7 +423,7 @@ def brownian_pairing(f: SampledField, g: SampledField, A, B, Kmat,
         cF1, cG1, Tcov, qd, qq = brownian_accumulate(
             dW, EA, EB, U, GB, f.k[band], turns[:, None] * A, turns[:, None] * B,
             fhat[band], f.dxi_norm, want_qv=want_qv)
-        pair_stats[b0:b0 + P] = sub.integral(sub.values(cF1) * sub.values(cG1))
+        pair_stats[b0:b0 + P] = _parseval(f, cF1, cG1, neg)
         cov_stats[b0:b0 + P] = Tcov
         qv_d[b0:b0 + P] = qd
         qv_q[b0:b0 + P] = qq
@@ -445,8 +438,7 @@ def brownian_pairing(f: SampledField, g: SampledField, A, B, Kmat,
     )
     if richardson and steps >= 4:
         coarse = brownian_pairing(f, g, A, B, Kmat, n_paths, steps // 2, seed,
-                                  var_scale=var_scale, sub_stride=sub_stride,
-                                  block_size=block_size,
+                                  var_scale=var_scale, block_size=block_size,
                                   richardson=False, want_qv=False)
         gap = abs(result.estimate - coarse.estimate)
         joint = np.hypot(abs(result.stderr), abs(coarse.stderr))

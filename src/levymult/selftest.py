@@ -202,7 +202,7 @@ def check_martingales():
     data, mod = _atoms_config()
     f = gaussian_bump(40.0, 512, 1, center=[0.5], width=0.9)
     g = gaussian_bump(40.0, 512, 1, center=[-0.3], width=1.1)
-    stats = run_cpp_paths(f, g, data, mod, 3000, 99, sub_stride=4)
+    stats = run_cpp_paths(f, g, data, mod, 3000, 99)
     f0 = stats["meta"]["f0_x0"]
     mF, sF = mean_and_se(stats["f1_x0"] - f0)
     mG, sG = mean_and_se(stats["g1_x0"])

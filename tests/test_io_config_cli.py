@@ -85,6 +85,38 @@ def test_read_field_rejects_bad_header(tmp_path, N, L, field):
         read_field(path)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("magic,read", [(b"LMGRID1\x00", read_symbol_grid),
+                                        (b"LMFIELD1", read_field)])
+def test_readers_reject_non_finite_payload(tmp_path, magic, read, bad):
+    path = tmp_path / "bad.bin"
+    _write_header(path, magic, 1, [8], [10.0], 0)
+    payload = np.zeros(16)
+    payload[5] = bad
+    path.write_bytes(path.read_bytes() + payload.astype("<f8").tobytes())
+    with pytest.raises(ParseError, match="non-finite"):
+        read(path)
+
+
+@pytest.mark.parametrize("read,magic", [(read_symbol_grid, b"LMGRID1\x00"),
+                                        (read_field, b"LMFIELD1")])
+def test_readers_reject_header_cut_inside_N_and_L(tmp_path, read, magic):
+    # d = 3 needs 48 header bytes of N and L; the file stops after 12
+    path = tmp_path / "cut.bin"
+    path.write_bytes(magic + struct.pack("<Q", 3) + b"\x08" * 12)
+    with pytest.raises(ParseError, match="cut short"):
+        read(path)
+
+
+@pytest.mark.parametrize("read,magic", [(read_symbol_grid, b"LMGRID1\x00"),
+                                        (read_field, b"LMFIELD1")])
+def test_readers_reject_header_cut_inside_d(tmp_path, read, magic):
+    path = tmp_path / "cut.bin"
+    path.write_bytes(magic + b"\x01\x00\x00")
+    with pytest.raises(ParseError, match="cut short"):
+        read(path)
+
+
 def test_symbol_csv_layout():
     grid = evaluate_grid(SymbolSpec(variant="stable", alpha=0.5), L=20.0, N=8)
     text = symbol_grid_csv(grid)

@@ -26,6 +26,7 @@ from levymult import (
     table_mod,
     within_sigmas,
 )
+from levymult.spectral import values_from_coefficients
 from levymult.errors import GridMismatch, MeasureValidationError, StepTooCoarse
 from levymult import mc
 from levymult.mc import mean_and_se
@@ -337,6 +338,37 @@ def test_criterion_6_gate_catches_scaled_compensator(monkeypatch):
     est = estimate_pairing(f, g, data, mod, 20000, 405)
     assert not est.agrees_with(ref, 3.0)
     assert not est.routes_agree(3.0)
+
+
+def test_pair_and_cov_do_not_alias_on_a_wide_band():
+    # the band reaches past N / 8 on both axes, where a stride-4 subgrid
+    # aliases F1 G1; pair and cov are box integrals, so they must equal the
+    # products summed on the full x-grid and not depend on the powers' subgrid
+    f = gaussian_bump((20.0, 40.0), (32, 64), 2, center=[0.5, -1.0], width=1.2)
+    g = gaussian_bump((20.0, 40.0), (32, 64), 2, center=[-0.3, 0.8], width=1.4)
+    data = make_data(AtomsMeasure([[1.0, 0.5], [-0.8, 1.2]], [0.8, 0.6]),
+                     A=[[1.0, 0.3], [-0.2, 0.9]], B=[[0.3, 1.0], [-1.0, 0.2]])
+    mod = Modulator(phi=table_mod([0.9, -0.6j]))
+    wide = run_cpp_paths(f, g, data, mod, 300, 3, sub_stride=4)
+    full = run_cpp_paths(f, g, data, mod, 300, 3, sub_stride=1)
+    band, _, blocks = mc._cpp_blocks(f, g, data, mod, 300, 3)
+    (_, offsets, (cF1, cG1, _, covF, covG)), = blocks
+
+    def grid_integral(cF, cG):
+        vals = []
+        for c in (cF, cG):
+            coeffs = np.zeros((c.shape[0], f.size), dtype=complex)
+            coeffs[:, band] = c
+            vals.append(values_from_coefficients(coeffs, f))
+        return (vals[0] * vals[1]).sum(axis=(1, 2)) * f.cell_volume
+
+    ref = {"pair": grid_integral(cF1, cG1), "cov": np.zeros(300, dtype=complex)}
+    np.add.at(ref["cov"], np.repeat(np.arange(300), np.diff(offsets)), grid_integral(covF, covG))
+    for key in ("pair", "cov"):
+        scale = np.abs(ref[key]).max()
+        assert scale > 0.0
+        assert np.abs(wide[key] - full[key]).max() <= 1e-12 * scale
+        assert np.abs(full[key] - ref[key]).max() <= 1e-12 * scale
 
 
 def test_blocked_kernel_block_size_invariance(bump_f, bump_g):
