@@ -15,7 +15,6 @@ digits, in the same row order, so identical inputs give byte-identical
 files.
 """
 
-import math
 import struct
 
 import numpy as np
@@ -61,8 +60,7 @@ def _read_binary(path, magic):
         grid = Grid(d, L, N)
     except ValueError as exc:
         raise ParseError(f"bad header in {path}: {exc}") from None
-    # math.prod: the int64 product of crafted point counts could wrap
-    expected = 16 * math.prod(grid.N)
+    expected = 16 * grid.size
     if len(buf) - start != expected:
         raise ParseError(f"payload holds {len(buf) - start} bytes, expected {expected}")
     raw = np.frombuffer(buf, dtype="<f8", offset=start)

@@ -14,6 +14,7 @@ The transform pair used everywhere is
     fhat(xi) = I f(x) e^{+i(xi,x)} dx,    f(x) = (2pi)^{-d} I fhat e^{-i(xi,x)} dxi.
 """
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -36,7 +37,8 @@ class Grid:
 
     Raises ValueError, naming the field, for a dimension below 1, a count
     of L or N values other than 1 or d, a box length that is not positive
-    and finite, or a point count that is not a power of two.
+    and finite, a point count that is not a power of two, or a total point
+    count that int64 cannot index.
     """
 
     d: int
@@ -55,13 +57,16 @@ class Grid:
             raise ValueError(f"box length L = {L} is not positive and finite")
         if not all(0 < n < 2**62 and n == int(n) and not int(n) & (int(n) - 1) for n in N):
             raise ValueError(f"grid size N = {N} is not a power of two")
+        N = tuple(int(n) for n in (N * d if len(N) == 1 else N))
+        if math.prod(N) >= 2**63:
+            raise ValueError(f"grid size N = {N} has more points than int64 can index")
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "L", tuple(L * d if len(L) == 1 else L))
-        object.__setattr__(self, "N", tuple(int(n) for n in (N * d if len(N) == 1 else N)))
+        object.__setattr__(self, "N", N)
 
     @property
     def size(self) -> int:
-        return int(np.prod(self.N))
+        return math.prod(self.N)
 
     @cached_property
     def dx(self) -> np.ndarray:

@@ -11,8 +11,11 @@ the output operator.  The two exponents evaluated here are
                       weights phi(z) and psi(theta), without the drift.
 
 One evaluator computes both: psi is psi_tilde with unit weights plus the
-drift term i(zeta, gamma).  The boundary convention includes |z| = 1 in
-the compensated region.
+drift term i(zeta, gamma), and `exponents` returns the pair from one call.
+On an atomic measure that call is one real-arithmetic pass over the atoms:
+the phases D = (zeta, z_i) are formed once, and cos D - 1 = -2 sin^2(D/2)
+and sin D - D 1_{|z_i|<=1} are contracted with both weight columns.  The
+boundary convention includes |z| = 1 in the compensated region.
 """
 
 import math
@@ -200,11 +203,7 @@ class LevyData:
 def make_data(nu, mu=None, gamma=None, A=None, B=None, d=None, n=None) -> LevyData:
     """Assemble a LevyData with sensible defaults (identity maps, no drift)."""
     if n is None:
-        if isinstance(nu, StableMeasure):
-            n = nu.n
-        elif isinstance(nu, AtomsMeasure):
-            n = nu.n
-        elif isinstance(nu, RadialProductMeasure):
+        if isinstance(nu, (StableMeasure, AtomsMeasure, RadialProductMeasure)):
             n = nu.n
         elif mu is not None and not mu.is_empty:
             n = mu.directions.shape[1]
@@ -444,35 +443,42 @@ def validate(data: LevyData, mod: Modulator = None) -> LevyData:
 # ---------------------------------------------------------------------------
 
 
-def _sphere_part(data: LevyData, Z: np.ndarray, psi_vals) -> np.ndarray:
-    """-1/2 sum_j b_j (zeta, theta_j)^2 psi_j, batched over rows of Z."""
+def _sphere_part(data: LevyData, Z: np.ndarray, mods) -> np.ndarray:
+    """-1/2 sum_j b_j (zeta, theta_j)^2 psi_j per modulator, over rows of Z."""
     if data.mu.is_empty:
-        return np.zeros(Z.shape[0], dtype=complex)
+        return np.zeros((Z.shape[0], len(mods)), dtype=complex)
     dots = Z @ data.mu.directions.T  # (K, M)
-    w = data.mu.weights.astype(complex) * psi_vals
+    w = np.stack([data.mu.weights * _psi_values_at_sphere(mod, data.mu) for mod in mods], axis=1)
     return -0.5 * (dots * dots) @ w
 
 
-def _atoms_jump_part(nu: AtomsMeasure, Z: np.ndarray, phi_vals) -> np.ndarray:
-    """Exact compensated atom sum weighted by phi (per atom, or one constant),
-    batched over rows of Z.
+def _atoms_jump_part(nu: AtomsMeasure, Z: np.ndarray, phis) -> np.ndarray:
+    """Exact compensated atom sums, one column per weight in phis (a per-atom
+    array or one constant), over rows of Z: (K, len(phis)).
 
-    Chunked over atoms so quadrature-generated measures with millions of
-    atoms do not blow up temporaries.
+    One pass serves every weight: each chunk of atoms forms the real phases
+    D = Z atoms^T once and contracts C = cos D - 1 = -2 sin^2(D/2) and
+    S = sin D - D 1_{|z|<=1} with the real and imaginary parts of
+    w = mass * phi, as (C + iS) w = (C w_r - S w_i) + i (C w_i + S w_r).
+    No complex exponential is formed, and -2 sin^2(D/2) keeps the digits of
+    cos D - 1 that Re(e^{iD} - 1) loses at small |D|.  The chunks keep the
+    temporaries of million-atom quadrature measures bounded.
     """
-    w = nu.weights.astype(complex)
-    w *= phi_vals
-    m_total = nu.atoms.shape[0]
+    k = len(phis)
+    inside = np.linalg.norm(nu.atoms, axis=1) <= 1.0
     chunk = max(1, int(4e6) // max(Z.shape[0], 1))
-    out = np.zeros(Z.shape[0], dtype=complex)
-    for m0 in range(0, m_total, chunk):
-        atoms = nu.atoms[m0:m0 + chunk]
-        dots = Z @ atoms.T
-        inside = np.linalg.norm(atoms, axis=1) <= 1.0
-        integrand = np.exp(1j * dots)
-        integrand -= 1.0
-        integrand -= 1j * dots * inside[None, :]
-        out += integrand @ w[m0:m0 + chunk]
+    out = np.zeros((Z.shape[0], k), dtype=complex)
+    for m0 in range(0, nu.atoms.shape[0], chunk):
+        sl = slice(m0, m0 + chunk)
+        w = np.stack([nu.weights[sl] * (p if np.ndim(p) == 0 else p[sl]) for p in phis], axis=1)
+        D = Z @ nu.atoms[sl].T
+        S = np.sin(D)
+        np.subtract(S, D, out=S, where=inside[sl])
+        C = np.sin(np.multiply(D, 0.5, out=D), out=D)  # D is spent from here
+        C *= -2.0 * C
+        W = np.concatenate([w.real, w.imag], axis=1)
+        CW, SW = C @ W, S @ W
+        out += (CW[:, :k] - SW[:, k:]) + 1j * (CW[:, k:] + SW[:, :k])
     return out
 
 
@@ -609,56 +615,63 @@ def _psi_values_at_sphere(mod: Modulator, mu: SphericalMeasure) -> np.ndarray:
     return eval_modspec(mod.psi, mu.directions)
 
 
-def _as_batch(zeta, n):
-    Z = np.asarray(zeta, dtype=float)
-    scalar = Z.ndim == 1
-    Z = np.atleast_2d(Z)
-    if Z.shape[1] != n:
-        raise ShapeMismatch(f"zeta must have dimension {n}, got {Z.shape[1]}")
-    return Z, scalar
+def _radial_jump_part(nu, mod: Modulator, Z: np.ndarray, rel_tol: float) -> np.ndarray:
+    """Jump part of a stable or radial-product measure weighted by phi, over rows of Z."""
+    if isinstance(nu, StableMeasure) and mod.phi.kind == "constant":
+        return mod.phi.value * (-np.linalg.norm(Z, axis=1).astype(complex) ** nu.alpha)
+    if not isinstance(nu, (StableMeasure, RadialProductMeasure)):
+        raise MeasureValidationError(f"unknown jump measure type {type(nu).__name__}")
+    radial = nu.as_radial(r_max=np.inf) if isinstance(nu, StableMeasure) else nu
+    jump = np.zeros(Z.shape[0], dtype=complex)
+    for k, z in enumerate(Z):
+        total, err, scale = _direction_sum(
+            radial, mod, lambda theta, phi_fn: _radial_exponent_1d(
+                radial.profile, float(z @ theta), radial.r_max, radial.quad_order, phi_fn))
+        if not err <= rel_tol * max(scale, 1.0):  # a NaN error fails too
+            raise QuadratureNotConverged(
+                f"radial quadrature error {err:.3e} above tolerance at zeta={z}"
+            )
+        jump[k] = total
+    return mod.phi.value * jump if mod.phi.kind == "constant" else jump
 
 
-def _exponent(data: LevyData, mod: Modulator, Z: np.ndarray, rel_tol: float) -> np.ndarray:
-    """Jump part weighted by phi plus sphere part weighted by psi, over rows of Z."""
+def _exponent(data: LevyData, mods, Z: np.ndarray, rel_tol: float) -> np.ndarray:
+    """Jump part weighted by phi plus sphere part weighted by psi over rows of
+    Z, one column per modulator in mods; atoms serve all columns in one pass."""
     nu = data.nu
-    sphere_psi = None if data.mu.is_empty else _psi_values_at_sphere(mod, data.mu)
     if isinstance(nu, AtomsMeasure):
         # a constant phi stays a scalar: no per-atom array for psi's unit weight
-        phi = mod.phi.value if mod.phi.kind == "constant" else _phi_values_at_atoms(mod, nu)
-        jump = _atoms_jump_part(nu, Z, phi)
-    elif isinstance(nu, StableMeasure) and mod.phi.kind == "constant":
-        jump = mod.phi.value * (-np.linalg.norm(Z, axis=1).astype(complex) ** nu.alpha)
-    elif isinstance(nu, (StableMeasure, RadialProductMeasure)):
-        radial = nu.as_radial(r_max=np.inf) if isinstance(nu, StableMeasure) else nu
-        jump = np.zeros(Z.shape[0], dtype=complex)
-        for k, z in enumerate(Z):
-            total, err, scale = _direction_sum(
-                radial, mod, lambda theta, phi_fn: _radial_exponent_1d(
-                    radial.profile, float(z @ theta), radial.r_max, radial.quad_order, phi_fn))
-            if not err <= rel_tol * max(scale, 1.0):  # a NaN error fails too
-                raise QuadratureNotConverged(
-                    f"radial quadrature error {err:.3e} above tolerance at zeta={z}"
-                )
-            jump[k] = total
-        if mod.phi.kind == "constant":
-            jump = mod.phi.value * jump
+        jump = _atoms_jump_part(nu, Z, [mod.phi.value if mod.phi.kind == "constant"
+                                        else _phi_values_at_atoms(mod, nu) for mod in mods])
     else:
-        raise MeasureValidationError(f"unknown jump measure type {type(nu).__name__}")
-    return jump + _sphere_part(data, Z, sphere_psi)
+        jump = np.stack([_radial_jump_part(nu, mod, Z, rel_tol) for mod in mods], axis=1)
+    return jump + _sphere_part(data, Z, mods)
+
+
+def _evaluate(data: LevyData, mods, zeta, rel_tol: float, drift: bool):
+    """_exponent's columns at a point or rows zeta, drift i(zeta, gamma) on the first if asked."""
+    Z = np.atleast_2d(np.asarray(zeta, dtype=float))
+    if Z.shape[1] != data.n:
+        raise ShapeMismatch(f"zeta must have dimension {data.n}, got {Z.shape[1]}")
+    out = _exponent(data, mods, Z, rel_tol)
+    if drift:
+        out[:, 0] += 1j * (Z @ data.gamma)
+    return [complex(v) for v in out[0]] if np.ndim(zeta) == 1 else list(out.T)
+
+
+def exponents(data: LevyData, mod: Modulator, zeta, rel_tol: float = DEFAULT_REL_TOL):
+    """(psi, psi_tilde) at zeta from one pass over the atoms; batch rows allowed."""
+    return tuple(_evaluate(data, (IDENTITY_MOD, mod), zeta, rel_tol, drift=True))
 
 
 def psi(data: LevyData, zeta, rel_tol: float = DEFAULT_REL_TOL):
     """The characteristic exponent at zeta; accepts a batch (K, n) of rows."""
-    Z, scalar = _as_batch(zeta, data.n)
-    out = _exponent(data, IDENTITY_MOD, Z, rel_tol) + 1j * (Z @ data.gamma)
-    return complex(out[0]) if scalar else out
+    return _evaluate(data, (IDENTITY_MOD,), zeta, rel_tol, drift=True)[0]
 
 
 def psi_tilde(data: LevyData, mod: Modulator, zeta, rel_tol: float = DEFAULT_REL_TOL):
     """The modulated exponent at zeta (no drift term); batch rows allowed."""
-    Z, scalar = _as_batch(zeta, data.n)
-    out = _exponent(data, mod, Z, rel_tol)
-    return complex(out[0]) if scalar else out
+    return _evaluate(data, (mod,), zeta, rel_tol, drift=False)[0]
 
 
 def _phi_values_at_atoms(mod: Modulator, nu: AtomsMeasure) -> np.ndarray:

@@ -28,7 +28,7 @@ from .errors import (
     ZeroFrequencyVector,
 )
 from .grids import Grid
-from .levy import IDENTITY_MOD, LevyData, Modulator, cross_form, psi, psi_tilde
+from .levy import IDENTITY_MOD, LevyData, Modulator, cross_form, exponents, psi
 
 BOUND_TOL = 1e-9
 _TAYLOR_CUT = 1e-3
@@ -91,8 +91,7 @@ def symbol_q(data: LevyData, mod: Modulator, xi, u: float = 1.0):
     zb = X @ data.B
     za = -(X @ data.A)
     zc = zb + za
-    ps = psi(data, np.concatenate([zc, zb, za]))
-    pt = psi_tilde(data, mod, np.concatenate([zc, zb, za]))
+    ps, pt = exponents(data, mod, np.concatenate([zc, zb, za]))
     k = X.shape[0]
     ps_c, ps_b, ps_a = ps[:k], ps[k:2 * k], ps[2 * k:]
     pt_c, pt_b, pt_a = pt[:k], pt[k:2 * k], pt[2 * k:]
@@ -136,8 +135,7 @@ def symbol_limit(data: LevyData, mod: Modulator, xi, on_degenerate: str = "raise
         raise RequiresEqualMatrices("the limit symbol needs A = B")
     X, scalar = _xi_batch(xi, data.d)
     za = X @ data.A
-    ps = psi(data, np.concatenate([za, -za]))
-    pt = psi_tilde(data, mod, np.concatenate([za, -za]))
+    ps, pt = exponents(data, mod, np.concatenate([za, -za]))
     k = X.shape[0]
     den = ps[:k] + ps[k:]
     num = pt[:k] + pt[k:]

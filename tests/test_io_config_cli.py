@@ -117,6 +117,15 @@ def test_readers_reject_header_cut_inside_d(tmp_path, read, magic):
         read(path)
 
 
+@pytest.mark.parametrize("read,magic", [(read_symbol_grid, b"LMGRID1\x00"),
+                                        (read_field, b"LMFIELD1")])
+def test_readers_reject_more_points_than_int64_indexes(tmp_path, read, magic):
+    path = tmp_path / "huge.bin"
+    _write_header(path, magic, 2, [2**32, 2**32], [40.0, 40.0], 0)
+    with pytest.raises(ParseError, match="N ="):
+        read(path)
+
+
 def test_symbol_csv_layout():
     grid = evaluate_grid(SymbolSpec(variant="stable", alpha=0.5), L=20.0, N=8)
     text = symbol_grid_csv(grid)
@@ -197,6 +206,15 @@ def test_config_bad_grid_rejected(grid):
     bad["grid"] = grid
     with pytest.raises(ConfigValidationError, match="grid"):
         parse_config(json.dumps(bad))
+
+
+def test_config_rejects_more_points_than_int64_indexes():
+    doc = {"dimensions": {"d": 2, "n": 2}, "matrices": {"A": np.eye(2).tolist(),
+                                                      "B": np.eye(2).tolist()},
+           "measure": {"variant": "atoms", "atoms": [[1.0, 0.0]], "weights": [1.0]},
+           "symbol": {"variant": "q_form"}, "grid": {"length": 40.0, "points": 2**32}}
+    with pytest.raises(ConfigValidationError, match="grid.*N ="):
+        parse_config(json.dumps(doc))
 
 
 def test_config_invalid_measure_rejected():

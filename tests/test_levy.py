@@ -1,5 +1,8 @@
 """Measure validation, exponent evaluation, approximation, drift handling."""
 
+import cmath
+import math
+
 import numpy as np
 import pytest
 
@@ -12,8 +15,10 @@ from levymult import (
     SphericalMeasure,
     StableMeasure,
     approximate,
+    constant_mod,
     cross_form,
     drift_reduce,
+    halfspace_mod,
     make_data,
     psi,
     psi_tilde,
@@ -33,6 +38,7 @@ from levymult.errors import (
     RequiresFiniteMeasure,
     ShapeMismatch,
 )
+from levymult.levy import exponents
 
 ALPHA = 0.5
 
@@ -235,6 +241,68 @@ def test_psi_tilde_halfspace_keeps_one_atom():
     z = 1.3
     want = psi(make_data(AtomsMeasure([[1.0]], [0.7])), [z])
     assert psi_tilde(data, mod, [z]) == pytest.approx(want, abs=1e-14)
+
+
+# ---------------------------------------------------------------------------
+# one pass over the atoms
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("zeta", [1e-6, 1e-8, 1e-10])
+def test_psi_real_part_conditioned_at_small_phase(zeta):
+    # Re psi = w (cos x - 1) with x = zeta z; Re(e^{ix} - 1) loses every digit
+    # of it once x is below about 1e-8, -2 w sin^2(x/2) keeps them
+    w, z = 0.7, 1.3
+    x = zeta * z
+    got = psi(make_data(AtomsMeasure([[z]], [w])), [zeta]).real
+    assert got == pytest.approx(w * (-x * x / 2.0 + x**4 / 24.0), rel=1e-12, abs=0.0)
+
+
+def _phi_by_hand(kind, z):
+    if kind == "constant":
+        return 0.6 - 0.3j
+    if kind == "sign":
+        return float(np.sign(z[-1]))
+    return 1.0 if sum(z) > 0.0 else 0.0   # halfspace with normal (1, ..., 1)
+
+
+def _cmath_exponent(atoms, masses, phis, zeta, gamma):
+    """Per-atom sum of w phi (e^{i(zeta,z)} - 1 - i(zeta,z) 1_{|z|<=1}) + i(zeta,gamma)."""
+    total = 1j * sum(a * g for a, g in zip(zeta, gamma))
+    for z, w, p in zip(atoms, masses, phis):
+        dot = sum(a * b for a, b in zip(zeta, z))
+        comp = dot if math.sqrt(sum(c * c for c in z)) <= 1.0 else 0.0
+        total += w * p * (cmath.exp(1j * dot) - 1.0 - 1j * comp)
+    return total
+
+
+@pytest.mark.parametrize("kind", ["constant", "table", "sign", "halfspace"])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_shared_atom_pass_matches_cmath_oracle(dim, kind):
+    rng = np.random.default_rng(11 + dim)
+    dirs = rng.normal(size=(1500, dim))
+    atoms = dirs / np.linalg.norm(dirs, axis=1, keepdims=True) * rng.uniform(0.05, 3.0, (1500, 1))
+    atoms[:2] = np.eye(dim)[0], -np.eye(dim)[-1]         # exactly on |z| = 1
+    masses = rng.uniform(0.1, 1.0, 1500)
+    gamma = rng.normal(size=dim)
+    if kind == "table":
+        table = rng.uniform(0.0, 0.7, 1500) * np.exp(2j * np.pi * rng.uniform(size=1500))
+        spec, phis = table_mod(table), table
+    else:
+        spec = {"constant": constant_mod(0.6 - 0.3j), "sign": sign_mod(dim - 1),
+                "halfspace": halfspace_mod(np.ones(dim))}[kind]
+        phis = [_phi_by_hand(kind, z) for z in atoms]
+    data, mod = make_data(AtomsMeasure(atoms, masses), gamma=gamma), Modulator(phi=spec)
+    # 4000 rows make atom chunks of 1000: the pass spans two
+    Z = rng.normal(size=(4000, dim)) * 2.0
+    ps, pt = psi(data, Z), psi_tilde(data, mod, Z)
+    tol = 1e-12 * masses.sum()
+    for row in (0, 999, 2500, 3999):
+        assert abs(ps[row] - _cmath_exponent(atoms, masses, [1.0] * 1500, Z[row], gamma)) < tol
+        assert abs(pt[row] - _cmath_exponent(atoms, masses, phis, Z[row], np.zeros(dim))) < tol
+    ps2, pt2 = exponents(data, mod, Z)
+    assert np.max(np.abs(ps2 - ps)) < 1e-13 * masses.sum()
+    assert np.max(np.abs(pt2 - pt)) < 1e-13 * masses.sum()
 
 
 # ---------------------------------------------------------------------------

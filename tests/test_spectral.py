@@ -65,6 +65,18 @@ def test_sampled_field_rejects_bad_box(d, L, N, field):
         SampledField(d=d, L=L, N=N, values=np.zeros((8,) * d))
 
 
+@pytest.mark.parametrize("d,N", [(2, 2**32), (3, 2**22), (2, (2**40, 2**23))])
+def test_grid_rejects_more_points_than_int64_indexes(d, N):
+    # np.prod of these counts wraps to 0 in int64
+    with pytest.raises(ValueError, match="N ="):
+        Grid(d, 40.0, N)
+
+
+def test_grid_size_is_exact_up_to_int64():
+    assert Grid(2, 40.0, 2**31).size == 2**62
+    assert Grid(3, 40.0, (2**40, 2**20, 2**2)).size == 2**62
+
+
 def test_apply_multiplier_identity_and_zero(bump_f):
     ones = symbol_grid_from_values(np.ones(bump_f.N[0]), bump_f)
     out = apply_multiplier(ones, bump_f)

@@ -16,6 +16,8 @@ from levymult import (
     evaluate_grid,
     make_data,
     preset_log_symbol,
+    psi,
+    psi_tilde,
     q_func,
     riesz_matrix,
     sign_mod,
@@ -28,6 +30,7 @@ from levymult import (
     symbol_stable,
     table_mod,
 )
+from levymult import symbols
 from levymult.errors import (
     AlphaOutOfRange,
     DegenerateDenominator,
@@ -154,6 +157,24 @@ def test_u_scaling_converges_to_limit():
             for u in (1.0, 10.0, 100.0, 1000.0)]
     assert all(errs[i + 1] <= errs[i] + 1e-14 for i in range(3))
     assert errs[-1] < 1e-6
+
+
+@pytest.mark.parametrize("symbol", [symbol_q, symbol_limit])
+def test_symbols_from_one_exponent_call_match_separate_calls(symbol, monkeypatch):
+    # symbol_q and symbol_limit take psi and psi_tilde from one shared pass
+    # over the atoms; the same symbols built from separate calls agree
+    rng = np.random.default_rng(8)
+    atoms = rng.uniform(0.05, 3.0, (3000, 1)) * rng.choice([-1.0, 1.0], (3000, 1))
+    data = make_data(AtomsMeasure(atoms, rng.uniform(0.0, 0.01, 3000)),
+                     mu=SphericalMeasure([[1.0]], [0.3]), gamma=[0.4], A=[[1.0]], B=[[1.0]])
+    mod = Modulator(phi=table_mod(rng.uniform(-0.9, 0.9, 3000) * 1j ** rng.integers(0, 4, 3000)),
+                    psi=table_mod([-0.6]))
+    xi = rng.normal(size=(1500, 1)) * 3.0
+    shared = symbol(data, mod, xi)
+    monkeypatch.setattr(symbols, "exponents",
+                        lambda data, mod, zeta: (psi(data, zeta), psi_tilde(data, mod, zeta)))
+    separate = symbol(data, mod, xi)
+    assert np.max(np.abs(shared - separate)) <= 1e-13 * np.max(np.abs(separate))
 
 
 # ---------------------------------------------------------------------------
