@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .checks import CRITERIA
 from .config import emit_config, parse_config
 from .errors import LevyMultError
 from .gridio import (
@@ -29,20 +30,10 @@ from .mc import (
     estimate_pairing,
     gaussian_spectral_value,
     spectral_pairing_value,
+    within_sigmas,
 )
 from .spectral import apply_multiplier, norm_probe, pairing
 from .symbols import evaluate_grid
-from . import selftest as selftest_mod
-
-
-def _outdir(cfg, override):
-    path = Path(override or cfg.output_dir)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
-
-
-def _echo_config(cfg, out: Path):
-    (out / "config.echo.json").write_text(emit_config(cfg))
 
 
 def _grid(cfg):
@@ -96,6 +87,14 @@ def cmd_probe(cfg, out, seed):
     return ok, {"worst": max(r.best_ratio / r.bound for r in reports)}
 
 
+def _mc_report_csv(est, ref):
+    """quantity,re,im,se_re,se_im rows: both MC routes and the spectral reference."""
+    rows = [("mc_endpoint", est.estimate, est.stderr),
+            ("mc_covariation", est.cov_estimate, est.cov_stderr), ("spectral", ref, 0j)]
+    return "quantity,re,im,se_re,se_im\n" + "".join(
+        f"{q},{v.real:.17g},{v.imag:.17g},{se.real:.17g},{se.imag:.17g}\n" for q, v, se in rows)
+
+
 def cmd_mc(cfg, out, seed, paths):
     data = cfg.build_data()
     mod = cfg.build_modulator()
@@ -106,15 +105,7 @@ def cmd_mc(cfg, out, seed, paths):
     ref = spectral_pairing_value(f, g, data, mod)
     ok_spec = est.agrees_with(ref)
     ok_routes = est.routes_agree()
-    rows = [
-        "quantity,re,im,se_re,se_im",
-        f"mc_endpoint,{est.estimate.real:.17g},{est.estimate.imag:.17g},"
-        f"{est.stderr.real:.17g},{est.stderr.imag:.17g}",
-        f"mc_covariation,{est.cov_estimate.real:.17g},{est.cov_estimate.imag:.17g},"
-        f"{est.cov_stderr.real:.17g},{est.cov_stderr.imag:.17g}",
-        f"spectral,{ref.real:.17g},{ref.imag:.17g},0,0",
-    ]
-    (out / "mc_report.csv").write_text("\n".join(rows) + "\n")
+    (out / "mc_report.csv").write_text(_mc_report_csv(est, ref))
     print(f"MC endpoint    = {est.estimate} +- {est.stderr}")
     print(f"MC covariation = {est.cov_estimate} +- {est.cov_stderr}")
     print(f"spectral       = {ref}")
@@ -134,34 +125,25 @@ def cmd_gaussian_mc(cfg, out, seed, paths):
     est = brownian_pairing(f, g, cfg.A, cfg.B, spec.K, paths,
                            int(cfg.params["steps"]), seed, var_scale=var_scale)
     ref = gaussian_spectral_value(f, g, cfg.A, cfg.B, spec.K, var_scale=var_scale)
-    from .mc import within_sigmas
-
     ok = within_sigmas(est.estimate, est.stderr, ref)
-    rows = [
-        "quantity,re,im,se_re,se_im",
-        f"mc_endpoint,{est.estimate.real:.17g},{est.estimate.imag:.17g},"
-        f"{est.stderr.real:.17g},{est.stderr.imag:.17g}",
-        f"mc_covariation,{est.cov_estimate.real:.17g},{est.cov_estimate.imag:.17g},"
-        f"{est.cov_stderr.real:.17g},{est.cov_stderr.imag:.17g}",
-        f"spectral,{ref.real:.17g},{ref.imag:.17g},0,0",
-    ]
-    (out / "gaussian_mc_report.csv").write_text("\n".join(rows) + "\n")
+    (out / "gaussian_mc_report.csv").write_text(_mc_report_csv(est, ref))
     print(f"MC endpoint = {est.estimate} +- {est.stderr}  (steps={est.steps})")
     print(f"spectral    = {ref}")
     print(f"[{'PASS' if ok else 'FAIL'}] Brownian MC vs spectral within 3 standard errors")
     return ok, {"mc": [est.estimate.real, est.estimate.imag]}
 
 
+# path counts, probe trials and ascent steps of the criteria are divided by this
+SELFTEST_DIVISOR = 50
+
+
 def cmd_selftest(cfg, out):
-    lines = []
-
-    def sink(msg):
-        print(msg)
-        lines.append(msg)
-
-    ok = selftest_mod.run_all(sink)
-    (out / "selftest.txt").write_text("\n".join(lines) + "\n")
-    return ok, {"checks": len(lines)}
+    records = []
+    for criterion in CRITERIA:
+        records.append(criterion(SELFTEST_DIVISOR))
+        print(records[-1].line, flush=True)
+    (out / "selftest.txt").write_text("".join(r.line + "\n" for r in records))
+    return all(r.passed for r in records), {"checks": len(records)}
 
 
 def main(argv=None):
@@ -179,8 +161,9 @@ def main(argv=None):
 
     try:
         cfg = parse_config(Path(args.config).read_text())
-        out = _outdir(cfg, args.out)
-        _echo_config(cfg, out)
+        out = Path(args.out or cfg.output_dir)
+        out.mkdir(parents=True, exist_ok=True)
+        (out / "config.echo.json").write_text(emit_config(cfg))
         seed = args.seed if args.seed is not None else int(cfg.params["seed"])
         paths = args.paths if args.paths is not None else int(cfg.params["paths"])
 

@@ -357,33 +357,6 @@ def validate_modulator(mod: Modulator, data: "LevyData") -> Modulator:
 # ---------------------------------------------------------------------------
 
 
-def _probe_decades(fn, lo_exp, hi_exp):
-    """Integrals of fn over successive decades [10^k, 10^(k+1)]."""
-    vals = []
-    for k in range(lo_exp, hi_exp):
-        edges = np.array([10.0**k, 10.0 ** (k + 1)])
-        nodes, weights = panel_rule(edges, 32)
-        vals.append(float(np.sum(fn(nodes) * weights)))
-    return np.array(vals)
-
-
-def _check_integrability(measure: RadialProductMeasure):
-    """Numerical probe of integral min(r^2, 1) rho(r) dr < inf."""
-    rho = measure.profile.density
-    # origin side: decade masses of r^2 rho(r) must shrink geometrically
-    d_origin = _probe_decades(lambda r: r * r * rho(r), -13, 0)[::-1]
-    ratios = d_origin[1:] / np.maximum(d_origin[:-1], 1e-300)
-    if np.any(ratios[-4:] >= 0.999):
-        raise NonIntegrableMeasure(
-            "integral of r^2 rho(r) diverges at the origin"
-        )
-    # tail side: decade masses of rho alone
-    d_tail = _probe_decades(rho, 0, 10)
-    ratios = d_tail[1:] / np.maximum(d_tail[:-1], 1e-300)
-    if np.any(ratios[-4:] >= 0.999):
-        raise NonIntegrableMeasure("integral of rho(r) diverges at infinity")
-
-
 def validate(data: LevyData, mod: Modulator = None) -> LevyData:
     """Check every structural invariant; returns the data unchanged."""
     d, n = data.d, data.n
@@ -416,7 +389,13 @@ def validate(data: LevyData, mod: Modulator = None) -> LevyData:
             raise MeasureValidationError("angular weights must be nonnegative")
         if nu.r_max <= 1.0:
             raise MeasureValidationError("r_max must exceed the compensation radius 1")
-        _check_integrability(nu)
+        alpha, coeff = nu.profile.alpha, nu.profile.coeff
+        if not 0.0 < alpha < 2.0:  # exactly when min(r^2, 1) r^(-1-alpha) is integrable
+            raise NonIntegrableMeasure(
+                f"coeff r^(-1-alpha) is not integrable against min(r^2, 1): alpha = {alpha}")
+        if not (math.isfinite(coeff) and coeff >= 0.0):
+            raise MeasureValidationError(
+                f"radial profile coeff must be nonnegative and finite, got {coeff}")
     elif isinstance(nu, StableMeasure):
         if not 0.0 < nu.alpha < 2.0:
             raise AlphaOutOfRange(f"alpha must lie in (0, 2), got {nu.alpha}")

@@ -23,7 +23,7 @@ from .levy import (
     Modulator,
     _phi_values_at_atoms,
     drift_reduce,
-    psi,
+    exponents,
     validate,
 )
 from .spectral import (
@@ -34,7 +34,7 @@ from .spectral import (
     transform_forward,
     values_from_coefficients,
 )
-from .symbols import SymbolSpec, evaluate_grid
+from .symbols import SymbolSpec, _check_contraction, evaluate_grid
 
 # ---------------------------------------------------------------------------
 # counter-based streams and path simulation
@@ -156,19 +156,16 @@ def _cpp_blocks(f: SampledField, g: SampledField, data: LevyData, mod: Modulator
 
     fhat, ghat, band, neg, zA, zB = _band(f, g, data.A, data.B)
     fband, gband = fhat[band], ghat[band]
-    psiA = np.atleast_1d(psi(data, -zA))
-    psiB = np.atleast_1d(psi(data, -zB))
     _, h = drift_reduce(data)
     cdA = zA @ h
     cdB = zB @ h
     phi_atoms = np.asarray(_phi_values_at_atoms(mod, nu), dtype=complex)
-    # compensator atom sum S_k = sum_m phi_m w_m (e^{-i(zB_k, z_m)} - 1)
-    S = np.zeros(band.size, dtype=complex)
-    chunk = max(1, int(2e6) // max(band.size, 1))
-    for m0 in range(0, nu.atoms.shape[0], chunk):
-        blockz = nu.atoms[m0:m0 + chunk]
-        ph = np.exp(-1j * (blockz @ zB.T))
-        S += ((ph - 1.0) * (phi_atoms[m0:m0 + chunk] * nu.weights[m0:m0 + chunk])[:, None]).sum(axis=0)
+    # psi(-zA), psi(-zB) and S_k = sum_m phi_m w_m (e^{-i(zB_k, z_m)} - 1) from one atom pass:
+    # S_k = psi_tilde(-zB_k) - i (zB_k, sum_{|z_m|<=1} phi_m w_m z_m), as mu has no weight
+    exps, tilde = exponents(data, mod, np.concatenate([-zA, -zB]))
+    psiA, psiB = exps[:band.size], exps[band.size:]
+    inside = np.linalg.norm(nu.atoms, axis=1) <= 1.0
+    S = tilde[band.size:] - 1j * (zB @ ((phi_atoms * nu.weights * inside) @ nu.atoms))
     if block_size is None:
         block_size = max(16, min(1024, (1 << 24) // f.size))
 
@@ -381,8 +378,6 @@ def brownian_pairing(f: SampledField, g: SampledField, A, B, Kmat,
     With richardson, a run at steps//2 must agree within one standard
     error, otherwise StepTooCoarse is raised.
     """
-    from .symbols import _check_contraction
-
     A = np.atleast_2d(np.asarray(A, dtype=float))
     B = np.atleast_2d(np.asarray(B, dtype=float))
     Kmat = np.atleast_2d(np.asarray(Kmat, dtype=complex))

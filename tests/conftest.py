@@ -9,16 +9,22 @@ from levymult import (
 )
 
 
-def pytest_terminal_summary(terminalreporter):
-    """Echo the acceptance criteria pass/fail lines past output capture."""
-    import sys
+_ACCEPTANCE = pytest.StashKey[list]()
 
-    mod = sys.modules.get("test_acceptance") \
-        or sys.modules.get("tests.test_acceptance")
-    if mod is not None and getattr(mod, "RESULT_LINES", None):
+
+def pytest_terminal_summary(terminalreporter, config):
+    """Echo the acceptance criteria PASS/FAIL lines past output capture."""
+    records = config.stash.get(_ACCEPTANCE, [])
+    if records:
         terminalreporter.section("acceptance criteria")
-        for _, line in sorted(mod.RESULT_LINES):
-            terminalreporter.write_line(line)
+        for record in sorted(records, key=lambda r: r.criterion):
+            terminalreporter.write_line(record.line)
+
+
+@pytest.fixture
+def acceptance_records(request):
+    """The session's list of acceptance CheckRecords, for the summary above."""
+    return request.config.stash.setdefault(_ACCEPTANCE, [])
 
 
 @pytest.fixture

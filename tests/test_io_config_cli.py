@@ -224,6 +224,14 @@ def test_config_invalid_measure_rejected():
         parse_config(json.dumps(bad))
 
 
+def test_config_negative_radial_coeff_named():
+    bad = json.loads(STABLE_CONFIG)
+    bad["measure"] = {"variant": "radial_product", "alpha": 0.5, "coeff": -1.0,
+                      "directions": [[1.0], [-1.0]], "dir_weights": [1.0, 1.0]}
+    with pytest.raises(MeasureValidationError, match="coeff"):
+        parse_config(json.dumps(bad))
+
+
 # ---------------------------------------------------------------------------
 # CLI
 # ---------------------------------------------------------------------------
@@ -376,9 +384,13 @@ def test_cli_pair_and_apply(tmp_path, stable_cfg_file):
     assert text.startswith("route,re,im")
 
 
-def test_selftest_suite_all_green(capsys):
-    from levymult import selftest
-    assert selftest.run_all()
-    out = capsys.readouterr().out
-    assert "[FAIL]" not in out
-    assert out.count("[PASS]") == len(selftest.ALL_CHECKS)
+def test_selftest_suite_all_green(tmp_path, stable_cfg_file):
+    from levymult.checks import CRITERIA
+    res = _run_cli(["selftest", "--config", str(stable_cfg_file), "--out", "st"],
+                   tmp_path)
+    assert res.returncode == 0, res.stdout + res.stderr
+    lines = (tmp_path / "st/selftest.txt").read_text().splitlines()
+    assert [line.split(":")[0] for line in lines] == \
+        [f"[PASS] criterion {k}" for k in range(1, len(CRITERIA) + 1)]
+    last = json.loads(res.stdout.strip().split("\n")[-1])
+    assert last == {"status": "ok", "command": "selftest", "checks": 10}

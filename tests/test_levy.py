@@ -70,6 +70,20 @@ def test_validate_rejects_nonintegrable_profile():
         validate(make_data(measure))
 
 
+@pytest.mark.parametrize("alpha, coeff, error", [
+    (math.nan, 1.0, NonIntegrableMeasure),
+    (0.0, 1.0, NonIntegrableMeasure),
+    (2.0, 1.0, NonIntegrableMeasure),
+    (0.5, -1.0, MeasureValidationError),   # a negative jump measure
+    (0.5, math.inf, MeasureValidationError),
+])
+def test_validate_rejects_bad_radial_profile(alpha, coeff, error):
+    measure = RadialProductMeasure(RadialProfile("stable", alpha, coeff),
+                                   [[1.0], [-1.0]], [1.0, 1.0], r_max=100.0)
+    with pytest.raises(error):
+        validate(make_data(measure))
+
+
 def test_validate_rejects_shape_mismatch():
     data = make_data(AtomsMeasure([[1.0]], [1.0]))
     bad = make_data(data.nu, A=[[1.0, 0.0]], B=[[1.0, 0.0]], d=1, n=1)
@@ -94,8 +108,9 @@ def test_validate_rejects_nonunit_sphere_atom():
 # ---------------------------------------------------------------------------
 
 
-def test_psi_zero_frequency_vanishes(mixed_atoms_data):
+def test_psi_zero_frequency_vanishes(mixed_atoms_data, complex_phi):
     assert psi(mixed_atoms_data, [0.0]) == 0.0
+    assert psi_tilde(mixed_atoms_data, complex_phi, [0.0]) == 0.0
 
 
 def test_psi_single_atom_hand_value():

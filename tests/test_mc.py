@@ -19,6 +19,7 @@ from levymult import (
     lp_norm,
     make_data,
     pairing,
+    psi,
     run_cpp_paths,
     semigroup_eval,
     simulate_cpp,
@@ -338,6 +339,24 @@ def test_criterion_6_gate_catches_scaled_compensator(monkeypatch):
     est = estimate_pairing(f, g, data, mod, 20000, 405)
     assert not est.agrees_with(ref, 3.0)
     assert not est.routes_agree(3.0)
+
+
+def test_compensator_atom_sum_matches_direct_sum(monkeypatch):
+    # atoms outside, on and inside the unit ball of a two-dimensional jump space
+    data = make_data(AtomsMeasure([[1.0, 0.0], [-0.8, 1.2], [0.3, -0.4]], [0.8, 0.6, 0.5]),
+                     gamma=[0.2, -0.1], A=[[1.0, 0.0]], B=[[0.3, 1.0]], d=1, n=2)
+    phi = np.array([0.9, -0.6j, 0.3 + 0.4j])
+    seen = []
+    kernel = mc.cpp_pair_coeffs
+    monkeypatch.setattr(mc, "cpp_pair_coeffs", lambda *a: seen.append(a) or kernel(*a))
+    f = gaussian_bump(40.0, 512, 1, center=[0.5], width=0.9)
+    g = gaussian_bump(40.0, 512, 1, center=[-0.3], width=1.1)
+    estimate_pairing(f, g, data, Modulator(phi=table_mod(phi)), 4, 1)
+    psiA, psiB, zA, zB, _, _, S = seen[0][-7:]
+    # S_k = sum_m phi_m w_m (e^{-i(zB_k, z_m)} - 1)
+    want = ((np.exp(-1j * zB @ data.nu.atoms.T) - 1.0) * (phi * data.nu.weights)).sum(axis=1)
+    assert np.max(np.abs(S - want)) <= 1e-14 * np.max(np.abs(want))
+    assert np.array_equal(psiA, psi(data, -zA)) and np.array_equal(psiB, psi(data, -zB))
 
 
 def test_pair_and_cov_do_not_alias_on_a_wide_band():

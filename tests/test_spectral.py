@@ -85,6 +85,17 @@ def test_apply_multiplier_identity_and_zero(bump_f):
     assert np.max(np.abs(apply_multiplier(zeros, bump_f).values)) == 0.0
 
 
+def test_p2_contraction_and_real_output(mixed_atoms_data, complex_phi, single_atom_data):
+    # ||Mf||_2 <= max|m| ||f||_2 on the grid; a Hermitian symbol keeps real input real
+    grid = evaluate_grid(SymbolSpec(variant="q_form", data=mixed_atoms_data, mod=complex_phi),
+                         L=40.0, N=512)
+    f = gaussian_bump(40.0, 512, 1, center=[0.4], width=0.8)
+    assert lp_norm(apply_multiplier(grid, f), 2.0) <= grid.max_abs * lp_norm(f, 2.0) * (1 + 1e-12)
+    hermitian = evaluate_grid(SymbolSpec(variant="q_form", data=single_atom_data), L=40.0, N=512)
+    fr = gaussian_bump(40.0, 512, 1, center=[-0.2], width=1.1)
+    assert np.max(np.abs(apply_multiplier(hermitian, fr).values.imag)) < 1e-10
+
+
 def test_apply_multiplier_grid_mismatch(bump_f):
     small = symbol_grid_from_values(np.ones(256), Grid(1, 40.0, 256))
     with pytest.raises(GridMismatch):
