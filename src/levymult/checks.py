@@ -192,9 +192,8 @@ def criterion_5_norm_bound_probing(divisor, seed):
     t0 = time.time()
     for name, grid in grids:
         worst_margin = 0.0
-        for p in (1.25, 1.5, 2.0, 3.0, 4.0):
-            rep = norm_probe(grid, p, trials=500 // divisor, seed=seed,
-                             ascent_steps=200 // divisor)
+        for rep in norm_probe(grid, (1.25, 1.5, 2.0, 3.0, 4.0), trials=500 // divisor,
+                              seed=seed, ascent_steps=200 // divisor):
             ok &= rep.passed
             worst_margin = max(worst_margin, rep.best_ratio / rep.bound)
         lines.append(f"{name}: max ratio/bound {worst_margin:.4f}")

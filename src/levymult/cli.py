@@ -74,12 +74,10 @@ def cmd_pair(cfg, out):
 
 def cmd_probe(cfg, out, seed):
     grid = _grid(cfg)
-    reports = []
-    ok = True
-    for p in cfg.params["p"]:
-        rep = norm_probe(grid, float(p), trials=int(cfg.params["trials"]),
+    reports = norm_probe(grid, cfg.params["p"], trials=int(cfg.params["trials"]),
                          seed=seed, ascent_steps=int(cfg.params["ascent_steps"]))
-        reports.append(rep)
+    ok = True
+    for p, rep in zip(cfg.params["p"], reports):
         ok &= rep.passed
         print(f"[{'PASS' if rep.passed else 'FAIL'}] p={p}: best ratio "
               f"{rep.best_ratio:.6f} vs bound {rep.bound:.6f}")

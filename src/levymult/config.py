@@ -102,11 +102,28 @@ def _complex_list(vals):
     return [_as_complex(v) for v in vals]
 
 
+def _number_in(v, low, whole=False):
+    """A finite number >= low (an integral one if whole; JSON may write 500.0)."""
+    return isinstance(v, (int, float)) and low <= v < np.inf and (not whole or v == int(v))
+
+
 @dataclass(frozen=True, eq=False)
 class RunConfig:
     """Validated run description; `raw` is the defaults-filled document."""
 
     raw: dict
+
+    def __post_init__(self):
+        params = self.raw["params"]
+        p = params["p"]
+        for key, ok, need in (
+                ("p", isinstance(p, list) and p and all(_number_in(v, 1) and v > 1 for v in p),
+                 "a non-empty list of values in (1, inf)"),
+                ("trials", _number_in(params["trials"], 1, whole=True), "an integer >= 1"),
+                ("ascent_steps", _number_in(params["ascent_steps"], 0, whole=True),
+                 "an integer >= 0")):
+            if not ok:
+                raise ConfigValidationError(f"params.{key} = {params[key]!r} is not {need}")
 
     # -- dimensions and matrices ------------------------------------------
     @property

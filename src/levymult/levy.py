@@ -441,11 +441,11 @@ def _atoms_jump_part(nu: AtomsMeasure, Z: np.ndarray, phis) -> np.ndarray:
     w = mass * phi, as (C + iS) w = (C w_r - S w_i) + i (C w_i + S w_r).
     No complex exponential is formed, and -2 sin^2(D/2) keeps the digits of
     cos D - 1 that Re(e^{iD} - 1) loses at small |D|.  The chunks keep the
-    temporaries of million-atom quadrature measures bounded.
+    temporaries of million-atom quadrature measures at about 8e6 doubles.
     """
     k = len(phis)
     inside = np.linalg.norm(nu.atoms, axis=1) <= 1.0
-    chunk = max(1, int(4e6) // max(Z.shape[0], 1))
+    chunk = max(1, int(4e6) // (Z.shape[0] + 2 * k))  # D, S: K values an atom; w, W: 2k
     out = np.zeros((Z.shape[0], k), dtype=complex)
     for m0 in range(0, nu.atoms.shape[0], chunk):
         sl = slice(m0, m0 + chunk)

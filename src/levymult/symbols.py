@@ -91,10 +91,11 @@ def symbol_q(data: LevyData, mod: Modulator, xi, u: float = 1.0):
     zb = X @ data.B
     za = -(X @ data.A)
     zc = zb + za
-    ps, pt = exponents(data, mod, np.concatenate([zc, zb, za]))
-    k = X.shape[0]
-    ps_c, ps_b, ps_a = ps[:k], ps[k:2 * k], ps[2 * k:]
-    pt_c, pt_b, pt_a = pt[:k], pt[k:2 * k], pt[2 * k:]
+    # with B = -A the a and b rows coincide; evaluate them once
+    rows = [zc, zb] if np.array_equal(za, zb) else [zc, zb, za]
+    ps, pt = (e.reshape(len(rows), -1) for e in exponents(data, mod, np.concatenate(rows)))
+    ps_c, ps_b, ps_a = ps[0], ps[1], ps[-1]
+    pt_c, pt_b, pt_a = pt[0], pt[1], pt[-1]
     bracket = pt_c - pt_b - pt_a
     vals = (u * bracket) * _exp_q_pair(u * ps_c, u * (ps_b + ps_a))
     return _maybe_scalar(vals, scalar)

@@ -1,6 +1,18 @@
-import pytest
+"""Shared fixtures, the acceptance summary, and one BLAS thread per process."""
 
-from levymult import (
+import os
+import sys
+
+# Pin BLAS to one thread before numpy loads: with numpy's default thread
+# pool the Brownian kernel slows several-fold once another process holds a
+# core.  The CLI children that the tests start inherit the setting.
+assert "numpy" not in sys.modules, "numpy was loaded before the BLAS thread pin"
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import pytest  # noqa: E402
+
+from levymult import (  # noqa: E402
     AtomsMeasure,
     Modulator,
     gaussian_bump,

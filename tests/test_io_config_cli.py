@@ -232,6 +232,30 @@ def test_config_negative_radial_coeff_named():
         parse_config(json.dumps(bad))
 
 
+@pytest.mark.parametrize("key, value", [
+    ("p", [1.0]), ("p", [2.0, 0.5]), ("p", [float("nan")]), ("p", []), ("p", 2.0),
+    ("trials", 0), ("trials", 2.5), ("ascent_steps", -1),
+])
+def test_config_bad_probe_params_named(key, value):
+    bad = json.loads(STABLE_CONFIG)
+    bad["params"][key] = value
+    with pytest.raises(ConfigValidationError, match=f"params.{key} = "):
+        parse_config(json.dumps(bad))
+
+
+def test_cli_probe_p_one_is_a_named_config_error(tmp_path):
+    """p = 1 used to end `levymult probe` in a ZeroDivisionError traceback."""
+    cfg = json.loads(STABLE_CONFIG)
+    cfg["params"].update({"p": [2.0, 1.0], "trials": 4, "ascent_steps": 2})
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    res = _run_cli(["probe", "--config", str(path), "--out", "pr"], tmp_path)
+    assert res.returncode == 2, res.stdout + res.stderr
+    last = json.loads(res.stdout.strip().split("\n")[-1])
+    assert last["status"] == "error" and last["code"] == "ConfigValidationError"
+    assert "params.p" in last["message"] and "Traceback" not in res.stderr
+
+
 # ---------------------------------------------------------------------------
 # CLI
 # ---------------------------------------------------------------------------

@@ -24,6 +24,8 @@ from levymult.errors import GridMismatch
 from levymult.grids import Grid
 from levymult.symbols import symbol_grid_from_values
 
+from _probe_oracle import probe_one_p
+
 
 def test_forward_transform_gaussian_closed_form():
     f = gaussian_bump(40.0, 1024, 1)
@@ -290,3 +292,44 @@ def test_probe_deterministic_for_fixed_seed(single_atom_data):
     b = norm_probe(grid, 3.0, trials=30, seed=42, ascent_steps=25)
     assert a.best_ratio == b.best_ratio
     assert a.best_descriptor == b.best_descriptor
+
+
+@pytest.mark.parametrize("N, d, trials", [(4096, 1, 37), (64, 2, 37), (1024, 1, 1)])
+def test_probe_shared_pass_matches_per_p_calls_and_oracle(N, d, trials, single_atom_data):
+    """One trial pass for all p gives the reports of per-p calls and of the
+    old one-trial-at-a-time loop.  On 4096 points and on the 64 x 64 Riesz
+    grid a batch holds 16 trials, so 37 trials fill batches of 16, 16 and 5."""
+    spec = SymbolSpec(variant="q_form", data=single_atom_data) if d == 1 else \
+        SymbolSpec(variant="preset", preset="riesz", d=2)
+    grid = evaluate_grid(spec, L=40.0 if d == 1 else 20.0, N=N)
+    ps, steps = (1.25, 2.0, 4.0), 25
+    shared = norm_probe(grid, ps, trials=trials, seed=9, ascent_steps=steps)
+    assert [r.p for r in shared] == list(ps)
+    for rep in shared:
+        single = norm_probe(grid, rep.p, trials=trials, seed=9, ascent_steps=steps)
+        oracle = probe_one_p(grid, rep.p, trials=trials, seed=9, ascent_steps=steps)
+        for other in (single, oracle):
+            assert rep.best_descriptor == other.best_descriptor
+            assert rep.best_ratio == pytest.approx(other.best_ratio, rel=1e-15, abs=0.0)
+            assert (rep.bound, rep.passed, rep.trials) == (other.bound, other.passed,
+                                                           other.trials)
+
+
+@pytest.mark.parametrize("kwargs, name", [
+    ({"p": 1.0}, "p"), ({"p": 0.5}, "p"), ({"p": float("nan")}, "p"),
+    ({"p": float("inf")}, "p"), ({"p": (2.0, 1.0)}, "p"), ({"p": ()}, "p"),
+    ({"trials": 0}, "trials"), ({"ascent_steps": -1}, "ascent_steps"),
+])
+def test_probe_rejects_bad_inputs_by_name(kwargs, name):
+    grid = symbol_grid_from_values(np.ones(64), Grid(1, 40.0, 64))
+    args = {"p": 2.0, "trials": 4, "ascent_steps": 2, **kwargs}
+    with pytest.raises(ValueError, match=f"^{name} = "):
+        norm_probe(grid, args.pop("p"), **args)
+
+
+def test_probe_raises_when_no_trial_has_a_finite_ratio():
+    """At p = 500 on a unit box the one trig-poly trial overflows |f|^p
+    and |Mf|^p, so its ratio is NaN and no trial can start the ascent."""
+    grid = symbol_grid_from_values(np.ones(64), Grid(1, 1.0, 64))
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="no trial gave a finite"):
+        norm_probe(grid, 500.0, trials=1, ascent_steps=3)

@@ -433,3 +433,19 @@ def test_evaluate_grid_bound_violation_raises():
 
     with pytest.raises(SymbolBoundViolation):
         evaluate_grid(Doubler(), L=10.0, N=64)
+
+
+def test_symbol_q_with_b_equal_minus_a_matches_separate_exponents():
+    """With B = -A the a and b rows coincide and symbol_q evaluates them once;
+    the result matches psi and psi_tilde taken separately on all three rows."""
+    data = make_data(AtomsMeasure([[0.6], [-1.7]], [0.9, 0.4]), A=[[1.3]], B=[[-1.3]])
+    mod = Modulator(phi=sign_mod())
+    xi = np.array([[-2.1], [-0.4], [0.3], [1.1], [3.7]])
+    zb, za = xi @ data.B, -(xi @ data.A)
+    assert np.array_equal(za, zb)
+    ps = [psi(data, z) for z in (zb + za, zb, za)]
+    pt = [psi_tilde(data, mod, z) for z in (zb + za, zb, za)]
+    gap = ps[0] - ps[1] - ps[2]
+    want = (pt[0] - pt[1] - pt[2]) * (np.exp(ps[0]) - np.exp(ps[1] + ps[2])) / gap
+    got = symbol_q(data, mod, xi)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
