@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .checks import CRITERIA
-from .config import emit_config, parse_config
+from .config import check_params, emit_config, parse_config
 from .errors import LevyMultError
 from .gridio import (
     field_csv,
@@ -85,10 +85,12 @@ def cmd_probe(cfg, out, seed):
     return ok, {"worst": max(r.best_ratio / r.bound for r in reports)}
 
 
-def _mc_report_csv(est, ref):
-    """quantity,re,im,se_re,se_im rows: both MC routes and the spectral reference."""
+def _mc_report_csv(est, ref, *extra):
+    """quantity,re,im,se_re,se_im rows: both MC routes, the spectral reference
+    and any extra (quantity, value, se) rows."""
     rows = [("mc_endpoint", est.estimate, est.stderr),
-            ("mc_covariation", est.cov_estimate, est.cov_stderr), ("spectral", ref, 0j)]
+            ("mc_covariation", est.cov_estimate, est.cov_stderr), ("spectral", ref, 0j),
+            *extra]
     return "quantity,re,im,se_re,se_im\n" + "".join(
         f"{q},{v.real:.17g},{v.imag:.17g},{se.real:.17g},{se.imag:.17g}\n" for q, v, se in rows)
 
@@ -124,8 +126,10 @@ def cmd_gaussian_mc(cfg, out, seed, paths):
                            int(cfg.params["steps"]), seed, var_scale=var_scale)
     ref = gaussian_spectral_value(f, g, cfg.A, cfg.B, spec.K, var_scale=var_scale)
     ok = within_sigmas(est.estimate, est.stderr, ref)
-    (out / "gaussian_mc_report.csv").write_text(_mc_report_csv(est, ref))
+    (out / "gaussian_mc_report.csv").write_text(
+        _mc_report_csv(est, ref, ("step_bias", est.step_bias, est.step_bias_se)))
     print(f"MC endpoint = {est.estimate} +- {est.stderr}  (steps={est.steps})")
+    print(f"step bias   = {est.step_bias} +- {est.step_bias_se}  (vs {est.steps // 2} steps)")
     print(f"spectral    = {ref}")
     print(f"[{'PASS' if ok else 'FAIL'}] Brownian MC vs spectral within 3 standard errors")
     return ok, {"mc": [est.estimate.real, est.estimate.imag]}
@@ -159,6 +163,8 @@ def main(argv=None):
 
     try:
         cfg = parse_config(Path(args.config).read_text())
+        if args.paths is not None:
+            check_params({"paths": args.paths}, prefix="--")
         out = Path(args.out or cfg.output_dir)
         out.mkdir(parents=True, exist_ok=True)
         (out / "config.echo.json").write_text(emit_config(cfg))

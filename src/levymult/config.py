@@ -107,6 +107,25 @@ def _number_in(v, low, whole=False):
     return isinstance(v, (int, float)) and low <= v < np.inf and (not whole or v == int(v))
 
 
+# (key, test, what the value must be) for the checked scalar params
+_PARAM_RULES = (
+    ("p", lambda v: isinstance(v, list) and v and all(_number_in(x, 1) and x > 1 for x in v),
+     "a non-empty list of values in (1, inf)"),
+    ("trials", lambda v: _number_in(v, 1, whole=True), "an integer >= 1"),
+    ("ascent_steps", lambda v: _number_in(v, 0, whole=True), "an integer >= 0"),
+    ("paths", lambda v: _number_in(v, 2, whole=True), "an integer >= 2"),
+    ("steps", lambda v: _number_in(v, 2, whole=True) and v % 2 == 0, "an even integer >= 2"),
+    ("block_size", lambda v: _number_in(v, 0, whole=True), "an integer >= 0"),
+)
+
+
+def check_params(params: dict, prefix: str = "params."):
+    """Raise ConfigValidationError naming the first given param that breaks its rule."""
+    for key, ok, need in _PARAM_RULES:
+        if key in params and not ok(params[key]):
+            raise ConfigValidationError(f"{prefix}{key} = {params[key]!r} is not {need}")
+
+
 @dataclass(frozen=True, eq=False)
 class RunConfig:
     """Validated run description; `raw` is the defaults-filled document."""
@@ -114,16 +133,7 @@ class RunConfig:
     raw: dict
 
     def __post_init__(self):
-        params = self.raw["params"]
-        p = params["p"]
-        for key, ok, need in (
-                ("p", isinstance(p, list) and p and all(_number_in(v, 1) and v > 1 for v in p),
-                 "a non-empty list of values in (1, inf)"),
-                ("trials", _number_in(params["trials"], 1, whole=True), "an integer >= 1"),
-                ("ascent_steps", _number_in(params["ascent_steps"], 0, whole=True),
-                 "an integer >= 0")):
-            if not ok:
-                raise ConfigValidationError(f"params.{key} = {params[key]!r} is not {need}")
+        check_params(self.raw["params"])
 
     # -- dimensions and matrices ------------------------------------------
     @property

@@ -6,7 +6,9 @@ and of each jump's increments dF, dG.  These are trig polynomials on one
 band of the frequency lattice, so the box integrals of F1 G1 and dF dG
 are the discrete Parseval sums over the band, and point values are sums
 against the phases of the point; only the L^p powers are taken on the
-x-grid.  The Brownian engine shares the band set-up and the Parseval sum.
+x-grid.  The Brownian engine shares the band set-up and the Parseval sum;
+its step-bias gate takes the coarse Euler level (steps/2, on the fine
+path's increments summed in pairs) inside the same kernel pass.
 All randomness flows from one master seed through counter-based per-path
 streams, so results are independent of block size and scheduling.
 """
@@ -131,6 +133,11 @@ def mean_and_se(vals: np.ndarray):
     return float(m), float(vals.std(ddof=1) / rt)
 
 
+def _check_block_size(block_size):
+    if block_size is not None and not block_size >= 1:
+        raise ValueError(f"block_size = {block_size!r} is not an integer >= 1")
+
+
 def _cpp_blocks(f: SampledField, g: SampledField, data: LevyData, mod: Modulator,
                 n_paths: int, seed: int, block_size: int = None):
     """Set-up and block loop of the compound-Poisson engine.
@@ -142,6 +149,7 @@ def _cpp_blocks(f: SampledField, g: SampledField, data: LevyData, mod: Modulator
     the per-jump coefficients, and coefficients is the output of
     cpp_pair_coeffs, (cF1, cG1, cGend, covF, covG), on the band.
     """
+    _check_block_size(block_size)
     validate(data, mod)
     nu = data.nu
     if not isinstance(nu, AtomsMeasure):
@@ -361,6 +369,8 @@ class BrownianEstimate:
     steps: int
     qv_disc: float = None   # mean discretized [G,G]_1 at x = 0
     qv_quad: float = None   # mean time-quadrature of the QV integrand
+    step_bias: complex = None      # mean of fine minus coarse per-path pairing (gate on)
+    step_bias_se: complex = None   # its componentwise standard error
 
 
 def brownian_pairing(f: SampledField, g: SampledField, A, B, Kmat,
@@ -375,15 +385,27 @@ def brownian_pairing(f: SampledField, g: SampledField, A, B, Kmat,
     integrand product (full-box x-integral via the frequency lattice).
     With var_scale = 1/2 the matching spectral symbol is the Gaussian form
     at the same scale.
-    With richardson, a run at steps//2 must agree within one standard
-    error, otherwise StepTooCoarse is raised.
+
+    With richardson (steps even), the same kernel pass also accumulates the
+    coarse level at steps/2 on the fine increments summed in pairs (Giles,
+    Oper. Res. 56(3), 2008).  step_bias is the mean of the per-path
+    D = pair(fine) - pair(coarse), to first order minus the fine run's step
+    bias, and step_bias_se its standard error.  StepTooCoarse is raised when,
+    for a real component, |mean D| - 3 SE(D) exceeds the estimate's standard
+    error (floored as in within_sigmas): a step bias above the run's own
+    statistical error at a one-sided 3-sigma level, so a bias of exactly one
+    standard error trips a component with probability at most about
+    Phi(-3) = 0.135 %.  The estimate and both routes do not depend on the gate.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     B = np.atleast_2d(np.asarray(B, dtype=float))
     Kmat = np.atleast_2d(np.asarray(Kmat, dtype=complex))
     _check_contraction(Kmat)
+    _check_block_size(block_size)
     if steps < 2:
         raise ValueError("need at least 2 time steps")
+    if richardson and steps % 2:
+        raise ValueError(f"steps = {steps} is odd: the step-bias gate pairs the fine steps")
 
     n = A.shape[1]
     fhat, ghat, band, neg, zA, zB = _band(f, g, A, B)
@@ -408,6 +430,7 @@ def brownian_pairing(f: SampledField, g: SampledField, A, B, Kmat,
     cov_stats = np.zeros(n_paths, dtype=complex)
     qv_d = np.zeros(n_paths)
     qv_q = np.zeros(n_paths)
+    diff_stats = np.zeros(n_paths, dtype=complex)
     sig = np.sqrt(sigma2 * h)
 
     for b0 in range(0, n_paths, block_size):
@@ -415,34 +438,35 @@ def brownian_pairing(f: SampledField, g: SampledField, A, B, Kmat,
         dW = np.empty((P, steps, n))
         for i in range(P):
             dW[i] = path_stream(seed, b0 + i).standard_normal((steps, n)) * sig
-        cF1, cG1, Tcov, qd, qq = brownian_accumulate(
+        cF1, cG1, Tcov, qd, qq, cG1_coarse = brownian_accumulate(
             dW, EA, EB, U, GB, f.k[band], turns[:, None] * A, turns[:, None] * B,
-            fhat[band], f.dxi_norm, want_qv=want_qv)
+            fhat[band], f.dxi_norm, want_qv=want_qv, coarse=richardson)
         pair_stats[b0:b0 + P] = _parseval(f, cF1, cG1, neg)
+        if richardson:
+            diff_stats[b0:b0 + P] = _parseval(f, cF1, cG1 - cG1_coarse, neg)
         cov_stats[b0:b0 + P] = Tcov
         qv_d[b0:b0 + P] = qd
         qv_q[b0:b0 + P] = qq
 
     est, se = mean_and_se(pair_stats)
     cest, cse = mean_and_se(cov_stats)
-    result = BrownianEstimate(
+    bias = bias_se = None
+    if richardson:
+        bias, bias_se = mean_and_se(diff_stats)
+        floor = 1e-9 * max(abs(est), 1e-300)
+        for part in (np.real, np.imag):
+            if abs(part(bias)) - 3.0 * part(bias_se) > max(part(se), floor):
+                raise StepTooCoarse(
+                    f"step bias {bias:.3e} +- {bias_se:.3e} (mean fine minus coarse pairing "
+                    f"at {steps} vs {steps // 2} steps) exceeds the estimate's standard error "
+                    f"{se:.3e} at the one-sided 3-sigma level")
+    return BrownianEstimate(
         estimate=est, stderr=se, cov_estimate=cest, cov_stderr=cse,
         n_paths=n_paths, steps=steps,
         qv_disc=float(qv_d.mean()) if want_qv else None,
         qv_quad=float(qv_q.mean()) if want_qv else None,
+        step_bias=bias, step_bias_se=bias_se,
     )
-    if richardson and steps >= 4:
-        coarse = brownian_pairing(f, g, A, B, Kmat, n_paths, steps // 2, seed,
-                                  var_scale=var_scale, block_size=block_size,
-                                  richardson=False, want_qv=False)
-        gap = abs(result.estimate - coarse.estimate)
-        joint = np.hypot(abs(result.stderr), abs(coarse.stderr))
-        if gap > max(joint, 1e-14):
-            raise StepTooCoarse(
-                f"halving the step moved the estimate by {gap:.3e} "
-                f"(> joint standard error {joint:.3e})"
-            )
-    return result
 
 
 def gaussian_spectral_value(f: SampledField, g: SampledField, A, B, Kmat,

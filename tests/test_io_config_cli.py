@@ -235,6 +235,8 @@ def test_config_negative_radial_coeff_named():
 @pytest.mark.parametrize("key, value", [
     ("p", [1.0]), ("p", [2.0, 0.5]), ("p", [float("nan")]), ("p", []), ("p", 2.0),
     ("trials", 0), ("trials", 2.5), ("ascent_steps", -1),
+    ("paths", 0), ("paths", 1), ("paths", 2.5), ("steps", 1), ("steps", 3), ("steps", 2.5),
+    ("block_size", -3), ("block_size", 1.5),
 ])
 def test_config_bad_probe_params_named(key, value):
     bad = json.loads(STABLE_CONFIG)
@@ -254,6 +256,15 @@ def test_cli_probe_p_one_is_a_named_config_error(tmp_path):
     last = json.loads(res.stdout.strip().split("\n")[-1])
     assert last["status"] == "error" and last["code"] == "ConfigValidationError"
     assert "params.p" in last["message"] and "Traceback" not in res.stderr
+
+
+def test_cli_paths_override_is_checked_like_the_config(tmp_path, stable_cfg_file):
+    res = _run_cli(["mc", "--config", str(stable_cfg_file), "--paths", "1", "--out", "mc"],
+                   tmp_path)
+    assert res.returncode == 2, res.stdout + res.stderr
+    last = json.loads(res.stdout.strip().split("\n")[-1])
+    assert last["code"] == "ConfigValidationError"
+    assert last["message"] == "--paths = 1 is not an integer >= 2"
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +404,10 @@ def test_cli_gaussian_mc_small_run(tmp_path):
     path.write_text(json.dumps(cfg))
     res = _run_cli(["gaussian-mc", "--config", str(path), "--out", "gmc"], tmp_path)
     assert res.returncode == 0, res.stdout + res.stderr
-    assert (tmp_path / "gmc/gaussian_mc_report.csv").exists()
+    rows = (tmp_path / "gmc/gaussian_mc_report.csv").read_text().splitlines()
+    assert [r.split(",")[0] for r in rows] == \
+        ["quantity", "mc_endpoint", "mc_covariation", "spectral", "step_bias"]
+    assert all(np.isfinite(float(v)) for v in rows[-1].split(",")[1:])
 
 
 def test_cli_pair_and_apply(tmp_path, stable_cfg_file):

@@ -27,6 +27,7 @@ from levymult import (
     table_mod,
     within_sigmas,
 )
+from levymult.kernels import brownian_accumulate
 from levymult.spectral import values_from_coefficients
 from levymult.errors import GridMismatch, MeasureValidationError, StepTooCoarse
 from levymult import mc
@@ -483,6 +484,86 @@ def test_brownian_step_too_coarse_triggers(bump_f, bump_g):
     with pytest.raises(StepTooCoarse):
         brownian_pairing(bump_f, bump_g, [[1.0]], [[1.0]], [[1.0]],
                          4000, 4, 17, richardson=True)
+
+
+def test_brownian_gate_leaves_the_estimate_bitwise_unchanged(bump_f, bump_g):
+    on = brownian_pairing(bump_f, bump_g, [[1.0]], [[1.0]], [[0.7j]], 300, 60, 41)
+    off = brownian_pairing(bump_f, bump_g, [[1.0]], [[1.0]], [[0.7j]], 300, 60, 41,
+                           richardson=False)
+    assert (on.estimate, on.stderr, on.cov_estimate, on.cov_stderr) == \
+        (off.estimate, off.stderr, off.cov_estimate, off.cov_stderr)
+    assert off.step_bias is None and off.step_bias_se is None
+    assert isinstance(on.step_bias, complex) and on.step_bias_se.imag > 0.0
+
+
+def test_brownian_coarse_level_is_the_kernel_on_paired_increments():
+    """The fused coarse accumulator is a separate kernel pass at steps/2 on the
+    fine increments summed in pairs, at the even fine points (d = 1, n = 2)."""
+    rng = np.random.default_rng(12)
+    kint = np.r_[0:32, -31:0][:, None]
+    turns = 2.0 * np.pi / 40.0
+    A, B = np.array([[1.0, 0.3]]), np.array([[-0.8, 0.5]])
+    K = np.array([[0.3, 0.5j], [0.4, -0.2]])
+    zA, zB = kint * turns @ A, kint * turns @ B
+    P, steps = 5, 40
+    v = np.arange(steps) / steps
+    EA = np.exp(-np.outer(1.0 - v, 0.5 * (zA * zA).sum(axis=1)))
+    EB = np.exp(-np.outer(1.0 - v, 0.5 * (zB * zB).sum(axis=1)))
+    fhat, ghat = rng.normal(size=(2, kint.shape[0])) + 1j * rng.normal(size=(2, kint.shape[0]))
+    U = fhat * ghat * np.einsum("kj,kj->k", zA, zB @ K.T)
+    GB = -1j * ghat[:, None] * (zB @ K.T)
+    rest = (U, GB, kint, turns * A, turns * B, fhat, turns / (2.0 * np.pi))
+    dW = rng.normal(scale=np.sqrt(1.0 / steps), size=(P, steps, 2))
+    fine = brownian_accumulate(dW, EA, EB, *rest, coarse=True)
+    plain = brownian_accumulate(dW, EA, EB, *rest)
+    coarse = brownian_accumulate(dW[:, 0::2] + dW[:, 1::2], EA[::2], EB[::2], *rest)
+    assert plain[5] is None and all(np.array_equal(a, b) for a, b in zip(fine[:3], plain[:3]))
+    assert np.max(np.abs(fine[5] - coarse[1])) <= 1e-12 * np.max(np.abs(coarse[1]))
+
+
+@pytest.mark.parametrize("K", [1.0, 0.7j])
+def test_brownian_gate_quiet_on_former_false_alarm_seeds(K):
+    """The uncoupled coarse re-run fired on seeds 3, 16, 17 and 19 of 0-39 at
+    200 paths x 200 steps with no step bias present (configs/gaussian_mc.json)."""
+    f = gaussian_bump(40.0, 1024, 1, center=[0.4], width=0.9)
+    g = gaussian_bump(40.0, 1024, 1, center=[-0.2], width=1.0)
+    for seed in (3, 16, 17, 19):
+        brownian_pairing(f, g, [[1.0]], [[1.0]], [[K]], 200, 200, seed, var_scale=0.5)
+
+
+def test_brownian_bad_steps_and_block_size_named(bump_f, bump_g, single_atom_data):
+    with pytest.raises(ValueError, match="steps = 5"):
+        brownian_pairing(bump_f, bump_g, [[1.0]], [[1.0]], [[1.0]], 10, 5, 1)
+    assert brownian_pairing(bump_f, bump_g, [[1.0]], [[1.0]], [[1.0]], 10, 5, 1,
+                            richardson=False).steps == 5
+    with pytest.raises(ValueError, match="block_size = -3"):
+        brownian_pairing(bump_f, bump_g, [[1.0]], [[1.0]], [[1.0]], 10, 4, 1, block_size=-3)
+    with pytest.raises(ValueError, match="block_size = -3"):
+        estimate_pairing(bump_f, bump_g, single_atom_data, IDENTITY_MOD, 10, 1, block_size=-3)
+
+
+def test_criterion_9_gate_catches_scaled_brownian_increments(monkeypatch):
+    """Planted fault for criterion 9: G's Brownian increments (GB) scaled by 1.1.
+
+    Criterion 9's fields, seeds and both K, at 2000 paths x 50 steps with the
+    step-bias gate on: over seeds 31-50 the planted runs land 4.6 to 7.5 sigma
+    from the spectral value (all 40 caught) and the unplanted ones 0.72 sigma
+    in the median (none rejected).
+    """
+    f = gaussian_bump(40.0, 1024, 1, center=[0.4], width=0.9)
+    g = gaussian_bump(40.0, 1024, 1, center=[-0.2], width=1.0)
+    kernel = mc.brownian_accumulate
+
+    def estimates():
+        for k, K in enumerate((1.0, 0.7j)):
+            est = brownian_pairing(f, g, [[1.0]], [[1.0]], [[K]], 2000, 50, 31 + k,
+                                   var_scale=0.5)
+            yield est, gaussian_spectral_value(f, g, [[1.0]], [[1.0]], [[K]], var_scale=0.5)
+
+    assert all(within_sigmas(est.estimate, est.stderr, ref, 3.0) for est, ref in estimates())
+    monkeypatch.setattr(mc, "brownian_accumulate",
+                        lambda dW, EA, EB, U, GB, *a, **k: kernel(dW, EA, EB, U, 1.1 * GB, *a, **k))
+    assert not any(within_sigmas(est.estimate, est.stderr, ref, 3.0) for est, ref in estimates())
 
 
 def test_brownian_qv_discretization_converges(bump_f, bump_g):
