@@ -117,17 +117,15 @@ def lattice_phases(theta, kint):
     return out
 
 
-def brownian_accumulate(dW, EA, EB, U, GB, kint, TA, TB, fhat, dxi_norm,
-                        want_qv: bool = False, coarse: bool = False):
+def brownian_accumulate(dW, EA, EB, U, GB, kint, TA, TB, fhat, coarse: bool = False):
     """Euler accumulation along a block of Brownian paths.
 
     dW is (P, steps, n); kint holds the band's integer lattice coordinates
     and TA, TB the (d, n) angle maps (2 pi / L_ax) A[ax, :], so that the
-    phase of mode k at the path point W is e^{-i(kint_k, TA W)}.
-    Returns (cF1, cG1, Tcov, qv_disc, qv_quad, cG1_coarse): endpoint
-    coefficients of f(x + A W_1), the Ito-sum coefficients of G1, the
-    in-path covariation x-integral, (optionally) the discrete vs
-    time-quadrature quadratic variations of G at x = 0, and, with coarse
+    phase of mode k at the path point W is e^{-i(kint_k, TA W)}; when TA
+    equals TB one phase table serves both maps.  Returns (cF1, cG1, Tcov,
+    cG1_coarse): endpoint coefficients of f(x + A W_1), the Ito-sum
+    coefficients of G1, the in-path covariation x-integral, and, with coarse
     (steps even), the Ito sum of G1 at steps/2 on the same path: its points
     are the even fine points and its increments dW[:, s] + dW[:, s + 1],
     so it reuses the fine step's phases (None without coarse).
@@ -135,12 +133,12 @@ def brownian_accumulate(dW, EA, EB, U, GB, kint, TA, TB, fhat, dxi_norm,
     P, steps, n = dW.shape
     h = 1.0 / steps
     W = np.cumsum(dW, axis=1)               # path point at the end of each step
-    theta = np.concatenate([W @ TA.T, W @ TB.T])   # (2P, steps, d): A rows, then B rows
+    same = np.array_equal(TA, TB)
+    # (P or 2P, steps, d): A rows, then B rows unless the maps coincide
+    theta = W @ TA.T if same else np.concatenate([W @ TA.T, W @ TB.T])
     cG1 = np.zeros((P, fhat.size), dtype=complex)
     cG1_coarse = np.zeros_like(cG1) if coarse else None
     Tcov = np.zeros(P, dtype=complex)
-    qv_disc = np.zeros(P)
-    qv_quad = np.zeros(P)
     phA = phB = np.ones((P, fhat.size), dtype=complex)
     for s in range(steps):
         GBs = EB[s][:, None] * GB            # (K, n)
@@ -148,11 +146,6 @@ def brownian_accumulate(dW, EA, EB, U, GB, kint, TA, TB, fhat, dxi_norm,
         cG1 += (dW[:, s, :] @ GBs.T) * phB
         if coarse and s % 2 == 0:
             cG1_coarse += ((dW[:, s, :] + dW[:, s + 1, :]) @ GBs.T) * phB
-        if want_qv:
-            ug = (phB @ GBs) * dxi_norm      # (P, n)
-            qv_quad += h * (np.abs(ug) ** 2).sum(axis=1)
-            dg = np.einsum("pj,pj->p", ug, dW[:, s, :])
-            qv_disc += np.abs(dg) ** 2
         ph = lattice_phases(theta[:, s], kint)
-        phA, phB = ph[:P], ph[P:]
-    return fhat * phA, cG1, Tcov, qv_disc, qv_quad, cG1_coarse
+        phA, phB = (ph, ph) if same else (ph[:P], ph[P:])
+    return fhat * phA, cG1, Tcov, cG1_coarse

@@ -4,15 +4,17 @@ One engine runs every compound-Poisson check: the blocked kernel gives,
 per block of paths, the frequency coefficients of the endpoints F1, G1
 and of each jump's increments dF, dG.  These are trig polynomials on one
 band of the frequency lattice, so the box integrals of F1 G1 and dF dG
-are the discrete Parseval sums over the band, and point values are sums
-against the phases of the point; only the L^p powers are taken on the
-x-grid.  The Brownian engine shares the band set-up and the Parseval sum;
-its step-bias gate takes the coarse Euler level (steps/2, on the fine
-path's increments summed in pairs) inside the same kernel pass.
+are the discrete Parseval sums over the band, and the subordination check's
+point values are sums against the phases of the point; only the L^p powers
+of F1 are taken on the x-grid.  The Brownian engine shares the band set-up
+and the Parseval sum; its step-bias gate takes the coarse Euler level
+(steps/2, on the fine path's increments summed in pairs) inside the same
+kernel pass.
 All randomness flows from one master seed through counter-based per-path
 streams, so results are independent of block size and scheduling.
 """
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +39,8 @@ from .spectral import (
     values_from_coefficients,
 )
 from .symbols import SymbolSpec, _check_contraction, evaluate_grid
+
+SUB_STRIDE = 4   # the L^p powers are summed over every 4th x-grid point per axis
 
 # ---------------------------------------------------------------------------
 # counter-based streams and path simulation
@@ -108,16 +112,16 @@ def _point_phases(f: SampledField, band, x):
     return f.dxi_norm * np.exp(-1j * (f.xi[band] @ x))
 
 
-def _subgrid_powers(f: SampledField, band, stride: int, coeffs, powers):
+def _subgrid_powers(f: SampledField, band, coeffs, powers):
     """{p: integral |values|^p} per row of band coefficients, summed over every
-    stride-th point of the x-grid; the powers are no trig polynomials on the band."""
+    SUB_STRIDE-th point of the x-grid; the powers are no trig polynomials on the band."""
     if not powers:
         return {}
     full = np.zeros((coeffs.shape[0], f.size), dtype=complex)
     full[:, band] = coeffs
-    sl = (slice(None),) + (slice(None, None, stride),) * f.d
+    sl = (slice(None),) + (slice(None, None, SUB_STRIDE),) * f.d
     mods = np.abs(values_from_coefficients(full, f)[sl])
-    axes, dV = tuple(range(1, f.d + 1)), float(np.prod(f.dx * stride))
+    axes, dV = tuple(range(1, f.d + 1)), float(np.prod(f.dx * SUB_STRIDE))
     return {p: (mods ** p).sum(axis=axes) * dV for p in powers}
 
 
@@ -136,6 +140,12 @@ def mean_and_se(vals: np.ndarray):
 def _check_block_size(block_size):
     if block_size is not None and not block_size >= 1:
         raise ValueError(f"block_size = {block_size!r} is not an integer >= 1")
+
+
+def _check_n_paths(n_paths):
+    if not (isinstance(n_paths, numbers.Integral) and n_paths >= 2):
+        raise ValueError(f"n_paths = {n_paths!r} is not an integer >= 2: "
+                         "a standard error needs two paths")
 
 
 def _cpp_blocks(f: SampledField, g: SampledField, data: LevyData, mod: Modulator,
@@ -198,60 +208,34 @@ def _cpp_blocks(f: SampledField, g: SampledField, data: LevyData, mod: Modulator
 
 
 def run_cpp_paths(f: SampledField, g: SampledField, data: LevyData, mod: Modulator,
-                  n_paths: int, seed: int, *, sub_stride: int = 4,
-                  block_size: int = None,
-                  fend_powers=(), gend_powers=(), keep_x0: bool = True):
+                  n_paths: int, seed: int, *, block_size: int = None, fend_powers=()):
     """Per-path statistics of the paired martingales from the blocked engine.
 
     pair and cov are box integrals of trig polynomials on the band, taken
     by the Parseval sum over the band; the L^p powers are sums over every
-    sub_stride-th point of the x-grid.  Returns a dict with per-path arrays:
+    SUB_STRIDE-th point of the x-grid.  Returns a dict with per-path arrays:
       pair      integral of F1(x) G1(x) over the box
       cov       integral of sum_jumps dF(x) dG(x)  (covariation route)
       fend_pow  {p: integral |f(x + A Y1)|^p}
-      gend_pow  {q: integral |g(x + B Y1)|^q}
-      g1_pow    {q: integral |G1(x)|^q}
-      f1_x0/g1_x0/gend_x0  F1, G1 and g(x0 + B Y1) at the central subgrid point x0
       njumps    jump counts
-    plus meta entries (f0_x0, x0_point, band size).
     """
+    _check_n_paths(n_paths)
     band, neg, blocks = _cpp_blocks(f, g, data, mod, n_paths, seed, block_size)
-    x0_point = np.array([ax[::sub_stride][(n // sub_stride) // 2]
-                         for ax, n in zip(f.space_axes, f.N)])
-    at_x0 = _point_phases(f, band, x0_point)
-
     out = {
         "pair": np.zeros(n_paths, dtype=complex),
         "cov": np.zeros(n_paths, dtype=complex),
-        "f1_x0": np.zeros(n_paths, dtype=complex),
-        "g1_x0": np.zeros(n_paths, dtype=complex),
-        "gend_x0": np.zeros(n_paths, dtype=complex),
-        "njumps": np.zeros(n_paths, dtype=int),
         "fend_pow": {p: np.zeros(n_paths) for p in fend_powers},
-        "gend_pow": {q: np.zeros(n_paths) for q in gend_powers},
-        "g1_pow": {q: np.zeros(n_paths) for q in gend_powers},
+        "njumps": np.zeros(n_paths, dtype=int),
     }
-
-    for b0, offsets, (cF1, cG1, cGend, covF, covG) in blocks:
+    for b0, offsets, (cF1, cG1, _, covF, covG) in blocks:
         rows = slice(b0, b0 + offsets.size - 1)
         out["njumps"][rows] = np.diff(offsets)
         out["pair"][rows] = _parseval(f, cF1, cG1, neg)
-        for x0_key, pow_key, coeffs, powers in (("f1_x0", "fend_pow", cF1, fend_powers),
-                                                ("g1_x0", "g1_pow", cG1, gend_powers),
-                                                ("gend_x0", "gend_pow", cGend, gend_powers)):
-            if keep_x0:
-                out[x0_key][rows] = coeffs @ at_x0
-            for p, val in _subgrid_powers(f, band, sub_stride, coeffs, powers).items():
-                out[pow_key][p][rows] = val
+        for p, val in _subgrid_powers(f, band, cF1, fend_powers).items():
+            out["fend_pow"][p][rows] = val
         if covF.shape[0]:
             path_of_jump = np.repeat(np.arange(offsets.size - 1), np.diff(offsets))
             np.add.at(out["cov"], b0 + path_of_jump, _parseval(f, covF, covG, neg))
-
-    out["meta"] = {
-        "band_size": int(band.size),
-        "x0_point": x0_point,
-        "f0_x0": semigroup_eval(f, data.A, data, 1.0, x0_point),
-    }
     return out
 
 
@@ -337,8 +321,7 @@ def estimate_pairing(f: SampledField, g: SampledField, data: LevyData,
                      block_size: int = None) -> PairingEstimate:
     """MC estimate of the pairing integral E F1(x) G1(x) dx (no conjugation),
     with the per-jump covariation route computed on the same paths."""
-    stats = run_cpp_paths(f, g, data, mod, n_paths, seed, block_size=block_size,
-                          keep_x0=False)
+    stats = run_cpp_paths(f, g, data, mod, n_paths, seed, block_size=block_size)
     est, se = mean_and_se(stats["pair"])
     cest, cse = mean_and_se(stats["cov"])
     _, dse = mean_and_se(stats["pair"] - stats["cov"])
@@ -367,8 +350,6 @@ class BrownianEstimate:
     cov_stderr: complex
     n_paths: int
     steps: int
-    qv_disc: float = None   # mean discretized [G,G]_1 at x = 0
-    qv_quad: float = None   # mean time-quadrature of the QV integrand
     step_bias: complex = None      # mean of fine minus coarse per-path pairing (gate on)
     step_bias_se: complex = None   # its componentwise standard error
 
@@ -376,7 +357,7 @@ class BrownianEstimate:
 def brownian_pairing(f: SampledField, g: SampledField, A, B, Kmat,
                      n_paths: int, steps: int, seed: int, *,
                      var_scale: float = 0.5, block_size: int = None,
-                     richardson: bool = True, want_qv: bool = False) -> BrownianEstimate:
+                     richardson: bool = True) -> BrownianEstimate:
     """Euler estimate of the Gaussian-branch pairing on shared Brownian paths.
 
     Both stochastic integrals are accumulated along one path per draw; the
@@ -401,6 +382,7 @@ def brownian_pairing(f: SampledField, g: SampledField, A, B, Kmat,
     B = np.atleast_2d(np.asarray(B, dtype=float))
     Kmat = np.atleast_2d(np.asarray(Kmat, dtype=complex))
     _check_contraction(Kmat)
+    _check_n_paths(n_paths)
     _check_block_size(block_size)
     if steps < 2:
         raise ValueError("need at least 2 time steps")
@@ -428,8 +410,6 @@ def brownian_pairing(f: SampledField, g: SampledField, A, B, Kmat,
 
     pair_stats = np.zeros(n_paths, dtype=complex)
     cov_stats = np.zeros(n_paths, dtype=complex)
-    qv_d = np.zeros(n_paths)
-    qv_q = np.zeros(n_paths)
     diff_stats = np.zeros(n_paths, dtype=complex)
     sig = np.sqrt(sigma2 * h)
 
@@ -438,15 +418,13 @@ def brownian_pairing(f: SampledField, g: SampledField, A, B, Kmat,
         dW = np.empty((P, steps, n))
         for i in range(P):
             dW[i] = path_stream(seed, b0 + i).standard_normal((steps, n)) * sig
-        cF1, cG1, Tcov, qd, qq, cG1_coarse = brownian_accumulate(
+        cF1, cG1, Tcov, cG1_coarse = brownian_accumulate(
             dW, EA, EB, U, GB, f.k[band], turns[:, None] * A, turns[:, None] * B,
-            fhat[band], f.dxi_norm, want_qv=want_qv, coarse=richardson)
+            fhat[band], coarse=richardson)
         pair_stats[b0:b0 + P] = _parseval(f, cF1, cG1, neg)
         if richardson:
             diff_stats[b0:b0 + P] = _parseval(f, cF1, cG1 - cG1_coarse, neg)
         cov_stats[b0:b0 + P] = Tcov
-        qv_d[b0:b0 + P] = qd
-        qv_q[b0:b0 + P] = qq
 
     est, se = mean_and_se(pair_stats)
     cest, cse = mean_and_se(cov_stats)
@@ -462,11 +440,7 @@ def brownian_pairing(f: SampledField, g: SampledField, A, B, Kmat,
                     f"{se:.3e} at the one-sided 3-sigma level")
     return BrownianEstimate(
         estimate=est, stderr=se, cov_estimate=cest, cov_stderr=cse,
-        n_paths=n_paths, steps=steps,
-        qv_disc=float(qv_d.mean()) if want_qv else None,
-        qv_quad=float(qv_q.mean()) if want_qv else None,
-        step_bias=bias, step_bias_se=bias_se,
-    )
+        n_paths=n_paths, steps=steps, step_bias=bias, step_bias_se=bias_se)
 
 
 def gaussian_spectral_value(f: SampledField, g: SampledField, A, B, Kmat,

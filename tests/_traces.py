@@ -4,7 +4,9 @@ Each trace evaluates the martingales one path at a time from the spectral
 semigroup, and the compensator of G by Gauss-Legendre quadrature in time
 with node doubling, instead of the closed forms the kernel uses.  The
 tests compare the blocked kernel's endpoints and subordination figures
-against these traces.
+against these traces.  `point_and_power_stats` reads, off the blocked
+kernel's coefficients, the point values and G-side L^q powers that only the
+tests use.
 """
 
 import warnings
@@ -12,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from levymult import mc
 from levymult.errors import LevyMultError, MeasureValidationError
 from levymult.levy import (
     AtomsMeasure,
@@ -207,3 +210,30 @@ def check_subordination(trace_f: MartingaleTrace, trace_g: MartingaleTrace,
         float(np.max(running - rel_slack * (1.0 + trace_f.qv), initial=-np.inf)),
     )
     return worst <= 0.0, max(worst, 0.0)
+
+
+def point_and_power_stats(f: SampledField, g: SampledField, data: LevyData,
+                          mod: Modulator, n_paths: int, seed: int, powers=()):
+    """Per-path values at the central subgrid point x0 and G-side L^q powers
+    from the blocked engine's band coefficients (as mc.check_subordination
+    reads them).  Returns a dict: x0_point; f1_x0, g1_x0, gend_x0, the values
+    of F1, G1 and g(x0 + B Y1); g1_pow, gend_pow, {q: integral |G1|^q} and
+    {q: integral |g(x + B Y1)|^q} over every mc.SUB_STRIDE-th grid point.
+    """
+    band, _, blocks = mc._cpp_blocks(f, g, data, mod, n_paths, seed)
+    stride = mc.SUB_STRIDE
+    x0 = np.array([ax[::stride][(n // stride) // 2] for ax, n in zip(f.space_axes, f.N)])
+    at_x0 = mc._point_phases(f, band, x0)
+    rows = {key: [] for key in ("f1_x0", "g1_x0", "gend_x0")}
+    pows = {key: {q: [] for q in powers} for key in ("g1_pow", "gend_pow")}
+    for _, _, (cF1, cG1, cGend, _, _) in blocks:
+        for key, coeffs in (("f1_x0", cF1), ("g1_x0", cG1), ("gend_x0", cGend)):
+            rows[key].append(coeffs @ at_x0)
+        for key, coeffs in (("g1_pow", cG1), ("gend_pow", cGend)):
+            for q, val in mc._subgrid_powers(f, band, coeffs, powers).items():
+                pows[key][q].append(val)
+    out = {key: np.concatenate(vals) for key, vals in rows.items()}
+    out.update({key: {q: np.concatenate(v) for q, v in per_q.items()}
+                for key, per_q in pows.items()})
+    out["x0_point"] = x0
+    return out

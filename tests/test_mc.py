@@ -1,5 +1,7 @@
 """Path simulation, the trace oracle, subordination, bulk estimators."""
 
+import inspect
+
 import numpy as np
 import pytest
 
@@ -30,7 +32,7 @@ from levymult import (
 from levymult.kernels import brownian_accumulate
 from levymult.spectral import values_from_coefficients
 from levymult.errors import GridMismatch, MeasureValidationError, StepTooCoarse
-from levymult import mc
+from levymult import checks, mc
 from levymult.mc import mean_and_se
 
 from _traces import (
@@ -39,6 +41,7 @@ from _traces import (
     check_subordination as trace_subordination,
     general_G,
     parabolic_F,
+    point_and_power_stats,
 )
 
 
@@ -166,8 +169,8 @@ def test_general_node_doubling_warns_when_coarse(bump_g):
 
 def test_general_martingale_mean(bump_g):
     data, mod = _config()
-    stats = run_cpp_paths(gaussian_bump(40.0, 512, 1), gaussian_bump(40.0, 512, 1),
-                          data, mod, 6000, 41)
+    stats = point_and_power_stats(gaussian_bump(40.0, 512, 1), gaussian_bump(40.0, 512, 1),
+                                  data, mod, 6000, 41)
     m, se = mean_and_se(stats["g1_x0"])
     assert within_sigmas(m, se, 0.0, 3.5)
 
@@ -267,8 +270,8 @@ def test_check_subordination_matches_trace_oracle(bump_f, bump_g, case, x):
 
 def test_blocked_kernel_matches_traces(bump_f, bump_g):
     data, mod = _config()
-    stats = run_cpp_paths(bump_f, bump_g, data, mod, 8, 123)
-    x0 = stats["meta"]["x0_point"]
+    stats = point_and_power_stats(bump_f, bump_g, data, mod, 8, 123)
+    x0 = stats["x0_point"]
     for i in range(8):
         path = simulate_cpp(data.nu, 123, i)
         tF = parabolic_F(path, bump_f, data.A, data, x0)
@@ -361,16 +364,15 @@ def test_compensator_atom_sum_matches_direct_sum(monkeypatch):
 
 
 def test_pair_and_cov_do_not_alias_on_a_wide_band():
-    # the band reaches past N / 8 on both axes, where a stride-4 subgrid
-    # aliases F1 G1; pair and cov are box integrals, so they must equal the
-    # products summed on the full x-grid and not depend on the powers' subgrid
+    # the band reaches past N / 8 on both axes, where the powers' stride-4
+    # subgrid aliases F1 G1; pair and cov are box integrals, so they must
+    # equal the products summed on the full x-grid
     f = gaussian_bump((20.0, 40.0), (32, 64), 2, center=[0.5, -1.0], width=1.2)
     g = gaussian_bump((20.0, 40.0), (32, 64), 2, center=[-0.3, 0.8], width=1.4)
     data = make_data(AtomsMeasure([[1.0, 0.5], [-0.8, 1.2]], [0.8, 0.6]),
                      A=[[1.0, 0.3], [-0.2, 0.9]], B=[[0.3, 1.0], [-1.0, 0.2]])
     mod = Modulator(phi=table_mod([0.9, -0.6j]))
-    wide = run_cpp_paths(f, g, data, mod, 300, 3, sub_stride=4)
-    full = run_cpp_paths(f, g, data, mod, 300, 3, sub_stride=1)
+    stats = run_cpp_paths(f, g, data, mod, 300, 3)
     band, _, blocks = mc._cpp_blocks(f, g, data, mod, 300, 3)
     (_, offsets, (cF1, cG1, _, covF, covG)), = blocks
 
@@ -387,8 +389,7 @@ def test_pair_and_cov_do_not_alias_on_a_wide_band():
     for key in ("pair", "cov"):
         scale = np.abs(ref[key]).max()
         assert scale > 0.0
-        assert np.abs(wide[key] - full[key]).max() <= 1e-12 * scale
-        assert np.abs(full[key] - ref[key]).max() <= 1e-12 * scale
+        assert np.abs(stats[key] - ref[key]).max() <= 1e-12 * scale
 
 
 def test_blocked_kernel_block_size_invariance(bump_f, bump_g):
@@ -448,8 +449,7 @@ def test_burkholder_consequence(bump_f, bump_g):
     the box and sampled at the central point (3-standard-error slack)."""
     data, mod = _config()
     qs = (1.5, 3.0)
-    stats = run_cpp_paths(bump_f, bump_g, data, mod, 20000, 555,
-                          gend_powers=qs)
+    stats = point_and_power_stats(bump_f, bump_g, data, mod, 20000, 555, qs)
     for q in qs:
         bound_q = max(q - 1.0, 1.0 / (q - 1.0)) ** q
         diff = stats["g1_pow"][q] - bound_q * stats["gend_pow"][q]
@@ -512,13 +512,13 @@ def test_brownian_coarse_level_is_the_kernel_on_paired_increments():
     fhat, ghat = rng.normal(size=(2, kint.shape[0])) + 1j * rng.normal(size=(2, kint.shape[0]))
     U = fhat * ghat * np.einsum("kj,kj->k", zA, zB @ K.T)
     GB = -1j * ghat[:, None] * (zB @ K.T)
-    rest = (U, GB, kint, turns * A, turns * B, fhat, turns / (2.0 * np.pi))
+    rest = (U, GB, kint, turns * A, turns * B, fhat)
     dW = rng.normal(scale=np.sqrt(1.0 / steps), size=(P, steps, 2))
     fine = brownian_accumulate(dW, EA, EB, *rest, coarse=True)
     plain = brownian_accumulate(dW, EA, EB, *rest)
     coarse = brownian_accumulate(dW[:, 0::2] + dW[:, 1::2], EA[::2], EB[::2], *rest)
-    assert plain[5] is None and all(np.array_equal(a, b) for a, b in zip(fine[:3], plain[:3]))
-    assert np.max(np.abs(fine[5] - coarse[1])) <= 1e-12 * np.max(np.abs(coarse[1]))
+    assert plain[3] is None and all(np.array_equal(a, b) for a, b in zip(fine[:3], plain[:3]))
+    assert np.max(np.abs(fine[3] - coarse[1])) <= 1e-12 * np.max(np.abs(coarse[1]))
 
 
 @pytest.mark.parametrize("K", [1.0, 0.7j])
@@ -566,11 +566,52 @@ def test_criterion_9_gate_catches_scaled_brownian_increments(monkeypatch):
     assert not any(within_sigmas(est.estimate, est.stderr, ref, 3.0) for est, ref in estimates())
 
 
-def test_brownian_qv_discretization_converges(bump_f, bump_g):
-    gaps = []
-    for steps in (500, 1000, 2000):
-        est = brownian_pairing(bump_f, bump_g, [[1.0]], [[1.0]], [[1.0]],
-                               300, steps, 23, richardson=False, want_qv=True)
-        gaps.append(abs(est.qv_disc - est.qv_quad))
-    assert gaps[2] < gaps[0]
-    assert gaps[2] < 0.01 * max(est.qv_quad, 1e-12)
+@pytest.mark.parametrize("n_paths", [0, 1, 2.5])
+@pytest.mark.parametrize("entry", ["run_cpp_paths", "estimate_pairing", "brownian_pairing"])
+def test_mc_entry_points_reject_fewer_than_two_paths(bump_f, bump_g, entry, n_paths):
+    # a mean and a standard error need two paths, and a path count is an integer
+    data, mod = _config()
+    with pytest.raises(ValueError, match=f"n_paths = {n_paths}"):
+        if entry == "brownian_pairing":
+            brownian_pairing(bump_f, bump_g, [[1.0]], [[1.0]], [[0.7j]], n_paths, 4, 1)
+        else:
+            getattr(mc, entry)(bump_f, bump_g, data, mod, n_paths, 1)
+
+
+def test_check_subordination_accepts_one_path(bump_f, bump_g):
+    # the check is pathwise, so one path is a complete run
+    data, mod = _config()
+    _, jumps, _ = check_subordination(bump_f, bump_g, data, mod, 1, 4, [0.3])
+    assert jumps == simulate_cpp(data.nu, 4, 0).times.size
+
+
+def test_criterion_8_gate_catches_scaled_endpoint(monkeypatch):
+    """Planted fault for criterion 8: the endpoint coefficients cF1 scaled by
+    1.001.  The isometry holds path by path, so its standard error is
+    roundoff and a 0.1 % fault in F1 moves every power by 0.15-0.3 %."""
+    assert checks.criterion_8_lp_isometry(50).passed
+    kernel = mc.cpp_pair_coeffs
+
+    def planted(*args):
+        cF1, *rest = kernel(*args)
+        return (1.001 * cF1, *rest)
+
+    monkeypatch.setattr(mc, "cpp_pair_coeffs", planted)
+    assert not checks.criterion_8_lp_isometry(50).passed
+
+
+def test_benchmark_calls_still_bind(bump_f, bump_g):
+    """The calls perfbench makes into the library, and the result keys and
+    argument names its workloads and tracer read."""
+    data, _ = _config()
+    sig = inspect.signature
+    sig(run_cpp_paths).bind(bump_f, bump_f, data, IDENTITY_MOD, 10, 1, fend_powers=(2.0,))
+    sig(estimate_pairing).bind(bump_f, bump_g, data, IDENTITY_MOD, 10, 1)
+    sig(brownian_pairing).bind(bump_f, bump_g, [[1.0]], [[1.0]], [[0.7j]], 10, 4, 1,
+                               var_scale=0.5, richardson=True)
+    for fn, names in ((run_cpp_paths, {"n_paths"}), (brownian_pairing, {"n_paths"}),
+                      (mc.cpp_pair_coeffs, {"times", "offsets", "fhat"}),
+                      (brownian_accumulate, {"dW", "fhat"})):
+        assert names <= set(sig(fn).parameters), fn.__name__
+    stats = run_cpp_paths(bump_f, bump_f, data, IDENTITY_MOD, 4, 1, fend_powers=(2.0,))
+    assert stats["njumps"].shape == (4,) and set(stats["fend_pow"]) == {2.0}
