@@ -163,8 +163,8 @@ def main(argv=None):
 
     try:
         cfg = parse_config(Path(args.config).read_text())
-        if args.paths is not None:
-            check_params({"paths": args.paths}, prefix="--")
+        check_params({key: value for key, value in (("paths", args.paths), ("seed", args.seed))
+                      if value is not None}, prefix="--")
         out = Path(args.out or cfg.output_dir)
         out.mkdir(parents=True, exist_ok=True)
         (out / "config.echo.json").write_text(emit_config(cfg))

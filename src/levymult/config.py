@@ -116,6 +116,7 @@ _PARAM_RULES = (
     ("paths", lambda v: _number_in(v, 2, whole=True), "an integer >= 2"),
     ("steps", lambda v: _number_in(v, 2, whole=True) and v % 2 == 0, "an even integer >= 2"),
     ("block_size", lambda v: _number_in(v, 0, whole=True), "an integer >= 0"),
+    ("seed", lambda v: _number_in(v, 0, whole=True) and v < 2**64, "an integer in [0, 2**64)"),
 )
 
 

@@ -6,13 +6,28 @@ y(v) = h v + sum_{v_i <= v} z_i, the endpoint and per-jump coefficients
 on the frequency band are
 
     F1:   fhat_k e^{-i(zA_k, y(1))}
-    dF_i: fhat_k e^{(1-v_i) psiA_k} e^{-i(zA_k, y(v_i-))} (e^{-i(zA_k,z_i)} - 1)
-    dG_i: ghat_k e^{(1-v_i) psiB_k} e^{-i(zB_k, y(v_i-))} (e^{-i(zB_k,z_i)} - 1) phi_i
+    dF_i: fhat_k EA_k(v_i) e^{-i(zA_k, y(v_i-) - h v_i)} (e^{-i(zA_k,z_i)} - 1)
+    dG_i: ghat_k EB_k(v_i) e^{-i(zB_k, y(v_i-) - h v_i)} (e^{-i(zB_k,z_i)} - 1) phi_i
     G1 = sum_i dG_i - compensator,
 
-where zA_k = A^T xi_k, psiA_k = psi(-A^T xi_k).  The compensator's time
-integral over an inter-jump interval is an exact exponential and is
-integrated in closed form via q(z) = (e^z - 1)/z.
+where zA_k = A^T xi_k, psiA_k = psi(-A^T xi_k), cdA_k = (zA_k, h) and
+EA_k(t) = e^{(1-t) psiA_k - i t cdA_k} = e^{psiA_k + t WA_k}, WA_k = -psiA_k - i cdA_k
+(EB, WB alike).  The jump factors e^{-i(zA_k, z_m)} take one value per atom
+m, so they, and fhat (e^{-i(zA_k,z_m)} - 1), ghat (e^{-i(zB_k,z_m)} - 1) phi_m,
+are (atoms, modes) tables whose rows are gathered by mark.
+
+Between jumps the phase e^{-i(zB_k, y - h t)} is fixed, and the compensator
+integrand is ghat_k S_k times it times EB_k(t).  As dEB/dt = WB EB,
+
+    int_a^v EB_k(t) dt = (EB_k(v) - EB_k(a)) / WB_k,
+
+and EB_k(v) times the phase is the row dG_i is built on, so the compensator
+costs no exponential.  On the fixed modes with |WB_k| < W_CUT (WB = 0 at
+xi = 0, and wherever psiB = -i cdB, such as xi = 2 pi k for a unit atom) the
+integral stays (v - a) EB_k(a) q((v - a) WB_k), with q(z) = (e^z - 1)/z.
+Since Re psiB <= 0 and the phases have modulus one, |EB| <= 1, so the
+telescoped difference carries an absolute error of at most about
+4 eps |ghat_k S_k| / W_CUT per interval (eps the double epsilon).
 
 Band frequencies lie on the lattice xi_k = 2 pi k / L (integer k per
 axis), so for any map A and any point w
@@ -27,57 +42,69 @@ import numpy as np
 
 from .symbols import q_func
 
+W_CUT = 0.1   # modes with |WB| below this integrate the compensator by q_func
+
 
 def cpp_pair_coeffs(times, marks, offsets, zatoms, phi_atoms,
                     fhat, ghat, psiA, psiB, zA, zB, cdA, cdB, S):
     """Frequency coefficients of F1, G1, g(. + B Y1), and per-jump dF, dG
     for a block of compound-Poisson paths.  Returns (cF1, cG1, cGend, covF, covG).
+
+    The per-path state is kept with the paths ordered by jump count, most
+    first, so the paths still jumping at step j are a leading slice.
     """
     P = offsets.size - 1
     counts = np.diff(offsets)
-    covF = np.zeros((times.size, fhat.size), dtype=complex)
-    covG = np.zeros((times.size, fhat.size), dtype=complex)
+    order = np.argsort(-counts, kind="stable")
+    first = offsets[:-1][order]
+    covF = np.empty((times.size, fhat.size), dtype=complex)
+    covG = np.empty((times.size, fhat.size), dtype=complex)
+    pjA = np.exp(-1j * (zatoms @ zA.T))            # (atoms, modes) jump factors
+    pjB = np.exp(-1j * (zatoms @ zB.T))
+    jumpA = fhat * (pjA - 1.0)
+    jumpB = ghat * (pjB - 1.0) * phi_atoms[:, None]
+    WA = -psiA - 1j * cdA
+    WB = -psiB - 1j * cdB
+    same = np.array_equal(psiA, psiB) and np.array_equal(cdA, cdB)   # EA = EB
+    gS = ghat * S
+    big = np.abs(WB) >= W_CUT
+    small = np.flatnonzero(~big)
+    gS_W = np.divide(gS, WB, out=np.zeros_like(gS), where=big)
+
+    def compensator(left, right, dt):
+        """ghat S times the integral of EB times the phase over an interval,
+        from the interval's ends left = EB(a) phase, right = EB(v) phase."""
+        out = gS_W * (right - left)
+        if small.size:
+            out[:, small] = gS[small] * left[:, small] * dt * q_func(dt * WB[small])
+        return out
+
     cG1 = np.zeros((P, fhat.size), dtype=complex)
     phA = np.ones((P, fhat.size), dtype=complex)
     phB = np.ones((P, fhat.size), dtype=complex)
-    left = np.tile(np.exp(psiB), (P, 1))  # e^{(1-a)psiB} e^{-i a cdB} phB at the interval's left end
+    left = np.tile(np.exp(psiB), (P, 1))  # EB(a) phB at the interval's left end a
     prev = np.zeros(P)
-    W = -psiB - 1j * cdB
-    has_drift = bool(np.any(cdA != 0.0) or np.any(cdB != 0.0))
-    jmax = int(counts.max()) if P else 0
-    for j in range(jmax):
-        act = np.flatnonzero(counts > j)
-        idx = offsets[act] + j
-        v = times[idx]
-        z = zatoms[marks[idx]]
-        dt = (v - prev[act])[:, None]
-        cG1[act] -= ghat * left[act] * dt * q_func(dt * W) * S
-        EAv = np.exp((1.0 - v)[:, None] * psiA)
-        EBv = np.exp((1.0 - v)[:, None] * psiB)
-        if has_drift:
-            dphA = np.exp(-1j * v[:, None] * cdA)
-            dphB = np.exp(-1j * v[:, None] * cdB)
-        else:
-            dphA = dphB = 1.0
-        pjA = np.exp(-1j * (z @ zA.T))
-        pjB = np.exp(-1j * (z @ zB.T))
-        dF = fhat * EAv * phA[act] * dphA * (pjA - 1.0)
-        dG = ghat * EBv * phB[act] * dphB * (pjB - 1.0) * phi_atoms[marks[idx]][:, None]
-        covF[idx] = dF
-        covG[idx] = dG
-        cG1[act] += dG
-        phA[act] = phA[act] * pjA
-        phB[act] = phB[act] * pjB
-        left[act] = EBv * dphB * phB[act]
-        prev[act] = v
-    dt = (1.0 - prev)[:, None]
-    cG1 -= ghat * left * dt * q_func(dt * W) * S
-    np.multiply(fhat, phA, out=phA)
-    np.multiply(ghat, phB, out=phB)
-    if has_drift:
-        phA *= np.exp(-1j * cdA)
-        phB *= np.exp(-1j * cdB)
-    return phA, cG1, phB, covF, covG
+    for j in range(counts.max(initial=0)):
+        n = np.count_nonzero(counts > j)
+        idx = first[:n] + j
+        v = times[idx][:, None]
+        m = marks[idx]
+        pa, pb = phA[:n], phB[:n]
+        EAv = np.exp(psiA + v * WA)
+        rowA = EAv * pa                                         # EA(v) phA(v-)
+        rowB = (EAv if same else np.exp(psiB + v * WB)) * pb    # EB(v) phB(v-)
+        covF[idx] = jumpA[m] * rowA
+        covG[idx] = dG = jumpB[m] * rowB
+        cG1[:n] += dG - compensator(left[:n], rowB, v - prev[:n, None])
+        pa *= pjA[m]
+        pb *= pjB[m]
+        np.multiply(rowB, pjB[m], out=left[:n])
+        prev[:n] = v[:, 0]
+    endB = np.exp(-1j * cdB)                       # EB(1)
+    cG1 -= compensator(left, endB * phB, (1.0 - prev)[:, None])
+    back = np.argsort(order)
+    return ((fhat * np.exp(-1j * cdA)) * phA[back], cG1[back], (ghat * endB) * phB[back],
+            covF, covG)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,10 @@ and the Parseval sum; its step-bias gate takes the coarse Euler level
 (steps/2, on the fine path's increments summed in pairs) inside the same
 kernel pass.
 All randomness flows from one master seed through counter-based per-path
-streams, so results are independent of block size and scheduling.
+streams (Philox keyed by (seed, path index)), so results are independent
+of block size and scheduling.  The jump sampler builds one generator per
+block and resets its state to each path's key, drawing what a fresh
+generator per path draws.
 """
 
 import numbers
@@ -63,18 +66,60 @@ class JumpPath:
     intensity: float    # total mass of the jump measure
 
 
+def _check_seed(seed):
+    if not (isinstance(seed, numbers.Integral) and 0 <= seed < 2**64):
+        raise ValueError(f"seed = {seed!r} is not an integer in [0, 2**64): "
+                         "it keys the uint64 Philox streams")
+
+
+def _sample_paths(nu: AtomsMeasure, seed: int, first: int, count: int):
+    """Jump times and marks of paths first .. first + count - 1.
+
+    Path i draws from the Philox stream keyed by (seed, i), as path_stream
+    builds it: the count Poisson(|nu|), then c uniforms whose order
+    statistics are the times, then c uniforms whose quantiles under
+    nu/|nu| are the marks.  One generator serves every path: its state is
+    reset to counter 0, key (seed, i) and an empty buffer, and one
+    random(2 c) call draws both uniform runs.  Returns (times, marks,
+    offsets): the jumps of path first + i are rows offsets[i]:offsets[i+1].
+    """
+    lam = nu.total_mass
+    cum = np.cumsum(nu.weights) / lam
+    key = np.array([seed, 0], dtype=np.uint64)
+    rng = np.random.Generator(np.random.Philox(key=key))
+    state = {"bit_generator": "Philox",
+             "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
+             "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
+             "has_uint32": 0, "uinteger": 0}
+    counts = np.zeros(count, dtype=np.int64)
+    draws = []
+    for i in range(count):
+        key[1] = first + i
+        rng.bit_generator.state = state
+        c = rng.poisson(lam)
+        counts[i] = c
+        draws.append(rng.random(2 * c))
+    offsets = np.zeros(count + 1, dtype=np.int64)
+    np.cumsum(counts, out=offsets[1:])
+    path = np.repeat(np.arange(count), counts)
+    at = np.arange(offsets[-1]) + offsets[path]   # first-half position in the draws
+    u = np.concatenate(draws)
+    times = u[at]
+    times = times[np.lexsort((times, path))]      # sorted within each path
+    marks = np.minimum(np.searchsorted(cum, u[at + counts[path]], side="right"),
+                       nu.weights.size - 1)
+    return times, marks, offsets
+
+
 def simulate_cpp(nu: AtomsMeasure, seed: int, index: int = 0) -> JumpPath:
-    """Sample jump count Poisson(|nu|), times as uniform order statistics,
-    marks with law nu/|nu|.  Deterministic for a fixed (seed, index)."""
+    """One path of _sample_paths: jump count Poisson(|nu|), times as uniform
+    order statistics, marks with law nu/|nu|.  Deterministic for a fixed
+    (seed, index)."""
+    _check_seed(seed)
     lam = nu.total_mass
     if not lam > 0.0:
         raise MeasureValidationError("compound-Poisson simulation needs |nu| > 0")
-    rng = path_stream(seed, index)
-    count = int(rng.poisson(lam))
-    times = np.sort(rng.random(count))
-    cum = np.cumsum(nu.weights) / lam
-    marks = np.minimum(np.searchsorted(cum, rng.random(count), side="right"),
-                       nu.weights.size - 1)
+    times, marks, _ = _sample_paths(nu, seed, index, 1)
     return JumpPath(times=times, marks=marks, jumps=nu.atoms[marks], intensity=lam)
 
 
@@ -138,7 +183,8 @@ def mean_and_se(vals: np.ndarray):
 
 
 def _check_block_size(block_size):
-    if block_size is not None and not block_size >= 1:
+    if block_size is not None and not (isinstance(block_size, numbers.Integral)
+                                       and block_size >= 1):
         raise ValueError(f"block_size = {block_size!r} is not an integer >= 1")
 
 
@@ -160,6 +206,7 @@ def _cpp_blocks(f: SampledField, g: SampledField, data: LevyData, mod: Modulator
     cpp_pair_coeffs, (cF1, cG1, cGend, covF, covG), on the band.
     """
     _check_block_size(block_size)
+    _check_seed(seed)
     validate(data, mod)
     nu = data.nu
     if not isinstance(nu, AtomsMeasure):
@@ -189,16 +236,7 @@ def _cpp_blocks(f: SampledField, g: SampledField, data: LevyData, mod: Modulator
 
     def blocks():
         for b0 in range(0, n_paths, block_size):
-            P = min(block_size, n_paths - b0)
-            times_l, marks_l = [], []
-            offsets = np.zeros(P + 1, dtype=np.int64)
-            for i in range(P):
-                pth = simulate_cpp(nu, seed, b0 + i)
-                times_l.append(pth.times)
-                marks_l.append(pth.marks)
-                offsets[i + 1] = offsets[i] + pth.times.size
-            times = np.concatenate(times_l) if times_l else np.zeros(0)
-            marks = np.concatenate(marks_l).astype(np.int64) if marks_l else np.zeros(0, dtype=np.int64)
+            times, marks, offsets = _sample_paths(nu, seed, b0, min(block_size, n_paths - b0))
             yield b0, offsets, cpp_pair_coeffs(
                 times, marks, offsets, nu.atoms, phi_atoms,
                 fband, gband, psiA, psiB, zA, zB, cdA, cdB, S,
@@ -384,6 +422,7 @@ def brownian_pairing(f: SampledField, g: SampledField, A, B, Kmat,
     _check_contraction(Kmat)
     _check_n_paths(n_paths)
     _check_block_size(block_size)
+    _check_seed(seed)
     if steps < 2:
         raise ValueError("need at least 2 time steps")
     if richardson and steps % 2:

@@ -236,7 +236,7 @@ def test_config_negative_radial_coeff_named():
     ("p", [1.0]), ("p", [2.0, 0.5]), ("p", [float("nan")]), ("p", []), ("p", 2.0),
     ("trials", 0), ("trials", 2.5), ("ascent_steps", -1),
     ("paths", 0), ("paths", 1), ("paths", 2.5), ("steps", 1), ("steps", 3), ("steps", 2.5),
-    ("block_size", -3), ("block_size", 1.5),
+    ("block_size", -3), ("block_size", 1.5), ("seed", -1), ("seed", 1.5), ("seed", 2**64),
 ])
 def test_config_bad_probe_params_named(key, value):
     bad = json.loads(STABLE_CONFIG)
@@ -265,6 +265,16 @@ def test_cli_paths_override_is_checked_like_the_config(tmp_path, stable_cfg_file
     last = json.loads(res.stdout.strip().split("\n")[-1])
     assert last["code"] == "ConfigValidationError"
     assert last["message"] == "--paths = 1 is not an integer >= 2"
+
+
+def test_cli_seed_override_is_checked_like_the_config(tmp_path, stable_cfg_file):
+    # a negative seed used to end `levymult mc` in an OverflowError traceback
+    res = _run_cli(["mc", "--config", str(stable_cfg_file), "--seed", "-1", "--out", "mc"],
+                   tmp_path)
+    assert res.returncode == 2, res.stdout + res.stderr
+    last = json.loads(res.stdout.strip().split("\n")[-1])
+    assert last["code"] == "ConfigValidationError" and "Traceback" not in res.stderr
+    assert last["message"] == "--seed = -1 is not an integer in [0, 2**64)"
 
 
 # ---------------------------------------------------------------------------

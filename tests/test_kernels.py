@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 
 from levymult import AtomsMeasure, Modulator, gaussian_bump, make_data, table_mod
+from levymult import kernels, mc
 from levymult.kernels import brownian_accumulate, lattice_phases
-from levymult.mc import run_cpp_paths
+from levymult.mc import JumpPath, run_cpp_paths, simulate_cpp
+
+from _traces import general_G
 
 
 def test_numpy_backend_handles_empty_blocks():
@@ -17,6 +20,72 @@ def test_numpy_backend_handles_empty_blocks():
     assert np.all(stats["njumps"] == 0)
     assert np.all(stats["cov"] == 0.0)
     assert np.all(np.isfinite(stats["pair"]))
+
+
+def _compensator_model(case):
+    if case == "unit-atom":
+        # WB = -psiB - i cdB vanishes at xi = 0 and, for the atom at 1, at xi = 2 pi (k = 40)
+        return (make_data(AtomsMeasure([[1.0]], [1.0]), A=[[1.0]], B=[[1.0]]),
+                Modulator(phi=table_mod([0.6 - 0.3j])))
+    # net drift h != 0 (the atom inside the unit ball and gamma), so cdA, cdB != 0
+    return (make_data(AtomsMeasure([[1.0], [-2.0], [0.5]], [0.7, 0.3, 0.4]), gamma=[0.3],
+                      A=[[1.0]], B=[[-0.8]]),
+            Modulator(phi=table_mod([0.5, -0.8j, 0.3 + 0.4j])))
+
+
+def _compensator_gap(monkeypatch, case):
+    """Largest gap between the kernel's G1 and general_G's, over paths and
+    points, as a fraction of the largest |G1|; general_G integrates each
+    interval's compensator by Gauss-Legendre quadrature."""
+    data, mod = _compensator_model(case)
+    f = gaussian_bump(40.0, 256, 1, center=[0.5], width=0.9)
+    g = gaussian_bump(40.0, 256, 1, center=[-0.3], width=1.1)
+    seen = []
+    with monkeypatch.context() as mp:
+        mp.setattr(mc, "cpp_pair_coeffs", lambda *a: seen.append(a[3:]))
+        band, _, blocks = mc._cpp_blocks(f, g, data, mod, 2, 1)
+        next(blocks)
+    setup = seen[0]
+    psiB, cdB = setup[5], setup[9]
+    xi = g.xi[band][:, 0]
+    if case == "unit-atom":
+        zero = np.isin(np.round(xi / (2.0 * np.pi), 12), [-1.0, 0.0, 1.0])
+        assert np.count_nonzero(zero) == 3
+        assert np.all(np.abs(psiB[zero] + 1j * cdB[zero]) < 1e-12)
+    else:
+        assert np.all(cdB[xi != 0.0] != 0.0)
+    nu = data.nu
+    # no jumps; jumps 1e-12 apart; jumps at the ends of (0, 1]; sampled paths
+    paths = [(np.zeros(0), np.zeros(0, dtype=np.int64)),
+             (np.array([0.3, 0.3 + 1e-12, 0.8]), np.array([0, nu.weights.size - 1, 0])),
+             (np.array([1e-9, 0.5, 1.0]), np.zeros(3, dtype=np.int64))]
+    paths += [(p.times, p.marks) for p in (simulate_cpp(nu, 5, i) for i in range(5))]
+    offsets = np.cumsum([0] + [t.size for t, _ in paths])
+    times = np.concatenate([t for t, _ in paths])
+    marks = np.concatenate([m for _, m in paths])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cG1 = kernels.cpp_pair_coeffs(times, marks, offsets, *setup)[1]
+    got, want = [], []
+    for x in (-1.0, 0.3, 2.0):
+        got.append(cG1 @ mc._point_phases(g, band, np.array([x])))
+        want.append([general_G(JumpPath(t, m, nu.atoms[m], nu.total_mass), g, data.B, mod,
+                               data, [x], nodes=16).final for t, m in paths])
+    got, want = np.array(got), np.array(want)
+    return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("case", ["unit-atom", "drifted"])
+def test_compensator_matches_quadrature_trace(monkeypatch, case):
+    """The telescoped compensator, (EB(v) - EB(a)) / WB off the modes with
+    |WB| < W_CUT and dt q(dt WB) on them, against the per-interval oracle."""
+    assert _compensator_gap(monkeypatch, case) <= 1e-12
+
+
+def test_compensator_cut_guards_the_zero_modes(monkeypatch):
+    # planted fault: with no cut the xi = 0 mode divides 0 by WB = 0 (the
+    # unplanted run is test_compensator_matches_quadrature_trace[unit-atom])
+    monkeypatch.setattr(kernels, "W_CUT", 0.0)
+    assert not _compensator_gap(monkeypatch, "unit-atom") <= 1e-12
 
 
 @pytest.mark.parametrize("d, band", [(1, "fft-order"), (1, "scattered"), (2, "scattered")])

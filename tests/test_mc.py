@@ -71,6 +71,31 @@ def test_simulate_deterministic_per_stream():
     assert a.times.size != c.times.size or not np.array_equal(a.times, c.times)
 
 
+# |nu| = 12 takes numpy's PTRS branch of the Poisson sampler (mean >= 10)
+@pytest.mark.parametrize("weights", [[1.0], [2.0, 1.5, 1.5, 1.0], [5.0, 4.0, 3.0]])
+@pytest.mark.parametrize("first", [0, 37])
+def test_block_sampler_draws_the_per_path_streams(weights, first):
+    """Path i of a block draws, bitwise, what a fresh Philox keyed by
+    (seed, i) draws: the count, then c uniforms for the times, then c for
+    the marks."""
+    nu = AtomsMeasure(np.arange(1.0, len(weights) + 1.0)[:, None], weights)
+    seed, count = 2024, 300
+    times, marks, offsets = mc._sample_paths(nu, seed, first, count)
+    cum = np.cumsum(weights) / nu.total_mass
+    for i in range(count):
+        rng = np.random.Generator(np.random.Philox(key=np.array([seed, first + i], dtype=np.uint64)))
+        c = rng.poisson(nu.total_mass)
+        want_times = np.sort(rng.random(c))
+        want_marks = np.minimum(np.searchsorted(cum, rng.random(c), side="right"),
+                                len(weights) - 1)
+        rows = slice(offsets[i], offsets[i + 1])
+        assert offsets[i + 1] - offsets[i] == c
+        assert np.array_equal(times[rows], want_times)
+        assert np.array_equal(marks[rows], want_marks)
+    if nu.total_mass == 1.0:
+        assert np.any(np.diff(offsets) == 0)   # paths with no jumps
+
+
 def test_simulate_rejects_zero_mass():
     with pytest.raises(MeasureValidationError):
         simulate_cpp(AtomsMeasure(np.zeros((0, 1)), np.zeros(0)), 0)
@@ -536,10 +561,13 @@ def test_brownian_bad_steps_and_block_size_named(bump_f, bump_g, single_atom_dat
         brownian_pairing(bump_f, bump_g, [[1.0]], [[1.0]], [[1.0]], 10, 5, 1)
     assert brownian_pairing(bump_f, bump_g, [[1.0]], [[1.0]], [[1.0]], 10, 5, 1,
                             richardson=False).steps == 5
-    with pytest.raises(ValueError, match="block_size = -3"):
-        brownian_pairing(bump_f, bump_g, [[1.0]], [[1.0]], [[1.0]], 10, 4, 1, block_size=-3)
-    with pytest.raises(ValueError, match="block_size = -3"):
-        estimate_pairing(bump_f, bump_g, single_atom_data, IDENTITY_MOD, 10, 1, block_size=-3)
+    for block in (-3, 2.5):
+        with pytest.raises(ValueError, match=f"block_size = {block}"):
+            brownian_pairing(bump_f, bump_g, [[1.0]], [[1.0]], [[1.0]], 10, 4, 1,
+                             block_size=block)
+        with pytest.raises(ValueError, match=f"block_size = {block}"):
+            estimate_pairing(bump_f, bump_g, single_atom_data, IDENTITY_MOD, 10, 1,
+                             block_size=block)
 
 
 def test_criterion_9_gate_catches_scaled_brownian_increments(monkeypatch):
@@ -576,6 +604,27 @@ def test_mc_entry_points_reject_fewer_than_two_paths(bump_f, bump_g, entry, n_pa
             brownian_pairing(bump_f, bump_g, [[1.0]], [[1.0]], [[0.7j]], n_paths, 4, 1)
         else:
             getattr(mc, entry)(bump_f, bump_g, data, mod, n_paths, 1)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, 2**64])
+@pytest.mark.parametrize("entry", ["run_cpp_paths", "check_subordination", "brownian_pairing"])
+def test_mc_entry_points_reject_bad_seeds(bump_f, bump_g, entry, seed):
+    # the seed keys uint64 streams: 1.5 used to run seed 1's, -1 to overflow
+    data, mod = _config()
+    with pytest.raises(ValueError, match=f"seed = {seed}"):
+        if entry == "brownian_pairing":
+            brownian_pairing(bump_f, bump_g, [[1.0]], [[1.0]], [[0.7j]], 10, 4, seed)
+        elif entry == "check_subordination":
+            check_subordination(bump_f, bump_g, data, mod, 10, seed, [0.3])
+        else:
+            run_cpp_paths(bump_f, bump_g, data, mod, 10, seed)
+
+
+def test_largest_seed_runs(bump_f, bump_g):
+    data, mod = _config()
+    stats = run_cpp_paths(bump_f, bump_g, data, mod, 4, 2**64 - 1)
+    assert np.array_equal(stats["njumps"], [simulate_cpp(data.nu, 2**64 - 1, i).times.size
+                                            for i in range(4)])
 
 
 def test_check_subordination_accepts_one_path(bump_f, bump_g):
