@@ -148,6 +148,17 @@ def cmd_selftest(cfg, out):
     return all(r.passed for r in records), {"checks": len(records)}
 
 
+def _flag_number(text: str):
+    """An override flag's text as the int or float it spells, else the text
+    itself, so that check_params names a bad value as it names a config's."""
+    for kind in (int, float):
+        try:
+            return kind(text)
+        except ValueError:
+            pass
+    return text
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="levymult",
@@ -156,8 +167,9 @@ def main(argv=None):
     parser.add_argument("command", choices=["symbol", "apply", "pair", "probe",
                                             "mc", "gaussian-mc", "selftest"])
     parser.add_argument("--config", required=True, help="path to the JSON config")
-    parser.add_argument("--seed", type=int, default=None, help="override params.seed")
-    parser.add_argument("--paths", type=int, default=None, help="override params.paths")
+    parser.add_argument("--seed", type=_flag_number, default=None, help="override params.seed")
+    parser.add_argument("--paths", type=_flag_number, default=None,
+                        help="override params.paths")
     parser.add_argument("--out", default=None, help="override output_dir")
     args = parser.parse_args(argv)
 
@@ -168,8 +180,8 @@ def main(argv=None):
         out = Path(args.out or cfg.output_dir)
         out.mkdir(parents=True, exist_ok=True)
         (out / "config.echo.json").write_text(emit_config(cfg))
-        seed = args.seed if args.seed is not None else int(cfg.params["seed"])
-        paths = args.paths if args.paths is not None else int(cfg.params["paths"])
+        seed = int(args.seed if args.seed is not None else cfg.params["seed"])
+        paths = int(args.paths if args.paths is not None else cfg.params["paths"])
 
         if args.command == "symbol":
             ok, info = cmd_symbol(cfg, out)

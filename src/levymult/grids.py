@@ -86,9 +86,6 @@ class Grid:
         return tuple(_read_only(-L / 2.0 + L / n * np.arange(n))
                      for L, n in zip(self.L, self.N))
 
-    def space_points(self) -> list:
-        return list(self.space_axes)
-
     @cached_property
     def k(self) -> np.ndarray:
         """Integer lattice points, (prod(N), d), FFT order."""

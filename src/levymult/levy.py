@@ -16,6 +16,8 @@ On an atomic measure that call is one real-arithmetic pass over the atoms:
 the phases D = (zeta, z_i) are formed once, and cos D - 1 = -2 sin^2(D/2)
 and sin D - D 1_{|z_i|<=1} are contracted with both weight columns.  The
 boundary convention includes |z| = 1 in the compensated region.
+`cross_form` evaluates the bilinear integral the ratio-form symbol needs
+directly, never as a difference of exponents, on the same batches of rows.
 """
 
 import math
@@ -141,7 +143,7 @@ class StableMeasure:
     alpha: float
     n: int = 1
 
-    def as_radial(self, r_max: float = 1e4, quad_order: int = 64) -> RadialProductMeasure:
+    def as_radial(self, r_max: float = 1e4) -> RadialProductMeasure:
         """Equivalent radial-product form (one dimension only)."""
         if self.n != 1:
             raise MeasureValidationError(
@@ -153,7 +155,6 @@ class StableMeasure:
             directions=np.array([[1.0], [-1.0]]),
             dir_weights=np.array([1.0, 1.0]),
             r_max=r_max,
-            quad_order=quad_order,
         )
 
 
@@ -278,8 +279,9 @@ class Modulator:
 IDENTITY_MOD = Modulator()
 
 
-def eval_modspec(spec: ModSpec, points: np.ndarray, indices=None) -> np.ndarray:
-    """Evaluate one weight at points (M, n); table kinds need atom indices."""
+def eval_modspec(spec: ModSpec, points: np.ndarray) -> np.ndarray:
+    """Evaluate one preset weight at points (M, n); a per-atom table has no
+    value at arbitrary points, so its callers read the table themselves."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
     m = points.shape[0]
     if spec.kind == "constant":
@@ -301,18 +303,7 @@ def eval_modspec(spec: ModSpec, points: np.ndarray, indices=None) -> np.ndarray:
         else:
             ang = np.where(points[:, 0] >= 0.0, 0.0, np.pi)
         return np.exp(1j * spec.harmonic * ang)
-    if spec.kind == "table":
-        if indices is None:
-            raise ModulatorUndefinedOnSupport(
-                "per-atom table cannot be evaluated at arbitrary points"
-            )
-        indices = np.asarray(indices)
-        if indices.size and indices.max() >= spec.table.size:
-            raise ModulatorUndefinedOnSupport(
-                f"table has {spec.table.size} entries, asked for index {int(indices.max())}"
-            )
-        return spec.table[indices]
-    raise ModulatorUndefinedOnSupport(f"unknown modulator kind {spec.kind!r}")
+    raise ModulatorUndefinedOnSupport(f"modulator kind {spec.kind!r} has no value at points")
 
 
 def _modspec_sup(spec: ModSpec, n: int) -> float:
@@ -422,13 +413,15 @@ def validate(data: LevyData, mod: Modulator = None) -> LevyData:
 # ---------------------------------------------------------------------------
 
 
-def _sphere_part(data: LevyData, Z: np.ndarray, mods) -> np.ndarray:
-    """-1/2 sum_j b_j (zeta, theta_j)^2 psi_j per modulator, over rows of Z."""
+def _sphere_part(data: LevyData, Z1: np.ndarray, Z2: np.ndarray, mods) -> np.ndarray:
+    """-sum_j b_j (z1, theta_j)(z2, theta_j) psi_j per modulator, over row pairs
+    of Z1 and Z2: the sphere part of the cross form, and at Z1 = Z2 twice the
+    sphere part of the exponent."""
     if data.mu.is_empty:
-        return np.zeros((Z.shape[0], len(mods)), dtype=complex)
-    dots = Z @ data.mu.directions.T  # (K, M)
+        return np.zeros((Z1.shape[0], len(mods)), dtype=complex)
+    dirs = data.mu.directions.T  # (n, M)
     w = np.stack([data.mu.weights * _psi_values_at_sphere(mod, data.mu) for mod in mods], axis=1)
-    return -0.5 * (dots * dots) @ w
+    return -((Z1 @ dirs) * (Z2 @ dirs)) @ w
 
 
 def _atoms_jump_part(nu: AtomsMeasure, Z: np.ndarray, phis) -> np.ndarray:
@@ -569,23 +562,40 @@ def _direction_phi_fn(mod: Modulator, theta: np.ndarray):
     return fn
 
 
-def _direction_sum(radial: RadialProductMeasure, mod: Modulator, term):
-    """sum_j a_j term(theta_j, phi_j) over the angular atoms, phi_j being phi
-    on the ray through theta_j (see _direction_phi_fn).
+def _radial_rows(nu, mod: Modulator, rows: np.ndarray, integral, sum_scale: bool) -> np.ndarray:
+    """sum_j a_j integral(profile, (row, theta_j), ..., phi_j) per row of rows (K, r, n)
+    for a stable or radial-product measure.
 
-    term returns (value, error).  Returns (value, error, max_j |a_j value_j|).
+    integral takes the r projections of a row on theta_j and phi_j, phi on
+    the ray through theta_j (see _direction_phi_fn), and returns (value,
+    error); a constant phi multiplies each row's sum.  A row raises
+    QuadratureNotConverged when its summed error exceeds DEFAULT_REL_TOL
+    times max(scale, 1), scale being |sum| if sum_scale, else the largest
+    |a_j value_j|.
     """
-    total = 0.0 + 0.0j
-    err = 0.0
-    scale = 0.0
-    for theta, aj in zip(radial.directions, radial.dir_weights):
-        if aj == 0.0:
-            continue
-        val, e = term(theta, _direction_phi_fn(mod, theta))
-        total += aj * val
-        err += aj * e
-        scale = max(scale, abs(val) * aj)
-    return total, err, scale
+    if not isinstance(nu, (StableMeasure, RadialProductMeasure)):
+        raise MeasureValidationError(f"unknown jump measure type {type(nu).__name__}")
+    radial = nu.as_radial(r_max=np.inf) if isinstance(nu, StableMeasure) else nu
+    const = mod.phi.value if mod.phi.kind == "constant" else 1.0
+    dirs = [(theta, aj, _direction_phi_fn(mod, theta))
+            for theta, aj in zip(radial.directions, radial.dir_weights) if aj != 0.0]
+    out = np.zeros(rows.shape[0], dtype=complex)
+    for k, row in enumerate(rows):
+        total, err, scale = 0.0 + 0.0j, 0.0, 0.0
+        for theta, aj, phi_fn in dirs:
+            val, e = integral(radial.profile, *(row @ theta).tolist(), radial.r_max,
+                              radial.quad_order, phi_fn)
+            total += aj * val
+            err += aj * e
+            scale = max(scale, abs(val) * aj)
+        if sum_scale:
+            scale = abs(const * total)
+        if not err <= DEFAULT_REL_TOL * max(scale, 1.0):  # a NaN error fails too
+            raise QuadratureNotConverged(
+                f"radial quadrature error {err:.3e} above tolerance at zeta={row.tolist()}"
+            )
+        out[k] = total
+    return const * out
 
 
 def _psi_values_at_sphere(mod: Modulator, mu: SphericalMeasure) -> np.ndarray:
@@ -594,27 +604,14 @@ def _psi_values_at_sphere(mod: Modulator, mu: SphericalMeasure) -> np.ndarray:
     return eval_modspec(mod.psi, mu.directions)
 
 
-def _radial_jump_part(nu, mod: Modulator, Z: np.ndarray, rel_tol: float) -> np.ndarray:
+def _radial_jump_part(nu, mod: Modulator, Z: np.ndarray) -> np.ndarray:
     """Jump part of a stable or radial-product measure weighted by phi, over rows of Z."""
     if isinstance(nu, StableMeasure) and mod.phi.kind == "constant":
         return mod.phi.value * (-np.linalg.norm(Z, axis=1).astype(complex) ** nu.alpha)
-    if not isinstance(nu, (StableMeasure, RadialProductMeasure)):
-        raise MeasureValidationError(f"unknown jump measure type {type(nu).__name__}")
-    radial = nu.as_radial(r_max=np.inf) if isinstance(nu, StableMeasure) else nu
-    jump = np.zeros(Z.shape[0], dtype=complex)
-    for k, z in enumerate(Z):
-        total, err, scale = _direction_sum(
-            radial, mod, lambda theta, phi_fn: _radial_exponent_1d(
-                radial.profile, float(z @ theta), radial.r_max, radial.quad_order, phi_fn))
-        if not err <= rel_tol * max(scale, 1.0):  # a NaN error fails too
-            raise QuadratureNotConverged(
-                f"radial quadrature error {err:.3e} above tolerance at zeta={z}"
-            )
-        jump[k] = total
-    return mod.phi.value * jump if mod.phi.kind == "constant" else jump
+    return _radial_rows(nu, mod, Z[:, None], _radial_exponent_1d, sum_scale=False)
 
 
-def _exponent(data: LevyData, mods, Z: np.ndarray, rel_tol: float) -> np.ndarray:
+def _exponent(data: LevyData, mods, Z: np.ndarray) -> np.ndarray:
     """Jump part weighted by phi plus sphere part weighted by psi over rows of
     Z, one column per modulator in mods; atoms serve all columns in one pass."""
     nu = data.nu
@@ -623,34 +620,40 @@ def _exponent(data: LevyData, mods, Z: np.ndarray, rel_tol: float) -> np.ndarray
         jump = _atoms_jump_part(nu, Z, [mod.phi.value if mod.phi.kind == "constant"
                                         else _phi_values_at_atoms(mod, nu) for mod in mods])
     else:
-        jump = np.stack([_radial_jump_part(nu, mod, Z, rel_tol) for mod in mods], axis=1)
-    return jump + _sphere_part(data, Z, mods)
+        jump = np.stack([_radial_jump_part(nu, mod, Z) for mod in mods], axis=1)
+    return jump + 0.5 * _sphere_part(data, Z, Z, mods)
 
 
-def _evaluate(data: LevyData, mods, zeta, rel_tol: float, drift: bool):
-    """_exponent's columns at a point or rows zeta, drift i(zeta, gamma) on the first if asked."""
+def _rows(data: LevyData, zeta) -> np.ndarray:
+    """A point or batch zeta as rows (K, n); ShapeMismatch for another dimension."""
     Z = np.atleast_2d(np.asarray(zeta, dtype=float))
     if Z.shape[1] != data.n:
         raise ShapeMismatch(f"zeta must have dimension {data.n}, got {Z.shape[1]}")
-    out = _exponent(data, mods, Z, rel_tol)
+    return Z
+
+
+def _evaluate(data: LevyData, mods, zeta, drift: bool):
+    """_exponent's columns at a point or rows zeta, drift i(zeta, gamma) on the first if asked."""
+    Z = _rows(data, zeta)
+    out = _exponent(data, mods, Z)
     if drift:
         out[:, 0] += 1j * (Z @ data.gamma)
     return [complex(v) for v in out[0]] if np.ndim(zeta) == 1 else list(out.T)
 
 
-def exponents(data: LevyData, mod: Modulator, zeta, rel_tol: float = DEFAULT_REL_TOL):
+def exponents(data: LevyData, mod: Modulator, zeta):
     """(psi, psi_tilde) at zeta from one pass over the atoms; batch rows allowed."""
-    return tuple(_evaluate(data, (IDENTITY_MOD, mod), zeta, rel_tol, drift=True))
+    return tuple(_evaluate(data, (IDENTITY_MOD, mod), zeta, drift=True))
 
 
-def psi(data: LevyData, zeta, rel_tol: float = DEFAULT_REL_TOL):
+def psi(data: LevyData, zeta):
     """The characteristic exponent at zeta; accepts a batch (K, n) of rows."""
-    return _evaluate(data, (IDENTITY_MOD,), zeta, rel_tol, drift=True)[0]
+    return _evaluate(data, (IDENTITY_MOD,), zeta, drift=True)[0]
 
 
-def psi_tilde(data: LevyData, mod: Modulator, zeta, rel_tol: float = DEFAULT_REL_TOL):
+def psi_tilde(data: LevyData, mod: Modulator, zeta):
     """The modulated exponent at zeta (no drift term); batch rows allowed."""
-    return _evaluate(data, (mod,), zeta, rel_tol, drift=False)[0]
+    return _evaluate(data, (mod,), zeta, drift=False)[0]
 
 
 def _phi_values_at_atoms(mod: Modulator, nu: AtomsMeasure) -> np.ndarray:
@@ -663,88 +666,40 @@ def _phi_values_at_atoms(mod: Modulator, nu: AtomsMeasure) -> np.ndarray:
     return eval_modspec(mod.phi, nu.atoms)
 
 
-def cross_form(data: LevyData, mod: Modulator, zeta1, zeta2,
-               route: str = "auto", rel_tol: float = DEFAULT_REL_TOL) -> complex:
-    """Bilinear cross integral
-    I (e^{i(z1,z)}-1)(e^{i(z2,z)}-1) phi nu(dz) - I (z1,th)(z2,th) psi mu(dth).
+def _atoms_cross_part(nu: AtomsMeasure, Z1: np.ndarray, Z2: np.ndarray, phi) -> np.ndarray:
+    """sum_i (e^{i(z1,z_i)} - 1)(e^{i(z2,z_i)} - 1) phi_i w_i over row pairs,
+    in chunks of atoms that keep each (K, chunk) temporary near 1e6 values."""
+    w = nu.weights * phi
+    out = np.zeros(Z1.shape[0], dtype=complex)
+    chunk = max(1, int(1e6) // max(1, Z1.shape[0]))
+    for m0 in range(0, w.size, chunk):
+        at = nu.atoms[m0:m0 + chunk].T
+        out += (np.expm1(1j * (Z1 @ at)) * np.expm1(1j * (Z2 @ at))) @ w[m0:m0 + chunk]
+    return out
 
-    Equal to psi_tilde(z1+z2) - psi_tilde(z1) - psi_tilde(z2); both the
-    direct integral ("direct") and the difference ("difference") are
-    available, "auto" picking the cheaper exact one.
+
+def cross_form(data: LevyData, mod: Modulator, zeta1, zeta2):
+    """The bilinear cross integral, evaluated directly:
+
+        I (e^{i(z1,z)}-1)(e^{i(z2,z)}-1) phi nu(dz) - I (z1,th)(z2,th) psi mu(dth).
+
+    It equals psi_tilde(z1+z2) - psi_tilde(z1) - psi_tilde(z2) but is not
+    computed from it, so the ratio-form symbol stays an independent check of
+    the q-form.  zeta1 and zeta2 are points or equal batches (K, n) of rows,
+    as in psi: atoms are summed in one pass, radial measures by quadrature
+    per row and direction.
     """
-    z1 = np.asarray(zeta1, dtype=float).ravel()
-    z2 = np.asarray(zeta2, dtype=float).ravel()
+    Z1, Z2 = _rows(data, zeta1), _rows(data, zeta2)
+    if Z1.shape != Z2.shape:
+        raise ShapeMismatch(f"zeta1 and zeta2 hold {Z1.shape} and {Z2.shape} rows")
     nu = data.nu
-
-    if route == "difference" or (route == "auto" and isinstance(nu, StableMeasure)):
-        if isinstance(nu, StableMeasure) and mod.phi.kind in ("sign", "constant") and data.n == 1:
-            jump = _stable_cross_closed(nu.alpha, mod.phi, float(z1[0]), float(z2[0]))
-        else:
-            jump = (psi_tilde(data, mod, z1 + z2, rel_tol)
-                    - psi_tilde(data, mod, z1, rel_tol)
-                    - psi_tilde(data, mod, z2, rel_tol))
-            # sphere part of the difference is already the cross term
-            return complex(jump)
-        sphere = _cross_sphere(data, mod, z1, z2)
-        return complex(jump + sphere)
-
-    # direct integral route
     if isinstance(nu, AtomsMeasure):
-        phi_vals = _phi_values_at_atoms(mod, nu)
-        d1 = nu.atoms @ z1
-        d2 = nu.atoms @ z2
-        jump = np.sum(np.expm1(1j * d1) * np.expm1(1j * d2) * phi_vals * nu.weights)
-    elif isinstance(nu, (RadialProductMeasure, StableMeasure)):
-        radial = nu.as_radial(r_max=np.inf) if isinstance(nu, StableMeasure) else nu
-
-        def term(theta, phi_fn):
-            val, e = _radial_cross_1d(radial.profile, float(z1 @ theta), float(z2 @ theta),
-                                      radial.r_max, radial.quad_order, phi_fn)
-            # a constant phi (no phi_fn) weighs each direction's value
-            return (val if phi_fn is not None else val * mod.phi.value), e
-
-        jump, err, _ = _direction_sum(radial, mod, term)
-        if not err <= rel_tol * max(abs(jump), 1.0):  # a NaN error fails too
-            raise QuadratureNotConverged(
-                f"cross-integral quadrature error {err:.3e} above tolerance"
-            )
+        out = _atoms_cross_part(nu, Z1, Z2, _phi_values_at_atoms(mod, nu))
     else:
-        raise MeasureValidationError(f"unknown jump measure type {type(nu).__name__}")
-
-    return complex(jump + _cross_sphere(data, mod, z1, z2))
-
-
-def _cross_sphere(data: LevyData, mod: Modulator, z1, z2) -> complex:
-    if data.mu.is_empty:
-        return 0.0 + 0.0j
-    psi_vals = _psi_values_at_sphere(mod, data.mu)
-    d1 = data.mu.directions @ z1
-    d2 = data.mu.directions @ z2
-    return -np.sum(d1 * d2 * psi_vals * data.mu.weights)
-
-
-def _stable_cross_closed(alpha: float, phi: ModSpec, z1: float, z2: float) -> complex:
-    """Closed form of the stable cross integral for phi = sign or constant (n = 1).
-
-    Both rest on
-        I (e^{i c z} - 1) sgn(z) nu(dz) = i tan(pi alpha / 2) sgn(c) |c|^alpha
-        I (e^{i c z} - 1 - i c z 1) nu(dz) = -|c|^alpha
-    with the compensators cancelling in the three-term combination.
-    """
-
-    def u_sign(c):
-        return 1j * math.tan(math.pi * alpha / 2.0) * np.sign(c) * abs(c) ** alpha
-
-    def u_even(c):
-        return -abs(c) ** alpha
-
-    if phi.kind == "sign":
-        u = u_sign
-        scale = 1.0
-    else:
-        u = u_even
-        scale = phi.value
-    return complex(scale * (u(z1 + z2) - u(z1) - u(z2)))
+        out = _radial_rows(nu, mod, np.stack([Z1, Z2], axis=1), _radial_cross_1d,
+                           sum_scale=True)
+    out += _sphere_part(data, Z1, Z2, (mod,))[:, 0]
+    return complex(out[0]) if np.ndim(zeta1) == 1 else out
 
 
 # ---------------------------------------------------------------------------
@@ -752,9 +707,7 @@ def _stable_cross_closed(alpha: float, phi: ModSpec, z1: float, z2: float) -> co
 # ---------------------------------------------------------------------------
 
 
-def approximate(data: LevyData, mod: Modulator, eps: float, *,
-                r_max: float = None, quad_order: int = None,
-                zeta_max: float = 8.0, periods_per_panel: float = 16.0):
+def approximate(data: LevyData, mod: Modulator, eps: float, *, zeta_max: float = 8.0):
     """Finite-activity surrogate: jumps below eps dropped, sphere measure
     replaced by jump atoms of size eps, radial densities turned into
     quadrature atoms.
@@ -763,7 +716,9 @@ def approximate(data: LevyData, mod: Modulator, eps: float, *,
     Modulator carrying a per-atom phi table).  The jump weights of the new
     atoms keep psi exactly in the compensated form, so psi(new) -> psi(old)
     pointwise as eps -> 0.  zeta_max bounds the frequencies at which the
-    quadrature atoms stay accurate.
+    quadrature atoms stay accurate.  The radial panels run from eps to the
+    measure's r_max (500 / eps for the stable measure) with its quad_order
+    nodes, 16 oscillation periods of zeta_max at most per panel.
     """
     if eps <= 0.0:
         raise EpsTooLarge("eps must be positive")
@@ -778,49 +733,30 @@ def approximate(data: LevyData, mod: Modulator, eps: float, *,
         else:
             phi_vals = eval_modspec(mod.phi, atoms)
     elif isinstance(nu, (RadialProductMeasure, StableMeasure)):
-        if isinstance(nu, StableMeasure):
-            if r_max is None:
-                r_max = 500.0 / eps
-            radial = nu.as_radial(r_max=r_max, quad_order=quad_order or 64)
-        else:
-            radial = nu
-            if r_max is None:
-                r_max = radial.r_max
-        order = quad_order or radial.quad_order
-        if eps >= r_max:
-            raise EpsTooLarge(f"eps = {eps} is not below the radial cutoff {r_max}")
-        edges = radial_edges(eps, r_max, zeta_max, order,
-                             periods_per_panel=periods_per_panel)
-        nodes, node_w = panel_rule(edges, order)
-        rho = radial.profile.density(nodes)
-        atom_blocks = []
-        weight_blocks = []
-        phi_blocks = []
-        for theta, aj in zip(radial.directions, radial.dir_weights):
-            if aj == 0.0:
-                continue
-            atom_blocks.append(np.outer(nodes, theta))
-            weight_blocks.append(aj * node_w * rho)
-            if mod.phi.kind == "table":
-                raise ModulatorUndefinedOnSupport(
-                    "per-atom phi table cannot be carried through a radial conversion"
-                )
-            phi_blocks.append(eval_modspec(mod.phi, atom_blocks[-1]))
-        atoms = np.concatenate(atom_blocks) if atom_blocks else np.zeros((0, data.n))
-        weights = np.concatenate(weight_blocks) if weight_blocks else np.zeros(0)
-        phi_vals = np.concatenate(phi_blocks) if phi_blocks else np.zeros(0, dtype=complex)
+        if mod.phi.kind == "table":
+            raise ModulatorUndefinedOnSupport(
+                "per-atom phi table cannot be carried through a radial conversion"
+            )
+        radial = nu.as_radial(r_max=500.0 / eps) if isinstance(nu, StableMeasure) else nu
+        if eps >= radial.r_max:
+            raise EpsTooLarge(f"eps = {eps} is not below the radial cutoff {radial.r_max}")
+        edges = radial_edges(eps, radial.r_max, zeta_max, radial.quad_order,
+                             periods_per_panel=16.0)
+        nodes, node_w = panel_rule(edges, radial.quad_order)
+        used = radial.dir_weights != 0.0
+        # one block of quadrature atoms nodes * theta_j per used direction
+        atoms = (radial.directions[used][:, None, :] * nodes[:, None]).reshape(-1, data.n)
+        weights = (radial.dir_weights[used][:, None] * node_w
+                   * radial.profile.density(nodes)).ravel()
+        phi_vals = eval_modspec(mod.phi, atoms)
     else:
         raise MeasureValidationError(f"unknown jump measure type {type(nu).__name__}")
 
     # sphere atoms become jumps of size eps with mass b / eps^2, weighted by psi
     if not data.mu.is_empty:
-        sphere_atoms = eps * data.mu.directions
-        sphere_weights = data.mu.weights / (eps * eps)
-        sphere_phi = _psi_values_at_sphere(mod, data.mu)
-        atoms = np.concatenate([atoms, sphere_atoms]) if atoms.size else sphere_atoms
-        weights = np.concatenate([weights, sphere_weights]) if weights.size else sphere_weights
-        phi_vals = (np.concatenate([phi_vals, sphere_phi])
-                    if phi_vals.size else np.asarray(sphere_phi, dtype=complex))
+        atoms = np.concatenate([atoms, eps * data.mu.directions])
+        weights = np.concatenate([weights, data.mu.weights / (eps * eps)])
+        phi_vals = np.concatenate([phi_vals, _psi_values_at_sphere(mod, data.mu)])
 
     new_nu = AtomsMeasure(atoms.reshape(-1, data.n), weights)
     new_data = replace(data, nu=new_nu, mu=SphericalMeasure.empty(data.n))

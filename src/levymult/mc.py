@@ -17,7 +17,6 @@ block and resets its state to each path's key, drawing what a fresh
 generator per path draws.
 """
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +35,8 @@ from .levy import (
 from .spectral import (
     SampledField,
     _check_compat,
+    _check_integer,
+    _check_seed,
     pairing,
     semigroup_eval,
     transform_forward,
@@ -64,12 +65,6 @@ class JumpPath:
     marks: np.ndarray   # (J,) indices into the atom list
     jumps: np.ndarray   # (J, n) jump vectors
     intensity: float    # total mass of the jump measure
-
-
-def _check_seed(seed):
-    if not (isinstance(seed, numbers.Integral) and 0 <= seed < 2**64):
-        raise ValueError(f"seed = {seed!r} is not an integer in [0, 2**64): "
-                         "it keys the uint64 Philox streams")
 
 
 def _sample_paths(nu: AtomsMeasure, seed: int, first: int, count: int):
@@ -183,15 +178,12 @@ def mean_and_se(vals: np.ndarray):
 
 
 def _check_block_size(block_size):
-    if block_size is not None and not (isinstance(block_size, numbers.Integral)
-                                       and block_size >= 1):
-        raise ValueError(f"block_size = {block_size!r} is not an integer >= 1")
+    if block_size is not None:
+        _check_integer("block_size", block_size, 1)
 
 
 def _check_n_paths(n_paths):
-    if not (isinstance(n_paths, numbers.Integral) and n_paths >= 2):
-        raise ValueError(f"n_paths = {n_paths!r} is not an integer >= 2: "
-                         "a standard error needs two paths")
+    _check_integer("n_paths", n_paths, 2, ": a standard error needs two paths")
 
 
 def _cpp_blocks(f: SampledField, g: SampledField, data: LevyData, mod: Modulator,
@@ -320,15 +312,14 @@ def check_subordination(f: SampledField, g: SampledField, data: LevyData,
 
 
 def within_sigmas(estimate: complex, stderr: complex, reference: complex,
-                  sigmas: float = 3.0, floor_rel: float = 1e-9) -> bool:
+                  sigmas: float = 3.0) -> bool:
     """Componentwise |estimate - reference| <= sigmas * stderr.
 
     Components that are pure roundoff (e.g. the real part of a pairing
-    that is imaginary pathwise) get an absolute floor tied to the overall
-    magnitude, so zero-variance zero components compare sanely.
+    that is imaginary pathwise) get an absolute floor of 1e-9 times the
+    overall magnitude, so zero-variance zero components compare sanely.
     """
-    scale = max(abs(estimate), abs(reference), 1e-300)
-    floor = floor_rel * scale
+    floor = 1e-9 * max(abs(estimate), abs(reference), 1e-300)
     dr = abs(estimate.real - reference.real)
     di = abs(estimate.imag - reference.imag)
     return dr <= sigmas * max(stderr.real, floor) and \
@@ -423,8 +414,7 @@ def brownian_pairing(f: SampledField, g: SampledField, A, B, Kmat,
     _check_n_paths(n_paths)
     _check_block_size(block_size)
     _check_seed(seed)
-    if steps < 2:
-        raise ValueError("need at least 2 time steps")
+    _check_integer("steps", steps, 2)
     if richardson and steps % 2:
         raise ValueError(f"steps = {steps} is odd: the step-bias gate pairs the fine steps")
 

@@ -6,6 +6,7 @@ trapezoid/DFT rule; the inverse is exact on the grid, so round trips are
 machine-precision.
 """
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,6 +76,18 @@ def values_from_coefficients(coeffs: np.ndarray, grid: Grid) -> np.ndarray:
     return np.fft.fftn(grid.phases * c, axes=axes) * grid.dxi_norm
 
 
+def _check_integer(name: str, value, low: int, why: str = ""):
+    """ValueError naming `name` unless value is an integer >= low."""
+    if not (isinstance(value, numbers.Integral) and value >= low):
+        raise ValueError(f"{name} = {value!r} is not an integer >= {low}{why}")
+
+
+def _check_seed(seed):
+    if not (isinstance(seed, numbers.Integral) and 0 <= seed < 2**64):
+        raise ValueError(f"seed = {seed!r} is not an integer in [0, 2**64): "
+                         "it keys the uint64 Philox streams")
+
+
 def _check_compat(a, b):
     if a.d != b.d or tuple(a.N) != tuple(b.N) or not np.allclose(a.L, b.L):
         raise GridMismatch(
@@ -94,13 +107,8 @@ class PairingResult:
     spatial: complex
     spectral: complex
 
-    @property
-    def value(self) -> complex:
-        return self.spatial
 
-
-def pairing(m: SymbolGrid, f: SampledField, g: SampledField,
-            check: bool = True) -> PairingResult:
+def pairing(m: SymbolGrid, f: SampledField, g: SampledField) -> PairingResult:
     """The bilinear form I (Mf) g dx, evaluated two ways:
 
     spatially as sum (Mf)(x) g(x) dx^d and spectrally as
@@ -116,17 +124,16 @@ def pairing(m: SymbolGrid, f: SampledField, g: SampledField,
     ghat = transform_forward(g).ravel()
     spectral = complex(np.sum(m.flat * fhat * ghat[f.neg]) * f.dxi_norm)
 
-    if check:
-        # floor at the natural bilinear scale so pairings that vanish by
-        # parity compare roundoff against roundoff sanely
-        norm_scale = float(np.sqrt(np.sum(np.abs(f.values) ** 2) * f.cell_volume)
-                           * np.sqrt(np.sum(np.abs(g.values) ** 2) * g.cell_volume)
-                           * max(m.max_abs, 1.0))
-        scale = max(abs(spatial), abs(spectral), 1e-4 * norm_scale, 1e-30)
-        if abs(spatial - spectral) > 1e-10 * scale:
-            raise LevyMultError(
-                f"pairing routes disagree: {spatial} vs {spectral}"
-            )
+    # floor at the natural bilinear scale so pairings that vanish by
+    # parity compare roundoff against roundoff sanely
+    norm_scale = float(np.sqrt(np.sum(np.abs(f.values) ** 2) * f.cell_volume)
+                       * np.sqrt(np.sum(np.abs(g.values) ** 2) * g.cell_volume)
+                       * max(m.max_abs, 1.0))
+    scale = max(abs(spatial), abs(spectral), 1e-4 * norm_scale, 1e-30)
+    if abs(spatial - spectral) > 1e-10 * scale:
+        raise LevyMultError(
+            f"pairing routes disagree: {spatial} vs {spectral}"
+        )
     return PairingResult(spatial=spatial, spectral=spectral)
 
 
@@ -236,16 +243,17 @@ def norm_probe(m: SymbolGrid, p, trials: int = 500, seed: int = 0,
     ascent on its frequency coefficients.  This is a lower-bound method: it
     can falsify the bound, never certify it.  Deterministic for a fixed seed
     (per-trial counter-based streams).  A scalar p gives one ProbeReport, a
-    sequence one report per p, in order.  Raises ValueError unless
-    1 < p < inf, trials >= 1 and ascent_steps >= 0.
+    sequence one report per p, in order.  Raises ValueError, naming the
+    input, unless 1 < p < inf, trials is an integer >= 1, ascent_steps an
+    integer >= 0 and seed an integer in [0, 2**64).
     """
     ps = [float(v) for v in np.ravel(p)]
     if not ps or not all(1.0 < v < np.inf for v in ps):
         raise ValueError(f"p = {p!r} must satisfy 1 < p < inf")
-    if trials < 1:
-        raise ValueError(f"trials = {trials!r} must be at least 1")
-    if ascent_steps < 0:
-        raise ValueError(f"ascent_steps = {ascent_steps!r} must be nonnegative")
+    _check_integer("trials", trials, 1)
+    _check_integer("ascent_steps", ascent_steps, 0)
+    _check_seed(seed)
+    seed = int(seed)  # a numpy integer would wrap in the key shift below
     best = [(-1.0, None, None)] * len(ps)  # (ratio, trial, coefficients) per p
     batch = max(1, 2**16 // m.size)
     for start in range(0, trials, batch):

@@ -104,24 +104,19 @@ def symbol_q(data: LevyData, mod: Modulator, xi, u: float = 1.0):
 def symbol_integral(data: LevyData, mod: Modulator, xi, u: float = 1.0):
     """Ratio-form symbol with direct bilinear integrals; oracle for symbol_q.
 
-    Switches to the product convention when |denominator| falls below
-    1e-12 (1 + |numerator|).
+    Each row switches to the product convention when |denominator| falls
+    below 1e-12 (1 + |numerator|).
     """
     X, scalar = _xi_batch(xi, data.d)
-    vals = np.empty(X.shape[0], dtype=complex)
-    for i, row in enumerate(X):
-        zb = data.B.T @ row
-        za = -(data.A.T @ row)
-        num = cross_form(data, mod, zb, za, route="direct")
-        den = cross_form(data, IDENTITY_MOD, zb, za, route="direct")
-        ps_b = psi(data, zb)
-        ps_a = psi(data, za)
-        ps_c = psi(data, zb + za)
-        expo = np.exp(u * (ps_b + ps_a))
-        if abs(den) < 1e-12 * (1.0 + abs(num)):
-            vals[i] = expo * u * num
-        else:
-            vals[i] = (np.exp(u * ps_c) - expo) * num / den
+    zb = X @ data.B
+    za = -(X @ data.A)
+    num = cross_form(data, mod, zb, za)
+    den = cross_form(data, IDENTITY_MOD, zb, za)
+    ps_b, ps_a, ps_c = psi(data, np.concatenate([zb, za, zb + za])).reshape(3, -1)
+    expo = np.exp(u * (ps_b + ps_a))
+    vals = expo * u * num
+    ratio = ~(np.abs(den) < 1e-12 * (1.0 + np.abs(num)))  # a NaN den keeps the ratio
+    vals[ratio] = (np.exp(u * ps_c[ratio]) - expo[ratio]) * num[ratio] / den[ratio]
     return _maybe_scalar(vals, scalar)
 
 
@@ -368,8 +363,7 @@ def symbol_grid_from_values(values: np.ndarray, grid: Grid,
                       argmax_xi=xi)
 
 
-def evaluate_grid(spec: SymbolSpec, L=None, N=None,
-                  check_bound: bool = True) -> SymbolGrid:
+def evaluate_grid(spec: SymbolSpec, L=None, N=None) -> SymbolGrid:
     """Tabulate a symbol on the frequency lattice and enforce |m| <= 1 + 1e-9.
 
     Points where a degree-0 or axis-singular symbol is undefined store 0.
@@ -381,4 +375,4 @@ def evaluate_grid(spec: SymbolSpec, L=None, N=None,
         N = Nd if N is None else N
     grid = Grid(d, L, N)
     vals = np.asarray(spec(grid.xi, on_degenerate="zero"), dtype=complex)
-    return symbol_grid_from_values(vals, grid, check_bound=check_bound)
+    return symbol_grid_from_values(vals, grid)

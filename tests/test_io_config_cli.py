@@ -268,13 +268,18 @@ def test_cli_paths_override_is_checked_like_the_config(tmp_path, stable_cfg_file
 
 
 def test_cli_seed_override_is_checked_like_the_config(tmp_path, stable_cfg_file):
-    # a negative seed used to end `levymult mc` in an OverflowError traceback
-    res = _run_cli(["mc", "--config", str(stable_cfg_file), "--seed", "-1", "--out", "mc"],
-                   tmp_path)
-    assert res.returncode == 2, res.stdout + res.stderr
-    last = json.loads(res.stdout.strip().split("\n")[-1])
-    assert last["code"] == "ConfigValidationError" and "Traceback" not in res.stderr
-    assert last["message"] == "--seed = -1 is not an integer in [0, 2**64)"
+    # a negative seed used to end `levymult mc` in an OverflowError traceback, and
+    # a seed or path count that argparse could not read as an int in its usage text
+    for flag, value, message in (
+            ("--seed", "-1", "--seed = -1 is not an integer in [0, 2**64)"),
+            ("--seed", "1.5", "--seed = 1.5 is not an integer in [0, 2**64)"),
+            ("--paths", "abc", "--paths = 'abc' is not an integer >= 2")):
+        res = _run_cli(["mc", "--config", str(stable_cfg_file), flag, value, "--out", "mc"],
+                       tmp_path)
+        assert res.returncode == 2, res.stdout + res.stderr
+        last = json.loads(res.stdout.strip().split("\n")[-1])
+        assert last["code"] == "ConfigValidationError" and "Traceback" not in res.stderr
+        assert last["message"] == message
 
 
 # ---------------------------------------------------------------------------

@@ -38,6 +38,7 @@ from levymult.errors import (
     RequiresFiniteMeasure,
     ShapeMismatch,
 )
+from levymult import levy
 from levymult.levy import exponents
 
 ALPHA = 0.5
@@ -141,11 +142,12 @@ def test_psi_radial_runs_past_r_max_at_slow_rates():
         assert abs(psi(data, [z]) + z ** 0.5) < 1e-14
 
 
-def test_psi_quadrature_error_control():
+def test_psi_quadrature_error_control(monkeypatch):
     radial = StableMeasure(ALPHA, 1).as_radial(r_max=1e6)
     data = make_data(radial)
+    monkeypatch.setattr(levy, "DEFAULT_REL_TOL", 1e-18)
     with pytest.raises(QuadratureNotConverged):
-        psi(data, [1.0], rel_tol=1e-18)
+        psi(data, [1.0])
 
 
 def test_psi_conjugation_and_negativity(mixed_atoms_data):
@@ -335,61 +337,90 @@ def test_cross_single_atom_hand_value():
     assert val == pytest.approx(4.0, abs=1e-13)  # (e^{i pi} - 1)^2
 
 
+def _difference(data, mod, z1, z2):
+    """psi_tilde(z1 + z2) - psi_tilde(z1) - psi_tilde(z2): the cross form the
+    direct integral must reproduce."""
+    z1, z2 = np.asarray(z1, dtype=float), np.asarray(z2, dtype=float)
+    return psi_tilde(data, mod, z1 + z2) - psi_tilde(data, mod, z1) - psi_tilde(data, mod, z2)
+
+
 def test_cross_identity_direct_vs_difference(mixed_atoms_data, complex_phi):
     rng = np.random.default_rng(2)
     for _ in range(100):
         z1, z2 = rng.normal(size=2) * 2.5
-        direct = cross_form(mixed_atoms_data, complex_phi, [z1], [z2], route="direct")
-        diff = (psi_tilde(mixed_atoms_data, complex_phi, [z1 + z2])
-                - psi_tilde(mixed_atoms_data, complex_phi, [z1])
-                - psi_tilde(mixed_atoms_data, complex_phi, [z2]))
-        assert abs(direct - diff) < 1e-10
+        direct = cross_form(mixed_atoms_data, complex_phi, [z1], [z2])
+        assert abs(direct - _difference(mixed_atoms_data, complex_phi, [z1], [z2])) < 1e-10
 
 
 def test_cross_stable_sign_closed_form_vs_quadrature():
+    # I (e^{icz} - 1) sgn(z) nu(dz) = i tan(pi alpha/2) sgn(c) |c|^alpha for the
+    # stable measure; the compensators cancel in the three-term combination
+    def u(c):
+        return 1j * math.tan(math.pi * ALPHA / 2.0) * np.sign(c) * abs(c) ** ALPHA
+
     data = stable_data()
     mod = Modulator(phi=sign_mod())
     for z1, z2 in ((1.0, 1.0), (0.5, 2.0), (-1.5, 0.7)):
-        quad = cross_form(data, mod, [z1], [z2], route="direct")
-        closed = cross_form(data, mod, [z1], [z2], route="difference")
-        assert quad == pytest.approx(closed, rel=1e-8, abs=1e-10)
+        quad = cross_form(data, mod, [z1], [z2])
+        assert quad == pytest.approx(u(z1 + z2) - u(z1) - u(z2), rel=1e-8, abs=1e-10)
 
 
 @pytest.mark.parametrize("z1, z2", [(1.0, 0.2), (2.0, -0.25)])
 def test_cross_stable_direct_resolves_slowest_tail_term(z1, z2):
     # the tail cut follows the slowest rate, here |z2|, not the fastest |z1 + z2|
     data = make_data(StableMeasure(0.5, 1))
-    direct = cross_form(data, IDENTITY_MOD, [z1], [z2], route="direct")
-    diff = cross_form(data, IDENTITY_MOD, [z1], [z2], route="difference")
-    assert abs(direct - diff) < 1e-13
+    direct = cross_form(data, IDENTITY_MOD, [z1], [z2])
+    assert abs(direct - _difference(data, IDENTITY_MOD, [z1], [z2])) < 1e-13
 
 
 def test_cross_stable_direct_near_cancelling_rates_raise():
     # |z1 + z2| = 1e-7 |z1|: following that rate would take 2e8 panels, so its
-    # tail stays booked as error and the direct route raises a named error
+    # tail stays booked as error and the direct integral raises a named error
     data = make_data(StableMeasure(0.5, 1))
     with pytest.raises(QuadratureNotConverged):
-        cross_form(data, IDENTITY_MOD, [1.0], [-0.9999999], route="direct")
+        cross_form(data, IDENTITY_MOD, [1.0], [-0.9999999])
 
 
-def test_cross_radial_halfspace_direct_vs_difference():
-    # the direct route and the exponent share the per-direction sum; check it
-    # with a weight that differs between directions and along them
-    from levymult import constant_mod, halfspace_mod
-
+def _radial_halfspace():
     radial = RadialProductMeasure(RadialProfile("stable", 0.7, 0.5),
                                   [[1.0, 0.0], [0.6, 0.8], [-0.6, -0.8], [0.0, -1.0]],
                                   [1.0, 0.5, 0.7, 0.3])
     data = make_data(radial, mu=SphericalMeasure([[0.0, 1.0]], [0.5]), gamma=[0.2, -0.1])
-    mod = Modulator(phi=halfspace_mod([1.0, 0.5]), psi=constant_mod(0.5))
+    return data, Modulator(phi=halfspace_mod([1.0, 0.5]), psi=constant_mod(0.5))
+
+
+def test_cross_radial_halfspace_direct_vs_difference():
+    # the direct integral and the exponent share the per-direction sum; check
+    # it with a weight that differs between directions and along them
+    data, mod = _radial_halfspace()
     rng = np.random.default_rng(5)
     for _ in range(4):
         z1, z2 = rng.normal(size=(2, 2)) * 1.5
-        direct = cross_form(data, mod, z1, z2, route="direct")
-        diff = (psi_tilde(data, mod, z1 + z2) - psi_tilde(data, mod, z1)
-                - psi_tilde(data, mod, z2))
+        direct = cross_form(data, mod, z1, z2)
         assert abs(direct) > 0.5
-        assert abs(direct - diff) < 1e-9
+        assert abs(direct - _difference(data, mod, z1, z2)) < 1e-9
+
+
+def test_cross_batch_rows_equal_per_row_calls():
+    # atoms with a sphere part and a complex table phi, then a radial measure
+    atoms = make_data(AtomsMeasure([[0.8, 0.1], [-1.7, 0.4], [0.3, -0.2]], [0.6, 0.9, 0.2]),
+                      mu=SphericalMeasure([[1.0, 0.0], [0.6, -0.8]], [0.4, 0.3]))
+    atoms_mod = Modulator(phi=table_mod([0.9j, -0.4, 0.5 + 0.5j]), psi=table_mod([0.8, -0.3j]))
+    rng = np.random.default_rng(11)
+    for data, mod in ((atoms, atoms_mod), _radial_halfspace()):
+        Z1, Z2 = rng.normal(size=(2, 5, 2)) * 1.5
+        batch = cross_form(data, mod, Z1, Z2)
+        assert batch.shape == (5,)
+        rows = [cross_form(data, mod, z1, z2) for z1, z2 in zip(Z1, Z2)]
+        assert np.max(np.abs(batch - rows)) <= 1e-15 * np.max(np.abs(rows))
+
+
+@pytest.mark.parametrize("zeta1, zeta2", [
+    ([1.0, 2.0], [0.5]), ([[1.0, 2.0]], [[0.5, 0.5]]), ([[1.0], [2.0]], [[0.5]]),
+])
+def test_cross_rows_of_wrong_shape_raise_shape_mismatch(single_atom_data, zeta1, zeta2):
+    with pytest.raises(ShapeMismatch):
+        cross_form(single_atom_data, IDENTITY_MOD, zeta1, zeta2)
 
 
 def test_cross_with_sphere_part():

@@ -12,24 +12,30 @@ from levymult import (
     SampledField,
     SphericalMeasure,
     SymbolSpec,
+    approximate,
     brownian_pairing,
     check_subordination,
+    cross_form,
     estimate_pairing,
     gaussian_bump,
     evaluate_grid,
     gaussian_spectral_value,
     lp_norm,
     make_data,
+    norm_probe,
     pairing,
     psi,
+    psi_tilde,
     run_cpp_paths,
     semigroup_eval,
     simulate_cpp,
     spectral_pairing_value,
+    symbol_integral,
     table_mod,
     within_sigmas,
 )
 from levymult.kernels import brownian_accumulate
+from levymult.quadrature import panel_rule
 from levymult.spectral import values_from_coefficients
 from levymult.errors import GridMismatch, MeasureValidationError, StepTooCoarse
 from levymult import checks, mc
@@ -559,6 +565,10 @@ def test_brownian_gate_quiet_on_former_false_alarm_seeds(K):
 def test_brownian_bad_steps_and_block_size_named(bump_f, bump_g, single_atom_data):
     with pytest.raises(ValueError, match="steps = 5"):
         brownian_pairing(bump_f, bump_g, [[1.0]], [[1.0]], [[1.0]], 10, 5, 1)
+    for steps, richardson in ((4.0, True), (3.0, False), (2.5, False), (1, False)):
+        with pytest.raises(ValueError, match=f"steps = {steps} is not an integer >= 2"):
+            brownian_pairing(bump_f, bump_g, [[1.0]], [[1.0]], [[1.0]], 10, steps, 1,
+                             richardson=richardson)
     assert brownian_pairing(bump_f, bump_g, [[1.0]], [[1.0]], [[1.0]], 10, 5, 1,
                             richardson=False).steps == 5
     for block in (-3, 2.5):
@@ -658,9 +668,17 @@ def test_benchmark_calls_still_bind(bump_f, bump_g):
     sig(estimate_pairing).bind(bump_f, bump_g, data, IDENTITY_MOD, 10, 1)
     sig(brownian_pairing).bind(bump_f, bump_g, [[1.0]], [[1.0]], [[0.7j]], 10, 4, 1,
                                var_scale=0.5, richardson=True)
+    spec = SymbolSpec(variant="q_form", data=data, mod=IDENTITY_MOD)
+    sig(approximate).bind(data, IDENTITY_MOD, 0.01, zeta_max=4.5)
+    sig(symbol_integral).bind(data, IDENTITY_MOD, np.ones((3, 1)))
+    sig(evaluate_grid).bind(spec, L=40.0, N=8)
+    sig(norm_probe).bind(evaluate_grid(spec, L=40.0, N=8), 2.0, trials=4, seed=1,
+                         ascent_steps=2)
     for fn, names in ((run_cpp_paths, {"n_paths"}), (brownian_pairing, {"n_paths"}),
                       (mc.cpp_pair_coeffs, {"times", "offsets", "fhat"}),
-                      (brownian_accumulate, {"dW", "fhat"})):
+                      (brownian_accumulate, {"dW", "fhat"}),
+                      (psi, {"data", "zeta"}), (psi_tilde, {"data", "zeta"}),
+                      (cross_form, {"data", "zeta1"}), (panel_rule, {"edges"})):
         assert names <= set(sig(fn).parameters), fn.__name__
     stats = run_cpp_paths(bump_f, bump_f, data, IDENTITY_MOD, 4, 1, fend_powers=(2.0,))
     assert stats["njumps"].shape == (4,) and set(stats["fend_pow"]) == {2.0}

@@ -131,7 +131,7 @@ def test_riesz_apply_matches_direct_quadrature():
     fhat = 2.0 * np.pi * width**2 * np.exp(
         -width**2 * ((U1 + omega[0]) ** 2 + (U2 + omega[1]) ** 2) / 2.0)
     W = np.outer(w1, w1)
-    axes = f.space_points()
+    axes = f.space_axes
     for ix, iy in ((128, 128), (140, 120), (100, 150)):
         x1, x2 = axes[0][ix], axes[1][iy]
         val = np.sum(W * m * fhat * np.exp(-1j * (U1 * x1 + U2 * x2))) \
@@ -151,7 +151,7 @@ def test_riesz_apply_centered_gaussian_closed_form():
     grid = evaluate_grid(SymbolSpec(variant="preset", preset="riesz", d=2, j=0, k=1),
                          L=L, N=N)
     out = apply_multiplier(grid, f)
-    axes = f.space_points()
+    axes = f.space_axes
     for ix, iy in ((140, 120), (100, 150), (150, 150)):
         x1, x2 = axes[0][ix], axes[1][iy]
         r2 = x1 * x1 + x2 * x2
@@ -207,7 +207,7 @@ def test_lp_norm_values():
     assert lp_norm(cf, 3.0) == pytest.approx(abs(-2.0 + 1.5j) * lp_norm(f, 3.0),
                                              rel=1e-12)
     # unit-height box of measure one
-    x = f.space_points()[0]
+    x = f.space_axes[0]
     box = SampledField(d=1, L=f.L, N=f.N, values=(np.abs(x) <= 0.5).astype(complex))
     w = box.values.real.sum() * f.cell_volume
     for p in (1.5, 2.0, 4.0):
@@ -319,6 +319,8 @@ def test_probe_shared_pass_matches_per_p_calls_and_oracle(N, d, trials, single_a
     ({"p": 1.0}, "p"), ({"p": 0.5}, "p"), ({"p": float("nan")}, "p"),
     ({"p": float("inf")}, "p"), ({"p": (2.0, 1.0)}, "p"), ({"p": ()}, "p"),
     ({"trials": 0}, "trials"), ({"ascent_steps": -1}, "ascent_steps"),
+    ({"trials": 2.5}, "trials"), ({"ascent_steps": 1.5}, "ascent_steps"),
+    ({"seed": 1.5}, "seed"), ({"seed": -1}, "seed"), ({"seed": 2**64}, "seed"),
 ])
 def test_probe_rejects_bad_inputs_by_name(kwargs, name):
     grid = symbol_grid_from_values(np.ones(64), Grid(1, 40.0, 64))

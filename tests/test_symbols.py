@@ -96,6 +96,16 @@ def test_symbol_equivalence_q_vs_integral(seed):
         assert gap.max() < 1e-10
 
 
+def test_symbol_integral_switches_convention_per_row(single_atom_data):
+    # xi = 0 and 2 pi make both cross integrals of the single atom vanish, so
+    # those rows take the product convention while their neighbours take the ratio
+    xi = np.array([[0.0], [1.3], [2.0 * np.pi], [-0.7]])
+    batch = symbol_integral(single_atom_data, IDENTITY_MOD, xi)
+    rows = [symbol_integral(single_atom_data, IDENTITY_MOD, row) for row in xi]
+    assert np.max(np.abs(batch - rows)) <= 1e-15
+    assert np.max(np.abs(batch - symbol_q(single_atom_data, IDENTITY_MOD, xi))) < 1e-10
+
+
 def test_symbol_hermitian_for_identity_phi(single_atom_data):
     rng = np.random.default_rng(5)
     xi = rng.normal(size=(50, 1)) * 4.0
