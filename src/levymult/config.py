@@ -63,11 +63,9 @@ _DEFAULTS = {
         "trials": 500,
         "paths": 200000,
         "steps": 2000,
-        "eps": 0.001,
         "u_scale": 1.0,
         "seed": 12345,
         "var_scale": 0.5,
-        "zeta_max": 8.0,
         "ascent_steps": 200,
         "block_size": 0,
     },

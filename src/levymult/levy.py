@@ -13,9 +13,11 @@ the output operator.  The two exponents evaluated here are
 One evaluator computes both: psi is psi_tilde with unit weights plus the
 drift term i(zeta, gamma), and `exponents` returns the pair from one call.
 On an atomic measure that call is one real-arithmetic pass over the atoms:
-the phases D = (zeta, z_i) are formed once, and cos D - 1 = -2 sin^2(D/2)
-and sin D - D 1_{|z_i|<=1} are contracted with both weight columns.  The
-boundary convention includes |z| = 1 in the compensated region.
+the phases D = (zeta, z_i) are formed once, and cos D - 1 and
+sin D - D 1_{|z_i|<=1}, both from one tangent t = tan(D/2), are contracted
+with both weight columns.  Every e^{iD} - 1 of the exponent layer, atomic
+or radial, is formed from that tangent.  The boundary convention includes
+|z| = 1 in the compensated region.
 `cross_form` evaluates the bilinear integral the ratio-form symbol needs
 directly, never as a difference of exponents, on the same batches of rows.
 """
@@ -47,6 +49,9 @@ from .quadrature import (
 
 DEFAULT_REL_TOL = 1e-9
 UNIT_SPHERE_TOL = 1e-12
+# values in one (rows, atoms) temporary of the atom passes: about 512 kB, so
+# a chunk's phases stay in cache through the tangent and both contractions
+ATOM_CHUNK_VALUES = 1 << 16
 
 
 def stable_coefficient(alpha: float, d: int) -> float:
@@ -424,30 +429,47 @@ def _sphere_part(data: LevyData, Z1: np.ndarray, Z2: np.ndarray, mods) -> np.nda
     return -((Z1 @ dirs) * (Z2 @ dirs)) @ w
 
 
+def _expm1i_parts(D: np.ndarray):
+    """(cos D - 1, sin D), the real and imaginary parts of e^{iD} - 1, from
+    one t = tan(D/2): cos D - 1 = -2 t^2 / (1 + t^2), sin D = 2 t / (1 + t^2).
+
+    One tangent costs a fraction of a sine, and -2 t^2 / (1 + t^2) keeps the
+    relative precision of cos D - 1 ~ -D^2 / 2 at small |D|, which
+    Re(e^{iD}) - 1 loses.  No double lies within about 1e-19 of an odd
+    multiple of pi/2, so |t| stays below about 1e19 and t^2 cannot overflow.
+    """
+    t = np.tan(0.5 * D)
+    C = t * t
+    h = np.add(C, 1.0)
+    np.divide(2.0, h, out=h)    # 2 / (1 + t^2)
+    C *= h
+    np.negative(C, out=C)
+    t *= h
+    return C, t
+
+
 def _atoms_jump_part(nu: AtomsMeasure, Z: np.ndarray, phis) -> np.ndarray:
     """Exact compensated atom sums, one column per weight in phis (a per-atom
     array or one constant), over rows of Z: (K, len(phis)).
 
     One pass serves every weight: each chunk of atoms forms the real phases
-    D = Z atoms^T once and contracts C = cos D - 1 = -2 sin^2(D/2) and
-    S = sin D - D 1_{|z|<=1} with the real and imaginary parts of
-    w = mass * phi, as (C + iS) w = (C w_r - S w_i) + i (C w_i + S w_r).
-    No complex exponential is formed, and -2 sin^2(D/2) keeps the digits of
-    cos D - 1 that Re(e^{iD} - 1) loses at small |D|.  The chunks keep the
-    temporaries of million-atom quadrature measures at about 8e6 doubles.
+    D = Z atoms^T once and contracts C = cos D - 1 and S = sin D - D 1_{|z|<=1}
+    (_expm1i_parts, one tangent per phase) with the real and imaginary parts
+    of w = mass * phi, as (C + iS) w = (C w_r - S w_i) + i (C w_i + S w_r).
+    No complex exponential is formed.  The chunks keep each (K, chunk)
+    temporary at ATOM_CHUNK_VALUES values, so million-atom quadrature
+    measures are summed in cache.
     """
     k = len(phis)
     inside = np.linalg.norm(nu.atoms, axis=1) <= 1.0
-    chunk = max(1, int(4e6) // (Z.shape[0] + 2 * k))  # D, S: K values an atom; w, W: 2k
+    chunk = max(1, ATOM_CHUNK_VALUES // max(1, Z.shape[0]))
     out = np.zeros((Z.shape[0], k), dtype=complex)
     for m0 in range(0, nu.atoms.shape[0], chunk):
         sl = slice(m0, m0 + chunk)
         w = np.stack([nu.weights[sl] * (p if np.ndim(p) == 0 else p[sl]) for p in phis], axis=1)
         D = Z @ nu.atoms[sl].T
-        S = np.sin(D)
+        C, S = _expm1i_parts(D)
         np.subtract(S, D, out=S, where=inside[sl])
-        C = np.sin(np.multiply(D, 0.5, out=D), out=D)  # D is spent from here
-        C *= -2.0 * C
         W = np.concatenate([w.real, w.imag], axis=1)
         CW, SW = C @ W, S @ W
         out += (CW[:, :k] - SW[:, k:]) + 1j * (CW[:, k:] + SW[:, :k])
@@ -527,20 +549,26 @@ def _radial_1d(profile: RadialProfile, integrand, head: float, osc: float, terms
 def _radial_exponent_1d(profile: RadialProfile, c: float, r_max: float,
                         order: int, phi_fn=None):
     """integral over (0, inf) of (e^{icr} - 1 - icr 1_{r<=1}) [phi(r)] rho(r) dr."""
-    # expm1 keeps the digits of cos(cr) - 1 at small cr, where exp(icr) - 1 cancels
-    return _radial_1d(
-        profile, lambda r: np.expm1(1j * c * r) - 1j * c * r * (r <= 1.0),
-        0.5 * c * c, abs(c), ((1.0, c), (-1.0, 0.0)), r_max, order, phi_fn,
-    )
+    def integrand(r):
+        D = c * r
+        C, S = _expm1i_parts(D)
+        return C + 1j * (S - D * (r <= 1.0))
+
+    return _radial_1d(profile, integrand, 0.5 * c * c, abs(c), ((1.0, c), (-1.0, 0.0)),
+                      r_max, order, phi_fn)
 
 
 def _radial_cross_1d(profile: RadialProfile, c1: float, c2: float, r_max: float,
                      order: int, phi_fn=None):
     """integral of (e^{ic1 r} - 1)(e^{ic2 r} - 1) [phi(r)] rho(r) dr on (0, inf)."""
+    def integrand(r):
+        C1, S1 = _expm1i_parts(c1 * r)
+        C2, S2 = _expm1i_parts(c2 * r)
+        return (C1 * C2 - S1 * S2) + 1j * (C1 * S2 + S1 * C2)
+
     # (e^{ic1 r}-1)(e^{ic2 r}-1) = e^{i(c1+c2)r} - e^{ic1 r} - e^{ic2 r} + 1
     return _radial_1d(
-        profile, lambda r: np.expm1(1j * c1 * r) * np.expm1(1j * c2 * r),
-        abs(c1 * c2), max(abs(c1), abs(c2), abs(c1 + c2)),
+        profile, integrand, abs(c1 * c2), max(abs(c1), abs(c2), abs(c1 + c2)),
         ((1.0, c1 + c2), (-1.0, c1), (-1.0, c2), (1.0, 0.0)), r_max, order, phi_fn,
     )
 
@@ -668,13 +696,19 @@ def _phi_values_at_atoms(mod: Modulator, nu: AtomsMeasure) -> np.ndarray:
 
 def _atoms_cross_part(nu: AtomsMeasure, Z1: np.ndarray, Z2: np.ndarray, phi) -> np.ndarray:
     """sum_i (e^{i(z1,z_i)} - 1)(e^{i(z2,z_i)} - 1) phi_i w_i over row pairs,
-    in chunks of atoms that keep each (K, chunk) temporary near 1e6 values."""
+    in real arithmetic on the tangent parts (_expm1i_parts), in chunks of
+    atoms that keep each (K, chunk) temporary at ATOM_CHUNK_VALUES values."""
     w = nu.weights * phi
+    W = np.stack([w.real, w.imag], axis=1)
     out = np.zeros(Z1.shape[0], dtype=complex)
-    chunk = max(1, int(1e6) // max(1, Z1.shape[0]))
+    chunk = max(1, ATOM_CHUNK_VALUES // max(1, Z1.shape[0]))
     for m0 in range(0, w.size, chunk):
         at = nu.atoms[m0:m0 + chunk].T
-        out += (np.expm1(1j * (Z1 @ at)) * np.expm1(1j * (Z2 @ at))) @ w[m0:m0 + chunk]
+        C1, S1 = _expm1i_parts(Z1 @ at)
+        C2, S2 = _expm1i_parts(Z2 @ at)
+        RW = (C1 * C2 - S1 * S2) @ W[m0:m0 + chunk]
+        IW = (C1 * S2 + S1 * C2) @ W[m0:m0 + chunk]
+        out += (RW[:, 0] - IW[:, 1]) + 1j * (RW[:, 1] + IW[:, 0])
     return out
 
 
@@ -718,10 +752,14 @@ def approximate(data: LevyData, mod: Modulator, eps: float, *, zeta_max: float =
     pointwise as eps -> 0.  zeta_max bounds the frequencies at which the
     quadrature atoms stay accurate.  The radial panels run from eps to the
     measure's r_max (500 / eps for the stable measure) with its quad_order
-    nodes, 16 oscillation periods of zeta_max at most per panel.
+    nodes, 16 oscillation periods of zeta_max at most per panel.  eps must
+    lie in (0, inf) (EpsTooLarge) and zeta_max be positive and finite
+    (ValueError): a NaN would drop every atom or lift the width cap.
     """
-    if eps <= 0.0:
-        raise EpsTooLarge("eps must be positive")
+    if not 0.0 < eps < np.inf:
+        raise EpsTooLarge(f"eps = {eps!r} is not in (0, inf)")
+    if not 0.0 < zeta_max < np.inf:
+        raise ValueError(f"zeta_max = {zeta_max!r} is not a positive finite number")
     nu = data.nu
 
     if isinstance(nu, AtomsMeasure):

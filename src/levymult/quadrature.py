@@ -45,14 +45,26 @@ def radial_edges(r_lo: float, r_hi: float, osc_rate: float, order: int,
         max_width = periods_per_panel * 2.0 * np.pi / osc_rate
     edges = [r_lo]
     r = r_lo
-    while r < r_hi:
-        step = min(r, max_width)  # r -> 2r growth until the width cap bites
-        nxt = min(r + step, r_hi)
+    while r < r_hi and r < max_width:  # r -> 2r growth until the width cap bites
+        nxt = min(r + r, r_hi)
         if r < 1.0 < nxt:
             nxt = 1.0
         edges.append(nxt)
         r = nxt
-    return np.asarray(edges)
+    runs = [edges]
+    # width-capped runs r + w, (r + w) + w, ... up to the forced edge at 1 and
+    # then to r_hi; cumsum adds in that order, so the edges are those of the
+    # one-edge-at-a-time loop bit for bit
+    for stop in (1.0, r_hi):
+        if not r < stop <= r_hi:
+            continue
+        terms = np.full(int((stop - r) / max_width) + 3, max_width)
+        terms[0] = r
+        run = np.cumsum(terms)[1:]
+        runs.append(run[run < stop])
+        runs.append([stop])
+        r = stop
+    return np.concatenate(runs)
 
 
 def singular_floor(alpha: float, scale: float, tol: float) -> float:

@@ -180,8 +180,10 @@ def test_unknown_key_named():
 
 
 def test_nested_unknown_key_named():
-    with pytest.raises(ParseError, match="warp"):
-        parse_config('{"params": {"warp": 9}}')
+    # params.eps and params.zeta_max are gone: no command read them
+    for key in ("warp", "eps", "zeta_max"):
+        with pytest.raises(ParseError, match=key):
+            parse_config(f'{{"params": {{"{key}": 9}}}}')
 
 
 def test_syntax_error_carries_position():

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -40,6 +41,7 @@ from levymult.errors import (
 )
 from levymult import levy
 from levymult.levy import exponents
+from levymult.quadrature import radial_edges
 
 ALPHA = 0.5
 
@@ -268,7 +270,7 @@ def test_psi_tilde_halfspace_keeps_one_atom():
 @pytest.mark.parametrize("zeta", [1e-6, 1e-8, 1e-10])
 def test_psi_real_part_conditioned_at_small_phase(zeta):
     # Re psi = w (cos x - 1) with x = zeta z; Re(e^{ix} - 1) loses every digit
-    # of it once x is below about 1e-8, -2 w sin^2(x/2) keeps them
+    # of it once x is below about 1e-8, -2 w t^2/(1+t^2), t = tan(x/2), keeps them
     w, z = 0.7, 1.3
     x = zeta * z
     got = psi(make_data(AtomsMeasure([[z]], [w])), [zeta]).real
@@ -310,7 +312,7 @@ def test_shared_atom_pass_matches_cmath_oracle(dim, kind):
                 "halfspace": halfspace_mod(np.ones(dim))}[kind]
         phis = [_phi_by_hand(kind, z) for z in atoms]
     data, mod = make_data(AtomsMeasure(atoms, masses), gamma=gamma), Modulator(phi=spec)
-    # 4000 rows make atom chunks of 1000: the pass spans two
+    # 4000 rows make atom chunks of ATOM_CHUNK_VALUES // 4000 = 16: the pass spans many
     Z = rng.normal(size=(4000, dim)) * 2.0
     ps, pt = psi(data, Z), psi_tilde(data, mod, Z)
     tol = 1e-12 * masses.sum()
@@ -320,6 +322,88 @@ def test_shared_atom_pass_matches_cmath_oracle(dim, kind):
     ps2, pt2 = exponents(data, mod, Z)
     assert np.max(np.abs(ps2 - ps)) < 1e-13 * masses.sum()
     assert np.max(np.abs(pt2 - pt)) < 1e-13 * masses.sum()
+
+
+# ---------------------------------------------------------------------------
+# e^{iD} - 1 from one tangent; radial panel edges
+# ---------------------------------------------------------------------------
+
+EPS = np.finfo(float).eps
+
+
+def test_tangent_parts_match_sin_and_half_angle_form():
+    # |D| from 1e-150 to 1e7 of both signs, 0, and D next to odd multiples of
+    # pi, where t = tan(D/2) reaches about 1e16
+    D = np.geomspace(1e-150, 1e7, 3000)
+    poles = (2 * np.arange(0, 1_500_000, 7919) + 1) * np.pi
+    D = np.concatenate([[0.0], D, -D, poles, np.nextafter(poles, 0.0), np.nextafter(poles, 1e9),
+                        -poles])
+    assert np.max(np.abs(np.tan(0.5 * D))) > 1e16
+    C, S = levy._expm1i_parts(D)
+    sin_d, cos_m1 = np.sin(D), -2.0 * np.sin(0.5 * D) ** 2
+    assert np.all(np.abs(S - sin_d) <= 4 * EPS * np.maximum(1.0, np.abs(sin_d)))
+    assert np.all(np.abs(C - cos_m1) <= 4 * EPS * np.maximum(1.0, np.abs(cos_m1)))
+
+
+def test_tangent_parts_keep_relative_precision_at_small_phase():
+    # cos D - 1 ~ -D^2 / 2 to about one ulp, against its Taylor series in exact
+    # rational arithmetic (the first omitted term is below 1e-40 relative)
+    D = np.geomspace(1e-150, 1e-2, 200)
+    D = np.concatenate([D, -D])
+    C, _ = levy._expm1i_parts(D)
+    for c, d in zip(C.tolist(), D.tolist()):
+        d2 = Fraction(d) ** 2
+        want = sum((-1) ** j * d2 ** j / math.factorial(2 * j) for j in range(1, 7))
+        assert abs((Fraction(c) - want) / want) <= 2 * EPS
+
+
+def test_tangent_parts_raise_no_flag_at_the_radial_floors():
+    # the radial panel floors reach down to about 4e-104 (alpha = 1.9); t^2
+    # stays normal above |D| ~ 1e-154
+    D = np.geomspace(1e-150, 1e7, 500)
+    zeta = np.array([1e-4, 3e-3, 0.314, 1.0, 2.0, 40.0])
+    with np.errstate(all="raise"):
+        levy._expm1i_parts(np.concatenate([[0.0], D, -D]))
+        for alpha in (0.25, 0.5, 1.5, 1.9):
+            exponents(stable_data(alpha), Modulator(phi=sign_mod()),
+                      np.concatenate([zeta, -zeta])[:, None])
+
+
+def _radial_edges_loop(r_lo, r_hi, osc_rate, order, periods_per_panel=4.0):
+    """radial_edges one edge at a time: the oracle for its cumsum runs."""
+    max_width = np.inf
+    if osc_rate > 0.0:
+        max_width = periods_per_panel * 2.0 * np.pi / osc_rate
+    edges = [r_lo]
+    r = r_lo
+    while r < r_hi:
+        step = min(r, max_width)
+        nxt = min(r + step, r_hi)
+        if r < 1.0 < nxt:
+            nxt = 1.0
+        edges.append(nxt)
+        r = nxt
+    return np.asarray(edges)
+
+
+def test_radial_edges_equal_the_loop_bitwise():
+    cases = [
+        (1e-3, 5e5, 4.5, 64, 16.0),      # approximate at eps = 1e-3: 22 k capped edges
+        (0.3, 40.0, 50.0, 64),           # the capped run crosses the forced edge at 1
+        (0.3, 1.0, 50.0, 64),            # ... which is also the cut r_hi
+        (0.01, 0.9, 30.0, 64),           # the capped run ends at a cut below 1
+        (2.0, 7.3, 5.0, 64),             # capped from the start, above 1
+        (1e-3, 7.0, 2.0 * np.pi, 64, 1.0),  # unit width: the sums land on 1 and on r_hi
+        (1e-8, 100.0, 0.0, 64),          # no oscillation: doubling only
+    ]
+    rng = np.random.default_rng(5)
+    for _ in range(300):
+        lo = 10.0 ** rng.uniform(-12, 1)
+        hi = lo * 10.0 ** rng.uniform(0.01, 4)
+        osc = 0.0 if rng.uniform() < 0.1 else 10.0 ** rng.uniform(-3, 1.5)
+        cases.append((lo, hi, osc, 64, float(rng.choice([1.0, 4.0, 16.0]))))
+    for args in cases:
+        assert np.array_equal(radial_edges(*args), _radial_edges_loop(*args)), args
 
 
 # ---------------------------------------------------------------------------
@@ -460,6 +544,20 @@ def test_approximate_eps_too_large():
     radial = StableMeasure(ALPHA, 1).as_radial(r_max=10.0)
     with pytest.raises(EpsTooLarge):
         approximate(make_data(radial), IDENTITY_MOD, 20.0)
+
+
+@pytest.mark.parametrize("eps", [0.0, -0.1, np.nan, np.inf])
+def test_approximate_rejects_eps_outside_zero_inf(mixed_atoms_data, eps):
+    # a NaN eps used to drop every atom (norm > nan is False) and give psi = 0
+    with pytest.raises(EpsTooLarge, match="eps = "):
+        approximate(mixed_atoms_data, IDENTITY_MOD, eps)
+
+
+@pytest.mark.parametrize("zeta_max", [0.0, -2.0, np.nan, np.inf])
+def test_approximate_rejects_zeta_max_not_positive_finite(zeta_max):
+    # a NaN or nonpositive zeta_max used to lift the oscillation width cap
+    with pytest.raises(ValueError, match="zeta_max = "):
+        approximate(stable_data(), Modulator(phi=sign_mod()), 0.01, zeta_max=zeta_max)
 
 
 def test_approximate_exponent_converges_monotonically():

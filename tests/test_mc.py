@@ -604,6 +604,33 @@ def test_criterion_9_gate_catches_scaled_brownian_increments(monkeypatch):
     assert not any(within_sigmas(est.estimate, est.stderr, ref, 3.0) for est, ref in estimates())
 
 
+def test_criterion_9_gate_catches_transposed_K_on_a_rotation(monkeypatch):
+    """Planted fault for criterion 9 that its n = 1 cases cannot see: K
+    transposed in the Brownian kernel.
+
+    The n = 2 case d = 1, A = (1, 0), B = (0.3, 1), K the 90-degree rotation,
+    on criterion 9's fields.  K reaches the kernel through GB (rows K B^T xi)
+    and U ((A^T xi, K B^T xi)); with K^T = -K both flip sign, and so does the
+    pairing.  At 400 paths x 40 steps with the step-bias gate on, over seeds
+    0-199 the planted runs land 26 sigma or more from the spectral value
+    (median 29; all 200 outside 6) and the unplanted ones 0.55 sigma in the
+    median, 2.2 at most (none outside 3).
+    """
+    f = gaussian_bump(40.0, 1024, 1, center=[0.4], width=0.9)
+    g = gaussian_bump(40.0, 1024, 1, center=[-0.2], width=1.0)
+    A, B = [[1.0, 0.0]], [[0.3, 1.0]]
+    K = np.array([[0.0, -1.0], [1.0, 0.0]])
+    assert np.array_equal(K.T, -K)
+    ref = gaussian_spectral_value(f, g, A, B, K, var_scale=0.5)
+    est = brownian_pairing(f, g, A, B, K, 400, 40, 71, var_scale=0.5)
+    assert within_sigmas(est.estimate, est.stderr, ref, 3.0)
+    kernel = mc.brownian_accumulate
+    monkeypatch.setattr(mc, "brownian_accumulate",
+                        lambda dW, EA, EB, U, GB, *a, **k: kernel(dW, EA, EB, -U, -GB, *a, **k))
+    est = brownian_pairing(f, g, A, B, K, 400, 40, 71, var_scale=0.5)
+    assert not within_sigmas(est.estimate, est.stderr, ref, 6.0)
+
+
 @pytest.mark.parametrize("n_paths", [0, 1, 2.5])
 @pytest.mark.parametrize("entry", ["run_cpp_paths", "estimate_pairing", "brownian_pairing"])
 def test_mc_entry_points_reject_fewer_than_two_paths(bump_f, bump_g, entry, n_paths):

@@ -320,8 +320,9 @@ def test_symbol_q_stable_small_frequency_sweep():
 
 
 def test_symbol_q_stable_mid_alpha_sweep():
-    # the compensated integrand is formed with expm1, so the order-64 and
-    # order-72 panel sums no longer differ by the roundoff of cos(cr) - 1
+    # the compensated integrand's cos(cr) - 1 = -2t^2/(1+t^2), t = tan(cr/2),
+    # keeps its digits at small cr, so the order-64 and order-72 panel sums
+    # do not differ by the roundoff of cos(cr) - 1
     x = np.array([0.6, 1.2, -0.8, 2.0])
     x = np.concatenate([x, -x])
     for alpha in (1.25, 1.5, 1.7):
