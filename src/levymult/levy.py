@@ -448,6 +448,13 @@ def _expm1i_parts(D: np.ndarray):
     return C, t
 
 
+def _phases(Z: np.ndarray, atoms: np.ndarray) -> np.ndarray:
+    """Z atoms^T.  For n = 1 it is the broadcast product Z * atoms[:, 0],
+    bitwise equal and several times cheaper than a matmul with inner
+    dimension 1."""
+    return Z * atoms[:, 0] if atoms.shape[1] == 1 else Z @ atoms.T
+
+
 def _atoms_jump_part(nu: AtomsMeasure, Z: np.ndarray, phis) -> np.ndarray:
     """Exact compensated atom sums, one column per weight in phis (a per-atom
     array or one constant), over rows of Z: (K, len(phis)).
@@ -467,7 +474,7 @@ def _atoms_jump_part(nu: AtomsMeasure, Z: np.ndarray, phis) -> np.ndarray:
     for m0 in range(0, nu.atoms.shape[0], chunk):
         sl = slice(m0, m0 + chunk)
         w = np.stack([nu.weights[sl] * (p if np.ndim(p) == 0 else p[sl]) for p in phis], axis=1)
-        D = Z @ nu.atoms[sl].T
+        D = _phases(Z, nu.atoms[sl])
         C, S = _expm1i_parts(D)
         np.subtract(S, D, out=S, where=inside[sl])
         W = np.concatenate([w.real, w.imag], axis=1)
@@ -703,9 +710,9 @@ def _atoms_cross_part(nu: AtomsMeasure, Z1: np.ndarray, Z2: np.ndarray, phi) -> 
     out = np.zeros(Z1.shape[0], dtype=complex)
     chunk = max(1, ATOM_CHUNK_VALUES // max(1, Z1.shape[0]))
     for m0 in range(0, w.size, chunk):
-        at = nu.atoms[m0:m0 + chunk].T
-        C1, S1 = _expm1i_parts(Z1 @ at)
-        C2, S2 = _expm1i_parts(Z2 @ at)
+        at = nu.atoms[m0:m0 + chunk]
+        C1, S1 = _expm1i_parts(_phases(Z1, at))
+        C2, S2 = _expm1i_parts(_phases(Z2, at))
         RW = (C1 * C2 - S1 * S2) @ W[m0:m0 + chunk]
         IW = (C1 * S2 + S1 * C2) @ W[m0:m0 + chunk]
         out += (RW[:, 0] - IW[:, 1]) + 1j * (RW[:, 1] + IW[:, 0])

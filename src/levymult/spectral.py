@@ -6,6 +6,7 @@ trapezoid/DFT rule; the inverse is exact on the grid, so round trips are
 machine-precision.
 """
 
+import functools
 import numbers
 from dataclasses import dataclass
 
@@ -14,7 +15,7 @@ import numpy as np
 from .errors import GridMismatch, LevyMultError
 from .grids import Grid
 from .levy import LevyData, psi
-from .symbols import SymbolGrid, symbol_grid_from_values
+from .symbols import SymbolGrid
 
 
 @dataclass(frozen=True, eq=False)
@@ -160,13 +161,6 @@ def semigroup_eval(f: SampledField, A, data: LevyData, s: float, x):
     return complex(vals[0]) if scalar else vals
 
 
-def semigroup_multiplier(data: LevyData, A, grid: Grid, s: float) -> SymbolGrid:
-    """The multiplier e^{s psi(-A^T xi)} tabulated on the grid (|.| <= 1)."""
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    vals = np.exp(s * np.atleast_1d(psi(data, -(grid.xi @ A))))
-    return symbol_grid_from_values(vals, grid)
-
-
 # ---------------------------------------------------------------------------
 # operator-norm probing
 # ---------------------------------------------------------------------------
@@ -189,19 +183,42 @@ def p_star_minus_one(p: float) -> float:
     return max(p - 1.0, 1.0 / (p - 1.0))
 
 
-def _lp_ratios(coeffs, m: SymbolGrid, ps) -> np.ndarray:
-    """||Mf||_p / ||f||_p (0 where f = 0) for a (batch, size) stack of
-    coefficient arrays, one column per p; non-finite samples raise ValueError."""
-    fields = values_from_coefficients(np.stack([coeffs, m.flat * coeffs]), m)
+def _fields(coeffs, m: SymbolGrid) -> np.ndarray:
+    """[f, Mf] on the grid for coefficients c (flat lattice in the last
+    axis): values_from_coefficients of [c, m c]."""
+    return values_from_coefficients(np.stack([coeffs, m.flat * coeffs]), m)
+
+
+def _lp_ratios(fields, m: SymbolGrid, ps) -> np.ndarray:
+    """||Mf||_p / ||f||_p (0 where f = 0) from fields = [f, Mf] (_fields),
+    each a (batch,) + grid-shape stack of samples, one column per p;
+    non-finite samples raise ValueError."""
     if not np.all(np.isfinite(fields)):
         raise ValueError("field samples must be finite")
     absf, axes = np.abs(fields), tuple(range(2, m.d + 2))
-    out = np.empty((len(coeffs), len(ps)))
+    out = np.empty((fields.shape[1], len(ps)))
     for j, p in enumerate(ps):
         nf, nmf = (np.sum(absf ** p, axis=axes) * m.cell_volume) ** (1.0 / p)
         with np.errstate(divide="ignore", invalid="ignore"):
             out[:, j] = np.where(nf == 0.0, 0.0, nmf / nf)
     return out
+
+
+def _unit_roots(grid: Grid) -> tuple:
+    """Per axis, the N-th roots of unity e^{-2 pi i r / N}, r = 0..N-1, from
+    the signed frequencies r/N - [r >= N/2] (fftfreq), so that no angle
+    exceeds pi in size."""
+    return tuple(np.exp(-2j * np.pi * np.fft.fftfreq(n)) for n in grid.N)
+
+
+def _plane_wave(grid: Grid, roots: tuple, idx) -> np.ndarray:
+    """values_from_coefficients of a unit coefficient at flat index idx:
+    dxi_norm (-1)^(k_1+...+k_d) prod_ax e^{-2 pi i k_ax j_ax / N_ax}, one
+    outer product of per-axis rows of the roots table (_unit_roots)."""
+    ks = np.unravel_index(idx, grid.N)
+    waves = [r[k * np.arange(n) % n] for r, k, n in zip(roots, ks, grid.N)]
+    waves[0] = grid.dxi_norm * grid.phases.flat[idx] * waves[0]
+    return functools.reduce(np.multiply.outer, waves)
 
 
 def _trig_poly_coeffs(rng, grid: Grid):
@@ -223,12 +240,21 @@ def _trig_poly_coeffs(rng, grid: Grid):
 
 
 def _bump_coeffs(rng, grid: Grid):
+    """transform_forward of a randomly placed, scaled and modulated
+    gaussian_bump, built per axis: the bump is a product of 1-D factors, so
+    its transform is the outer product of their 1-D transforms
+    dx N (-1)^k ifft(factor).  In 1-D these are gaussian_bump's and
+    transform_forward's own expressions, so the coefficients are bitwise
+    theirs."""
     Lr = np.asarray(grid.L)
     center = rng.uniform(-0.125, 0.125, size=grid.d) * Lr
     width = rng.uniform(0.3, 2.0)
     omega = rng.integers(-8, 9, size=grid.d) * 2.0 * np.pi / Lr
-    f = gaussian_bump(grid.L, grid.N, grid.d, center=center, width=width, phase_freq=omega)
-    return transform_forward(f)
+    factors = []
+    for x, c, w, dx, n in zip(grid.space_axes, center, omega, grid.dx, grid.N):
+        fac = np.exp(-(x - c) ** 2 / (2.0 * width**2) + 1j * (w * x))
+        factors.append(dx * n * (-1.0) ** np.arange(n) * np.fft.ifft(fac))
+    return functools.reduce(np.multiply.outer, factors)
 
 
 def norm_probe(m: SymbolGrid, p, trials: int = 500, seed: int = 0,
@@ -237,15 +263,20 @@ def norm_probe(m: SymbolGrid, p, trials: int = 500, seed: int = 0,
 
     Half the trials are random trigonometric polynomials built directly in
     frequency space, half are randomly placed/scaled Gaussian bumps with
-    random phase modulation.  The trials do not depend on p: one pass builds
-    and transforms them in batches of at most 2^16 grid points and scores
-    them for every p.  For each p the best one is then refined by coordinate
-    ascent on its frequency coefficients.  This is a lower-bound method: it
-    can falsify the bound, never certify it.  Deterministic for a fixed seed
-    (per-trial counter-based streams).  A scalar p gives one ProbeReport, a
-    sequence one report per p, in order.  Raises ValueError, naming the
-    input, unless 1 < p < inf, trials is an integer >= 1, ascent_steps an
-    integer >= 0 and seed an integer in [0, 2**64).
+    random phase modulation, whose coefficients are built per axis from 1-D
+    transforms.  The trials do not depend on p: one pass builds and
+    transforms them in batches of at most 2^16 grid points and scores them
+    for every p.  For each p the best one is then refined by coordinate
+    ascent on its frequency coefficients: its f and Mf are transformed once,
+    and a step that changes the coefficient at xi_k by delta adds delta and
+    m(xi_k) delta times the plane wave of xi_k to them, with no further
+    transform; a proposal is kept only if it raises the ratio.  This is a
+    lower-bound method: it can falsify the bound, never certify it.
+    Deterministic for a fixed seed (per-trial counter-based streams).  A
+    scalar p gives one ProbeReport, a sequence one report per p, in order.
+    Raises ValueError, naming the input, unless 1 < p < inf, trials is an
+    integer >= 1, ascent_steps an integer >= 0 and seed an integer in
+    [0, 2**64).
     """
     ps = [float(v) for v in np.ravel(p)]
     if not ps or not all(1.0 < v < np.inf for v in ps):
@@ -261,30 +292,33 @@ def norm_probe(m: SymbolGrid, p, trials: int = 500, seed: int = 0,
         for t in range(start, min(start + batch, trials)):
             rng = np.random.default_rng(np.random.Philox(key=(seed << 16) + t))
             stack.append((_bump_coeffs if t % 2 else _trig_poly_coeffs)(rng, m).ravel())
-        ratios = _lp_ratios(np.array(stack), m, ps)
+        ratios = _lp_ratios(_fields(np.array(stack), m), m, ps)
         ratios[np.isnan(ratios)] = -np.inf  # a NaN ratio never wins
         for j, i in enumerate(np.argmax(ratios, axis=0)):  # first maximum per p
             if ratios[i, j] > best[j][0]:
                 best[j] = (ratios[i, j], start + i, stack[i])
 
+    roots = _unit_roots(m)
     reports = []
     for pj, (ratio, t, coeffs) in zip(ps, best):
         if coeffs is None:
             raise ValueError(f"no trial gave a finite L^{pj} ratio")
         desc = f"{'gaussian-bump' if t % 2 else 'trig-poly'} trial={t}"
-        ratio, coeffs = float(ratio), coeffs.copy()
+        ratio = float(ratio)
+        fields = _fields(coeffs, m)
         rng = np.random.default_rng(np.random.Philox(key=(seed << 16) + trials + 1))
         scale = np.abs(coeffs).max()
         live = np.flatnonzero(np.abs(coeffs) > 1e-12 * scale)
         for _ in range(ascent_steps):
             idx = live[rng.integers(live.size)] if live.size else rng.integers(coeffs.size)
-            old = coeffs[idx]
-            coeffs[idx] = old + 0.25 * scale * (rng.standard_normal() + 1j * rng.standard_normal())
-            step = float(_lp_ratios(coeffs[None], m, (pj,))[0, 0])
+            delta = 0.25 * scale * (rng.standard_normal() + 1j * rng.standard_normal())
+            # adding delta to coefficient idx adds delta and m[idx] delta
+            # times that coefficient's plane wave to f and Mf
+            proposal = fields + np.multiply.outer([delta, m.flat[idx] * delta],
+                                                  _plane_wave(m, roots, idx))
+            step = float(_lp_ratios(proposal[:, None], m, (pj,))[0, 0])
             if step > ratio:
-                ratio, desc = step, desc + "+ascent"
-            else:
-                coeffs[idx] = old
+                ratio, desc, fields = step, desc + "+ascent", proposal
         bound = p_star_minus_one(pj)
         reports.append(ProbeReport(p=pj, bound=bound, best_ratio=ratio, best_descriptor=desc,
                                    trials=trials, seed=seed, passed=ratio <= bound * (1.0 + 5e-3)))

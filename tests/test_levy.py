@@ -572,6 +572,23 @@ def test_approximate_exponent_converges_monotonically():
     assert errs[2] < 2e-3
 
 
+def test_one_dimensional_atom_phases_equal_the_matmul_bitwise(monkeypatch):
+    """For n = 1 the atom passes form Z atoms^T as the broadcast product
+    Z * atoms[:, 0]; through psi, psi_tilde and cross_form on a 287 k-atom
+    surrogate it gives the inner-dimension-1 matmul's values bit for bit."""
+    data, mod = approximate(stable_data(), Modulator(phi=sign_mod()), 0.01, zeta_max=4.5)
+    zeta = np.linspace(-4.5, 4.5, 17)[:, None]   # holds 0 and both signs
+
+    def outputs():
+        return (psi(data, zeta), psi_tilde(data, mod, zeta),
+                cross_form(data, mod, zeta, -0.5 * zeta[::-1]))
+
+    got = outputs()
+    monkeypatch.setattr(levy, "_phases", lambda Z, atoms: Z @ atoms.T)
+    for g, w in zip(got, outputs()):
+        assert np.array_equal(g.view(np.uint64), w.view(np.uint64))
+
+
 def test_approximate_modulated_exponent_tracks_sphere_values():
     # phi_eps takes the sphere weight on the radius-eps atoms
     mu = SphericalMeasure([[1.0], [-1.0]], [1.0, 1.0])

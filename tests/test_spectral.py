@@ -16,12 +16,19 @@ from levymult import (
     norm_probe,
     p_star_minus_one,
     pairing,
+    psi,
     semigroup_eval,
     transform_forward,
     transform_inverse,
 )
 from levymult.errors import GridMismatch
 from levymult.grids import Grid
+from levymult.spectral import (
+    _bump_coeffs,
+    _plane_wave,
+    _unit_roots,
+    values_from_coefficients,
+)
 from levymult.symbols import symbol_grid_from_values
 
 from _probe_oracle import probe_one_p
@@ -248,12 +255,17 @@ def test_semigroup_bounded_by_coefficient_mass(mixed_atoms_data):
             <= bound + 1e-12
 
 
+def _semigroup_multiplier(data, A, grid, s):
+    """The multiplier e^{s psi(-A^T xi)} tabulated on the grid (|.| <= 1)."""
+    A = np.atleast_2d(np.asarray(A, dtype=float))
+    return symbol_grid_from_values(np.exp(s * np.atleast_1d(psi(data, -(grid.xi @ A)))), grid)
+
+
 def test_semigroup_additivity(single_atom_data):
-    from levymult.spectral import semigroup_multiplier
     f = gaussian_bump(40.0, 1024, 1)
     x = np.array([0.21])
-    p4 = apply_multiplier(semigroup_multiplier(single_atom_data, single_atom_data.A,
-                                               f, 0.4), f)
+    p4 = apply_multiplier(_semigroup_multiplier(single_atom_data, single_atom_data.A,
+                                                f, 0.4), f)
     comp = semigroup_eval(p4, single_atom_data.A, single_atom_data, 0.3, x)
     direct = semigroup_eval(f, single_atom_data.A, single_atom_data, 0.7, x)
     assert comp == pytest.approx(direct, abs=1e-10)
@@ -294,13 +306,22 @@ def test_probe_deterministic_for_fixed_seed(single_atom_data):
     assert a.best_descriptor == b.best_descriptor
 
 
-@pytest.mark.parametrize("N, d, trials", [(4096, 1, 37), (64, 2, 37), (1024, 1, 1)])
-def test_probe_shared_pass_matches_per_p_calls_and_oracle(N, d, trials, single_atom_data):
+@pytest.mark.parametrize("N, d, trials, preset", [
+    pytest.param(4096, 1, 37, None, id="4096-1-37"),
+    pytest.param(64, 2, 37, "riesz", id="64-2-37"),
+    pytest.param(1024, 1, 1, None, id="1024-1-1"),
+    pytest.param(64, 2, 37, "log", id="64-2-37-log"),
+])
+def test_probe_shared_pass_matches_per_p_calls_and_oracle(N, d, trials, preset,
+                                                          single_atom_data):
     """One trial pass for all p gives the reports of per-p calls and of the
-    old one-trial-at-a-time loop.  On 4096 points and on the 64 x 64 Riesz
-    grid a batch holds 16 trials, so 37 trials fill batches of 16, 16 and 5."""
+    old one-trial-at-a-time loop, whose ascent transforms every proposal in
+    full.  On 4096 points and on the 64 x 64 grids a batch holds 16 trials,
+    so 37 trials fill batches of 16, 16 and 5.  On the log-ratio preset the
+    ascent accepts 7 and 13 steps at p = 2 and 4, so the rank-one fields of
+    `norm_probe` are checked against full transforms in 2-D."""
     spec = SymbolSpec(variant="q_form", data=single_atom_data) if d == 1 else \
-        SymbolSpec(variant="preset", preset="riesz", d=2)
+        SymbolSpec(variant="preset", preset=preset, d=2)
     grid = evaluate_grid(spec, L=40.0 if d == 1 else 20.0, N=N)
     ps, steps = (1.25, 2.0, 4.0), 25
     shared = norm_probe(grid, ps, trials=trials, seed=9, ascent_steps=steps)
@@ -313,6 +334,47 @@ def test_probe_shared_pass_matches_per_p_calls_and_oracle(N, d, trials, single_a
             assert rep.best_ratio == pytest.approx(other.best_ratio, rel=1e-15, abs=0.0)
             assert (rep.bound, rep.passed, rep.trials) == (other.bound, other.passed,
                                                            other.trials)
+
+
+def _bump_by_hand(rng, grid):
+    """transform_forward of the gaussian_bump built from _bump_coeffs' draws."""
+    Lr = np.asarray(grid.L)
+    center = rng.uniform(-0.125, 0.125, size=grid.d) * Lr
+    width = rng.uniform(0.3, 2.0)
+    omega = rng.integers(-8, 9, size=grid.d) * 2.0 * np.pi / Lr
+    return transform_forward(gaussian_bump(grid.L, grid.N, grid.d, center=center,
+                                           width=width, phase_freq=omega))
+
+
+@pytest.mark.parametrize("d, L, N", [(1, 40.0, 1024), (1, 1.0, 64), (1, 40.0, 4096),
+                                     (2, 20.0, 64), (3, 20.0, 16)])
+def test_bump_coeffs_per_axis_equal_the_full_grid_transform(d, L, N):
+    """Bitwise in 1-D, where the per-axis expressions are the full-grid
+    ones; within roundoff of the largest coefficient in 2-D and 3-D."""
+    grid = Grid(d, L, N)
+    for key in range(20):
+        got = _bump_coeffs(np.random.default_rng(np.random.Philox(key=key)), grid)
+        want = _bump_by_hand(np.random.default_rng(np.random.Philox(key=key)), grid)
+        assert got.shape == tuple(grid.N)
+        if d == 1:
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        else:
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("d, N, ks", [
+    (1, 64, [(0,), (1,), (-3,), (-32,)]),
+    (2, (16, 32), [(0, 0), (1, 0), (0, 1), (-5, 3), (-8, -16), (7, -1)]),
+])
+def test_plane_wave_equals_the_transform_of_a_unit_coefficient(d, N, ks):
+    grid = Grid(d, 20.0, N)
+    roots = _unit_roots(grid)
+    for k in ks:
+        idx = np.ravel_multi_index(tuple(kk % n for kk, n in zip(k, grid.N)), grid.N)
+        unit = np.zeros(grid.size, dtype=complex)
+        unit[idx] = 1.0
+        want = values_from_coefficients(unit, grid)
+        assert np.max(np.abs(_plane_wave(grid, roots, idx) - want)) <= 1e-15 * grid.dxi_norm
 
 
 @pytest.mark.parametrize("kwargs, name", [
