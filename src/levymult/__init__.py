@@ -13,7 +13,6 @@ from .levy import (
     ModSpec,
     Modulator,
     RadialProductMeasure,
-    RadialProfile,
     SphericalMeasure,
     StableMeasure,
     approximate,
@@ -33,14 +32,12 @@ from .levy import (
 )
 from .mc import (
     BrownianEstimate,
-    JumpPath,
     PairingEstimate,
     brownian_pairing,
     check_subordination,
     estimate_pairing,
     gaussian_spectral_value,
     run_cpp_paths,
-    simulate_cpp,
     spectral_pairing_value,
     within_sigmas,
 )
@@ -66,7 +63,6 @@ from .symbols import (
     preset_log_symbol,
     q_func,
     riesz_matrix,
-    stable_constant,
     symbol_gaussian,
     symbol_gaussian_limit,
     symbol_integral,

@@ -21,7 +21,6 @@ from .levy import (
     ModSpec,
     Modulator,
     RadialProductMeasure,
-    RadialProfile,
     SphericalMeasure,
     StableMeasure,
     validate,
@@ -40,8 +39,6 @@ _DEFAULTS = {
         "coeff": 1.0,
         "directions": [],
         "dir_weights": [],
-        "r_max": 10000.0,
-        "quad_order": 64,
     },
     "sphere": {"directions": [], "weights": []},
     "drift": [],
@@ -160,11 +157,10 @@ class RunConfig:
                                 np.asarray(m["weights"], dtype=float))
         if variant == "radial_product":
             return RadialProductMeasure(
-                profile=RadialProfile("stable", float(m["alpha"]), float(m["coeff"])),
+                alpha=float(m["alpha"]),
+                coeff=float(m["coeff"]),
                 directions=np.asarray(m["directions"], dtype=float).reshape(-1, self.n),
                 dir_weights=np.asarray(m["dir_weights"], dtype=float),
-                r_max=float(m["r_max"]),
-                quad_order=int(m["quad_order"]),
             )
         if variant == "stable":
             return StableMeasure(alpha=float(m["alpha"]), n=self.n)

@@ -47,8 +47,8 @@ W_CUT = 0.1   # modes with |WB| below this integrate the compensator by q_func
 
 def cpp_pair_coeffs(times, marks, offsets, zatoms, phi_atoms,
                     fhat, ghat, psiA, psiB, zA, zB, cdA, cdB, S):
-    """Frequency coefficients of F1, G1, g(. + B Y1), and per-jump dF, dG
-    for a block of compound-Poisson paths.  Returns (cF1, cG1, cGend, covF, covG).
+    """Frequency coefficients of F1, G1 and per-jump dF, dG for a block of
+    compound-Poisson paths.  Returns (cF1, cG1, covF, covG).
 
     The per-path state is kept with the paths ordered by jump count, most
     first, so the paths still jumping at step j are a leading slice.
@@ -103,8 +103,7 @@ def cpp_pair_coeffs(times, marks, offsets, zatoms, phi_atoms,
     endB = np.exp(-1j * cdB)                       # EB(1)
     cG1 -= compensator(left, endB * phB, (1.0 - prev)[:, None])
     back = np.argsort(order)
-    return ((fhat * np.exp(-1j * cdA)) * phA[back], cG1[back], (ghat * endB) * phB[back],
-            covF, covG)
+    return (fhat * np.exp(-1j * cdA)) * phA[back], cG1[back], covF, covG
 
 
 # ---------------------------------------------------------------------------

@@ -52,6 +52,7 @@ UNIT_SPHERE_TOL = 1e-12
 # values in one (rows, atoms) temporary of the atom passes: about 512 kB, so
 # a chunk's phases stay in cache through the tangent and both contractions
 ATOM_CHUNK_VALUES = 1 << 16
+QUAD_ORDER = 64   # Gauss-Legendre nodes per radial panel
 
 
 def stable_coefficient(alpha: float, d: int) -> float:
@@ -94,41 +95,20 @@ class AtomsMeasure:
         return self.atoms.shape[1]
 
 
-@dataclass(frozen=True)
-class RadialProfile:
-    """Named radial density rho(r) on (0, inf).
-
-    Only the power-law profile  rho(r) = coeff * r^(-1-alpha)  is shipped;
-    it is the one the worked examples need, and alpha outside (0, 2) gives
-    a non-integrable measure that validate() rejects.
-    """
-
-    name: str = "stable"
-    alpha: float = 0.5
-    coeff: float = 1.0
-
-    def __post_init__(self):
-        if self.name != "stable":
-            raise MeasureValidationError(f"unknown radial profile {self.name!r}")
-
-    def density(self, r):
-        r = np.asarray(r, dtype=float)
-        return self.coeff * r ** (-1.0 - self.alpha)
-
-
 @dataclass(frozen=True, eq=False)
 class RadialProductMeasure:
-    """Radial density times angular atoms: nu(E) = sum_j a_j I 1_E(r theta_j) rho(r) dr.
+    """Power-law density on finitely many rays:
+    nu(E) = sum_j a_j I 1_E(r theta_j) coeff r^(-1-alpha) dr.
 
-    r_max is where numerical integration stops; the remaining tail of the
-    stable profile is handled by an asymptotic series at evaluation time.
+    alpha outside (0, 2) gives a non-integrable measure that validate()
+    rejects.  The exponent integrates to infinity (the tail past the
+    panels by its asymptotic series) and approximate() cuts at 500 / eps.
     """
 
-    profile: RadialProfile
+    alpha: float
+    coeff: float
     directions: np.ndarray   # (J, n), unit vectors
     dir_weights: np.ndarray  # (J,)
-    r_max: float = 1e4
-    quad_order: int = 64
 
     def __post_init__(self):
         object.__setattr__(self, "directions",
@@ -148,19 +128,14 @@ class StableMeasure:
     alpha: float
     n: int = 1
 
-    def as_radial(self, r_max: float = 1e4) -> RadialProductMeasure:
+    def as_radial(self) -> RadialProductMeasure:
         """Equivalent radial-product form (one dimension only)."""
         if self.n != 1:
             raise MeasureValidationError(
                 "radial-product form of the stable measure is only available for n = 1"
             )
-        coeff = stable_coefficient(self.alpha, 1)
-        return RadialProductMeasure(
-            profile=RadialProfile("stable", self.alpha, coeff),
-            directions=np.array([[1.0], [-1.0]]),
-            dir_weights=np.array([1.0, 1.0]),
-            r_max=r_max,
-        )
+        return RadialProductMeasure(self.alpha, stable_coefficient(self.alpha, 1),
+                                    np.array([[1.0], [-1.0]]), np.array([1.0, 1.0]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -311,23 +286,30 @@ def eval_modspec(spec: ModSpec, points: np.ndarray) -> np.ndarray:
     raise ModulatorUndefinedOnSupport(f"modulator kind {spec.kind!r} has no value at points")
 
 
-def _modspec_sup(spec: ModSpec, n: int) -> float:
-    """Supremum of |spec| -- exact for tables, sampled for presets."""
+def _modspec_sup(spec: ModSpec) -> float:
+    """Supremum of |spec|: exact for tables and constants; the other presets
+    are bounded by 1 by construction."""
     if spec.kind == "table":
         return float(np.abs(spec.table).max()) if spec.table.size else 0.0
     if spec.kind == "constant":
         return abs(spec.value)
-    # presets are bounded by 1 by construction; sample anyway as a guard
-    rng = np.random.default_rng(0)
-    pts = rng.standard_normal((256, n))
-    pts /= np.maximum(np.linalg.norm(pts, axis=1, keepdims=True), 1e-12)
-    vals = eval_modspec(spec, pts * rng.uniform(0.1, 3.0, size=(256, 1)))
-    return float(np.abs(vals).max())
+    return 1.0
 
 
 def validate_modulator(mod: Modulator, data: "LevyData") -> Modulator:
+    n = data.n
     for name, spec in (("phi", mod.phi), ("psi", mod.psi)):
-        sup = _modspec_sup(spec, data.n)
+        if spec.kind not in ("constant", "sign", "halfspace", "ball", "phase", "table"):
+            raise ModulatorUndefinedOnSupport(f"{name} has unknown kind {spec.kind!r}")
+        if spec.kind == "sign" and not (isinstance(spec.axis, (int, np.integer))
+                                        and 0 <= spec.axis < n):
+            raise ModulatorUndefinedOnSupport(
+                f"{name} sign axis {spec.axis!r} is not an integer in [0, {n})")
+        if spec.kind == "halfspace" and len(spec.normal) != n:
+            raise ModulatorUndefinedOnSupport(
+                f"{name} halfspace normal has size {len(spec.normal)}, the jump space "
+                f"has dimension {n}")
+        sup = _modspec_sup(spec)
         if sup > 1.0 + 1e-12:
             raise ModulatorExceedsOne(f"sup |{name}| = {sup:.6g} exceeds 1")
     if mod.phi.kind == "table":
@@ -383,15 +365,12 @@ def validate(data: LevyData, mod: Modulator = None) -> LevyData:
             raise MeasureValidationError("angular atoms must be unit vectors")
         if np.any(nu.dir_weights < 0.0):
             raise MeasureValidationError("angular weights must be nonnegative")
-        if nu.r_max <= 1.0:
-            raise MeasureValidationError("r_max must exceed the compensation radius 1")
-        alpha, coeff = nu.profile.alpha, nu.profile.coeff
-        if not 0.0 < alpha < 2.0:  # exactly when min(r^2, 1) r^(-1-alpha) is integrable
+        if not 0.0 < nu.alpha < 2.0:  # exactly when min(r^2, 1) r^(-1-alpha) is integrable
             raise NonIntegrableMeasure(
-                f"coeff r^(-1-alpha) is not integrable against min(r^2, 1): alpha = {alpha}")
-        if not (math.isfinite(coeff) and coeff >= 0.0):
+                f"coeff r^(-1-alpha) is not integrable against min(r^2, 1): alpha = {nu.alpha}")
+        if not (math.isfinite(nu.coeff) and nu.coeff >= 0.0):
             raise MeasureValidationError(
-                f"radial profile coeff must be nonnegative and finite, got {coeff}")
+                f"radial coeff must be nonnegative and finite, got {nu.coeff}")
     elif isinstance(nu, StableMeasure):
         if not 0.0 < nu.alpha < 2.0:
             raise AlphaOutOfRange(f"alpha must lie in (0, 2), got {nu.alpha}")
@@ -483,9 +462,8 @@ def _atoms_jump_part(nu: AtomsMeasure, Z: np.ndarray, phis) -> np.ndarray:
     return out
 
 
-def _radial_1d(profile: RadialProfile, integrand, head: float, osc: float, terms,
-               r_max: float, order: int, phi_fn):
-    """integral over (0, inf) of integrand(r) [phi(r)] rho(r) dr for the stable profile.
+def _radial_1d(nu: RadialProductMeasure, integrand, head: float, osc: float, terms, phi_fn):
+    """integral over (0, inf) of integrand(r) [phi(r)] coeff r^(-1-alpha) dr.
 
     head is the r^2 coefficient of |integrand| at the origin (head = 0 makes
     the integrand vanish), osc the fastest oscillation rate, and terms the
@@ -494,39 +472,34 @@ def _radial_1d(profile: RadialProfile, integrand, head: float, osc: float, terms
     booked as error and the tail past r_max is added analytically, each
     e^{icr} term by its asymptotic series (exactly when c = 0).  The series
     needs |c| r_max >= 30, so the cut follows the slowest nonzero rate,
-    `slow`: an infinite r_max (the stable measure has no cut of its own)
-    becomes 60 / slow, at least 100, and a finite r_max below 30 / slow
-    (r_max only says where the panels stop) runs on to 60 / slow.  slow is
-    kept above 1e-3 osc, which bounds the panels at about 2400; the tail of
-    a slower term is then booked as error.  phi_fn,
+    `slow`: r_max = 60 / slow, at least 100.  slow is kept above 1e-3 osc,
+    which bounds the panels at about 2400; the tail of a slower term is
+    then booked as error.  phi_fn,
     when given, maps radii to weight values along the current direction
     (its tail is then taken constant, valid for the shipped presets, which
     depend only on the direction for large r).
     Returns (value, error_estimate).
     """
-    alpha, coeff = profile.alpha, profile.coeff
+    alpha, coeff = nu.alpha, nu.coeff
     if head == 0.0:
         return 0.0 + 0.0j, 0.0
     slow = max(min(abs(c) for _, c in terms if c != 0.0), 1e-3 * osc)
-    if r_max == np.inf:
-        r_max = max(100.0, 60.0 / slow)
-    elif slow * r_max < 30.0:
-        r_max = 60.0 / slow
+    r_max = max(100.0, 60.0 / slow)
     floor = singular_floor(alpha, head * coeff, 1e-16)
     # r^(-1-alpha) overflows below 1e300^(-1/(1+alpha)) (near alpha = 2, where the
     # floor above is ~1e-147); the mass below the floor is booked as error
     floor = max(min(floor, 0.5 / osc, 0.5), 1e300 ** (-1.0 / (1.0 + alpha)))
 
     def weighted(r):
-        vals = integrand(r) * profile.density(r)
+        vals = integrand(r) * (coeff * r ** (-1.0 - alpha))
         if phi_fn is not None:
             vals = vals * phi_fn(r)
         return vals
 
-    edges = radial_edges(floor, r_max, osc, order)
-    nodes, weights = panel_rule(edges, order)
+    edges = radial_edges(floor, r_max, osc, QUAD_ORDER)
+    nodes, weights = panel_rule(edges, QUAD_ORDER)
     value = np.sum(weighted(nodes) * weights)
-    nodes2, weights2 = panel_rule(edges, order + 8)
+    nodes2, weights2 = panel_rule(edges, QUAD_ORDER + 8)
     value2 = np.sum(weighted(nodes2) * weights2)
     err = abs(value2 - value)
     value = value2
@@ -534,7 +507,7 @@ def _radial_1d(profile: RadialProfile, integrand, head: float, osc: float, terms
     # head below the panel floor: |integrand| ~ head r^2
     err += head * coeff * floor ** (2.0 - alpha) / (2.0 - alpha)
 
-    # analytic stable tail beyond r_max
+    # analytic power-law tail beyond r_max
     tail_phi = 1.0 + 0.0j
     if phi_fn is not None:
         tail_phi = complex(np.asarray(phi_fn(np.array([r_max]))).ravel()[0])
@@ -553,21 +526,18 @@ def _radial_1d(profile: RadialProfile, integrand, head: float, osc: float, terms
     return value, float(err)
 
 
-def _radial_exponent_1d(profile: RadialProfile, c: float, r_max: float,
-                        order: int, phi_fn=None):
-    """integral over (0, inf) of (e^{icr} - 1 - icr 1_{r<=1}) [phi(r)] rho(r) dr."""
+def _radial_exponent_1d(nu: RadialProductMeasure, c: float, phi_fn=None):
+    """integral over (0, inf) of (e^{icr} - 1 - icr 1_{r<=1}) [phi(r)] coeff r^(-1-alpha) dr."""
     def integrand(r):
         D = c * r
         C, S = _expm1i_parts(D)
         return C + 1j * (S - D * (r <= 1.0))
 
-    return _radial_1d(profile, integrand, 0.5 * c * c, abs(c), ((1.0, c), (-1.0, 0.0)),
-                      r_max, order, phi_fn)
+    return _radial_1d(nu, integrand, 0.5 * c * c, abs(c), ((1.0, c), (-1.0, 0.0)), phi_fn)
 
 
-def _radial_cross_1d(profile: RadialProfile, c1: float, c2: float, r_max: float,
-                     order: int, phi_fn=None):
-    """integral of (e^{ic1 r} - 1)(e^{ic2 r} - 1) [phi(r)] rho(r) dr on (0, inf)."""
+def _radial_cross_1d(nu: RadialProductMeasure, c1: float, c2: float, phi_fn=None):
+    """integral of (e^{ic1 r} - 1)(e^{ic2 r} - 1) [phi(r)] coeff r^(-1-alpha) dr on (0, inf)."""
     def integrand(r):
         C1, S1 = _expm1i_parts(c1 * r)
         C2, S2 = _expm1i_parts(c2 * r)
@@ -575,8 +545,8 @@ def _radial_cross_1d(profile: RadialProfile, c1: float, c2: float, r_max: float,
 
     # (e^{ic1 r}-1)(e^{ic2 r}-1) = e^{i(c1+c2)r} - e^{ic1 r} - e^{ic2 r} + 1
     return _radial_1d(
-        profile, integrand, abs(c1 * c2), max(abs(c1), abs(c2), abs(c1 + c2)),
-        ((1.0, c1 + c2), (-1.0, c1), (-1.0, c2), (1.0, 0.0)), r_max, order, phi_fn,
+        nu, integrand, abs(c1 * c2), max(abs(c1), abs(c2), abs(c1 + c2)),
+        ((1.0, c1 + c2), (-1.0, c1), (-1.0, c2), (1.0, 0.0)), phi_fn,
     )
 
 
@@ -598,19 +568,20 @@ def _direction_phi_fn(mod: Modulator, theta: np.ndarray):
 
 
 def _radial_rows(nu, mod: Modulator, rows: np.ndarray, integral, sum_scale: bool) -> np.ndarray:
-    """sum_j a_j integral(profile, (row, theta_j), ..., phi_j) per row of rows (K, r, n)
+    """sum_j a_j integral(radial, (row, theta_j), ..., phi_j) per row of rows (K, r, n)
     for a stable or radial-product measure.
 
-    integral takes the r projections of a row on theta_j and phi_j, phi on
-    the ray through theta_j (see _direction_phi_fn), and returns (value,
-    error); a constant phi multiplies each row's sum.  A row raises
+    integral takes the radial-product measure, the r projections of a row
+    on theta_j and phi_j, phi on the ray through theta_j (see
+    _direction_phi_fn), and returns (value, error); a constant phi
+    multiplies each row's sum.  A row raises
     QuadratureNotConverged when its summed error exceeds DEFAULT_REL_TOL
     times max(scale, 1), scale being |sum| if sum_scale, else the largest
     |a_j value_j|.
     """
     if not isinstance(nu, (StableMeasure, RadialProductMeasure)):
         raise MeasureValidationError(f"unknown jump measure type {type(nu).__name__}")
-    radial = nu.as_radial(r_max=np.inf) if isinstance(nu, StableMeasure) else nu
+    radial = nu.as_radial() if isinstance(nu, StableMeasure) else nu
     const = mod.phi.value if mod.phi.kind == "constant" else 1.0
     dirs = [(theta, aj, _direction_phi_fn(mod, theta))
             for theta, aj in zip(radial.directions, radial.dir_weights) if aj != 0.0]
@@ -618,8 +589,7 @@ def _radial_rows(nu, mod: Modulator, rows: np.ndarray, integral, sum_scale: bool
     for k, row in enumerate(rows):
         total, err, scale = 0.0 + 0.0j, 0.0, 0.0
         for theta, aj, phi_fn in dirs:
-            val, e = integral(radial.profile, *(row @ theta).tolist(), radial.r_max,
-                              radial.quad_order, phi_fn)
+            val, e = integral(radial, *(row @ theta).tolist(), phi_fn)
             total += aj * val
             err += aj * e
             scale = max(scale, abs(val) * aj)
@@ -757,9 +727,9 @@ def approximate(data: LevyData, mod: Modulator, eps: float, *, zeta_max: float =
     Modulator carrying a per-atom phi table).  The jump weights of the new
     atoms keep psi exactly in the compensated form, so psi(new) -> psi(old)
     pointwise as eps -> 0.  zeta_max bounds the frequencies at which the
-    quadrature atoms stay accurate.  The radial panels run from eps to the
-    measure's r_max (500 / eps for the stable measure) with its quad_order
-    nodes, 16 oscillation periods of zeta_max at most per panel.  eps must
+    quadrature atoms stay accurate.  The radial panels run from eps to
+    500 / eps with QUAD_ORDER nodes, 16 oscillation periods of zeta_max at
+    most per panel; EpsTooLarge when eps is not below 500 / eps.  eps must
     lie in (0, inf) (EpsTooLarge) and zeta_max be positive and finite
     (ValueError): a NaN would drop every atom or lift the width cap.
     """
@@ -782,17 +752,17 @@ def approximate(data: LevyData, mod: Modulator, eps: float, *, zeta_max: float =
             raise ModulatorUndefinedOnSupport(
                 "per-atom phi table cannot be carried through a radial conversion"
             )
-        radial = nu.as_radial(r_max=500.0 / eps) if isinstance(nu, StableMeasure) else nu
-        if eps >= radial.r_max:
-            raise EpsTooLarge(f"eps = {eps} is not below the radial cutoff {radial.r_max}")
-        edges = radial_edges(eps, radial.r_max, zeta_max, radial.quad_order,
-                             periods_per_panel=16.0)
-        nodes, node_w = panel_rule(edges, radial.quad_order)
+        r_max = 500.0 / eps
+        if eps >= r_max:
+            raise EpsTooLarge(f"eps = {eps} is not below the radial cutoff 500 / eps = {r_max}")
+        radial = nu.as_radial() if isinstance(nu, StableMeasure) else nu
+        edges = radial_edges(eps, r_max, zeta_max, QUAD_ORDER, periods_per_panel=16.0)
+        nodes, node_w = panel_rule(edges, QUAD_ORDER)
         used = radial.dir_weights != 0.0
         # one block of quadrature atoms nodes * theta_j per used direction
         atoms = (radial.directions[used][:, None, :] * nodes[:, None]).reshape(-1, data.n)
         weights = (radial.dir_weights[used][:, None] * node_w
-                   * radial.profile.density(nodes)).ravel()
+                   * (radial.coeff * nodes ** (-1.0 - radial.alpha))).ravel()
         phi_vals = eval_modspec(mod.phi, atoms)
     else:
         raise MeasureValidationError(f"unknown jump measure type {type(nu).__name__}")

@@ -57,16 +57,6 @@ def path_stream(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.Philox(key=key))
 
 
-@dataclass(frozen=True, eq=False)
-class JumpPath:
-    """One compound-Poisson trajectory on the unit horizon."""
-
-    times: np.ndarray   # (J,) strictly increasing in (0, 1]
-    marks: np.ndarray   # (J,) indices into the atom list
-    jumps: np.ndarray   # (J, n) jump vectors
-    intensity: float    # total mass of the jump measure
-
-
 def _sample_paths(nu: AtomsMeasure, seed: int, first: int, count: int):
     """Jump times and marks of paths first .. first + count - 1.
 
@@ -104,18 +94,6 @@ def _sample_paths(nu: AtomsMeasure, seed: int, first: int, count: int):
     marks = np.minimum(np.searchsorted(cum, u[at + counts[path]], side="right"),
                        nu.weights.size - 1)
     return times, marks, offsets
-
-
-def simulate_cpp(nu: AtomsMeasure, seed: int, index: int = 0) -> JumpPath:
-    """One path of _sample_paths: jump count Poisson(|nu|), times as uniform
-    order statistics, marks with law nu/|nu|.  Deterministic for a fixed
-    (seed, index)."""
-    _check_seed(seed)
-    lam = nu.total_mass
-    if not lam > 0.0:
-        raise MeasureValidationError("compound-Poisson simulation needs |nu| > 0")
-    times, marks, _ = _sample_paths(nu, seed, index, 1)
-    return JumpPath(times=times, marks=marks, jumps=nu.atoms[marks], intensity=lam)
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +173,7 @@ def _cpp_blocks(f: SampledField, g: SampledField, data: LevyData, mod: Modulator
     (b0, offsets, coefficients) per block of paths starting at
     path b0: the jumps of path b0 + i are rows offsets[i]:offsets[i+1] of
     the per-jump coefficients, and coefficients is the output of
-    cpp_pair_coeffs, (cF1, cG1, cGend, covF, covG), on the band.
+    cpp_pair_coeffs, (cF1, cG1, covF, covG), on the band.
     """
     _check_block_size(block_size)
     _check_seed(seed)
@@ -257,7 +235,7 @@ def run_cpp_paths(f: SampledField, g: SampledField, data: LevyData, mod: Modulat
         "fend_pow": {p: np.zeros(n_paths) for p in fend_powers},
         "njumps": np.zeros(n_paths, dtype=int),
     }
-    for b0, offsets, (cF1, cG1, _, covF, covG) in blocks:
+    for b0, offsets, (cF1, cG1, covF, covG) in blocks:
         rows = slice(b0, b0 + offsets.size - 1)
         out["njumps"][rows] = np.diff(offsets)
         out["pair"][rows] = _parseval(f, cF1, cG1, neg)
@@ -288,7 +266,7 @@ def check_subordination(f: SampledField, g: SampledField, data: LevyData,
     head = abs(semigroup_eval(f, data.A, data, 1.0, x)) ** 2
     violating = jumps = 0
     worst = 0.0
-    for _, offsets, (_, _, _, covF, covG) in blocks:
+    for _, offsets, (_, _, covF, covG) in blocks:
         counts = np.diff(offsets)
         df2 = np.abs(covF @ phase) ** 2
         dg2 = np.abs(covG @ phase) ** 2

@@ -79,15 +79,15 @@ def singular_floor(alpha: float, scale: float, tol: float) -> float:
     return float(min(max(delta, 1e-300), 0.5))
 
 
-def stable_tail_exp(c: float, r0: float, alpha: float, coeff: float,
-                    terms: int = 10):
+def stable_tail_exp(c: float, r0: float, alpha: float, coeff: float):
     """Asymptotic tail integral(coeff * e^{icr} * r^{-1-alpha}, r0..inf).
 
-    Integration by parts in e^{icr}; valid when |c| * r0 >> 1.  Returns
-    (value, error_bound).
+    Ten terms of integration by parts in e^{icr}; valid when |c| * r0 >> 1.
+    Returns (value, error_bound).
     """
     if c == 0.0:
         raise ValueError("oscillation rate must be nonzero for the tail series")
+    terms = 10
     s = 1.0 + alpha
     ic = 1j * c
     value = 0.0 + 0.0j

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import levy
 from .errors import (
     AlphaOutOfRange,
     DegenerateDenominator,
@@ -32,9 +31,6 @@ from .levy import IDENTITY_MOD, LevyData, Modulator, cross_form, exponents, psi
 
 BOUND_TOL = 1e-9
 _TAYLOR_CUT = 1e-3
-
-# re-export: the stable density coefficient lives with the measure code
-stable_constant = levy.stable_coefficient
 
 
 def q_func(z):

@@ -1,12 +1,13 @@
 """Exact single-path traces of F and G: the test oracle for the blocked kernel.
 
-Each trace evaluates the martingales one path at a time from the spectral
+`simulate_cpp` draws one path from the engine's sampler.  Each trace
+evaluates the martingales one path at a time from the spectral
 semigroup, and the compensator of G by Gauss-Legendre quadrature in time
 with node doubling, instead of the closed forms the kernel uses.  The
 tests compare the blocked kernel's endpoints and subordination figures
 against these traces.  `point_and_power_stats` reads, off the blocked
 kernel's coefficients, the point values and G-side L^q powers that only the
-tests use.
+tests use, and forms the coefficients of g(. + B Y1) itself.
 """
 
 import warnings
@@ -24,9 +25,8 @@ from levymult.levy import (
     drift_reduce,
     psi,
 )
-from levymult.mc import JumpPath
 from levymult.quadrature import panel_rule
-from levymult.spectral import SampledField, transform_forward
+from levymult.spectral import SampledField, _check_seed, transform_forward
 
 
 class TraceMismatch(LevyMultError):
@@ -35,6 +35,28 @@ class TraceMismatch(LevyMultError):
 
 class QuadratureNodesInsufficient(UserWarning):
     """Doubling compensator quadrature nodes moved the result noticeably."""
+
+
+@dataclass(frozen=True, eq=False)
+class JumpPath:
+    """One compound-Poisson trajectory on the unit horizon."""
+
+    times: np.ndarray   # (J,) strictly increasing in (0, 1]
+    marks: np.ndarray   # (J,) indices into the atom list
+    jumps: np.ndarray   # (J, n) jump vectors
+    intensity: float    # total mass of the jump measure
+
+
+def simulate_cpp(nu: AtomsMeasure, seed: int, index: int = 0) -> JumpPath:
+    """Path `index` of mc._sample_paths: jump count Poisson(|nu|), times as
+    uniform order statistics, marks with law nu/|nu|.  Deterministic for a
+    fixed (seed, index)."""
+    _check_seed(seed)
+    lam = nu.total_mass
+    if not lam > 0.0:
+        raise MeasureValidationError("compound-Poisson simulation needs |nu| > 0")
+    times, marks, _ = mc._sample_paths(nu, seed, index, 1)
+    return JumpPath(times=times, marks=marks, jumps=nu.atoms[marks], intensity=lam)
 
 
 class _Semigroup:
@@ -219,14 +241,22 @@ def point_and_power_stats(f: SampledField, g: SampledField, data: LevyData,
     reads them).  Returns a dict: x0_point; f1_x0, g1_x0, gend_x0, the values
     of F1, G1 and g(x0 + B Y1); g1_pow, gend_pow, {q: integral |G1|^q} and
     {q: integral |g(x + B Y1)|^q} over every mc.SUB_STRIDE-th grid point.
+    The coefficients of g(. + B Y1) are ghat_k e^{-i(zB_k, h + sum of the
+    path's jumps)} on the band, from the engine's own paths and drift h.
     """
     band, _, blocks = mc._cpp_blocks(f, g, data, mod, n_paths, seed)
+    _, ghat, _, _, _, zB = mc._band(f, g, data.A, data.B)
+    _, h = drift_reduce(data)
+    _, marks, offsets = mc._sample_paths(data.nu, seed, 0, n_paths)
+    y1 = np.tile(h, (n_paths, 1))
+    np.add.at(y1, np.repeat(np.arange(n_paths), np.diff(offsets)), data.nu.atoms[marks])
     stride = mc.SUB_STRIDE
     x0 = np.array([ax[::stride][(n // stride) // 2] for ax, n in zip(f.space_axes, f.N)])
     at_x0 = mc._point_phases(f, band, x0)
     rows = {key: [] for key in ("f1_x0", "g1_x0", "gend_x0")}
     pows = {key: {q: [] for q in powers} for key in ("g1_pow", "gend_pow")}
-    for _, _, (cF1, cG1, cGend, _, _) in blocks:
+    for b0, offs, (cF1, cG1, _, _) in blocks:
+        cGend = ghat[band] * np.exp(-1j * (y1[b0:b0 + offs.size - 1] @ zB.T))
         for key, coeffs in (("f1_x0", cF1), ("g1_x0", cG1), ("gend_x0", cGend)):
             rows[key].append(coeffs @ at_x0)
         for key, coeffs in (("g1_pow", cG1), ("gend_pow", cGend)):

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -180,10 +181,12 @@ def test_unknown_key_named():
 
 
 def test_nested_unknown_key_named():
-    # params.eps and params.zeta_max are gone: no command read them
-    for key in ("warp", "eps", "zeta_max"):
-        with pytest.raises(ParseError, match=key):
-            parse_config(f'{{"params": {{"{key}": 9}}}}')
+    # params.eps and params.zeta_max are gone, as no command read them, and so
+    # are measure.r_max and measure.quad_order, as the radial measure has no cut
+    for block, key in (("params", "warp"), ("params", "eps"), ("params", "zeta_max"),
+                       ("measure", "r_max"), ("measure", "quad_order")):
+        with pytest.raises(ParseError, match=re.escape(f"unknown key '{key}' at {block}.")):
+            parse_config(f'{{"{block}": {{"{key}": 9}}}}')
 
 
 def test_syntax_error_carries_position():
@@ -378,6 +381,19 @@ def test_cli_error_reports_reason_on_last_line(tmp_path):
     last = json.loads(res.stdout.strip().split("\n")[-1])
     assert last["status"] == "error"
     assert "fooo" in last["message"]
+
+
+def test_cli_sign_axis_outside_the_jump_space_is_a_named_error(tmp_path):
+    cfg = json.loads(STABLE_CONFIG)
+    cfg["modulator"] = {"phi": {"kind": "sign", "axis": 3}}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    res = _run_cli(["symbol", "--config", str(path), "--out", "run"], tmp_path)
+    assert res.returncode == 2, res.stdout + res.stderr
+    last = json.loads(res.stdout.strip().split("\n")[-1])
+    assert last["status"] == "error"
+    assert last["code"] == "ModulatorUndefinedOnSupport"
+    assert "axis" in last["message"]
 
 
 def test_cli_mc_names_a_gaussian_part_it_cannot_sample(tmp_path):

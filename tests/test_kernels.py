@@ -6,9 +6,9 @@ import pytest
 from levymult import AtomsMeasure, Modulator, gaussian_bump, make_data, table_mod
 from levymult import kernels, mc
 from levymult.kernels import brownian_accumulate, lattice_phases
-from levymult.mc import JumpPath, run_cpp_paths, simulate_cpp
+from levymult.mc import run_cpp_paths
 
-from _traces import general_G
+from _traces import JumpPath, general_G, simulate_cpp
 
 
 def test_numpy_backend_handles_empty_blocks():

@@ -12,7 +12,6 @@ from levymult import (
     IDENTITY_MOD,
     Modulator,
     RadialProductMeasure,
-    RadialProfile,
     SphericalMeasure,
     StableMeasure,
     approximate,
@@ -67,8 +66,7 @@ def test_validate_rejects_origin_atom():
 
 def test_validate_rejects_nonintegrable_profile():
     # rho(r) = r^-3 diverges at the origin against min(r^2, 1)
-    measure = RadialProductMeasure(RadialProfile("stable", 2.0, 1.0),
-                                   [[1.0]], [1.0], r_max=100.0)
+    measure = RadialProductMeasure(2.0, 1.0, [[1.0]], [1.0])
     with pytest.raises(NonIntegrableMeasure):
         validate(make_data(measure))
 
@@ -81,8 +79,7 @@ def test_validate_rejects_nonintegrable_profile():
     (0.5, math.inf, MeasureValidationError),
 ])
 def test_validate_rejects_bad_radial_profile(alpha, coeff, error):
-    measure = RadialProductMeasure(RadialProfile("stable", alpha, coeff),
-                                   [[1.0], [-1.0]], [1.0, 1.0], r_max=100.0)
+    measure = RadialProductMeasure(alpha, coeff, [[1.0], [-1.0]], [1.0, 1.0])
     with pytest.raises(error):
         validate(make_data(measure))
 
@@ -130,22 +127,22 @@ def test_psi_stable_closed_form():
 
 def test_psi_radial_quadrature_matches_closed_form():
     # the radial-product realization of the stable measure is an independent path
-    radial = StableMeasure(ALPHA, 1).as_radial(r_max=1e6)
+    radial = StableMeasure(ALPHA, 1).as_radial()
     data = make_data(radial)
     for z in (0.25, 1.0, 3.0):
         assert psi(data, [z]) == pytest.approx(-abs(z) ** ALPHA, rel=1e-8)
 
 
 def test_psi_radial_runs_past_r_max_at_slow_rates():
-    # r_max = 1e4 leaves |zeta| r_max < 30 below zeta = 3e-3: the panels run on
-    # until the tail series holds instead of booking the tail as error
-    data = make_data(StableMeasure(0.5, 1).as_radial(r_max=1e4))
+    # the panels run to 60 / |zeta|, where the tail series holds, instead of
+    # booking the tail as error
+    data = make_data(StableMeasure(0.5, 1).as_radial())
     for z in (0.001, 0.002):
         assert abs(psi(data, [z]) + z ** 0.5) < 1e-14
 
 
 def test_psi_quadrature_error_control(monkeypatch):
-    radial = StableMeasure(ALPHA, 1).as_radial(r_max=1e6)
+    radial = StableMeasure(ALPHA, 1).as_radial()
     data = make_data(radial)
     monkeypatch.setattr(levy, "DEFAULT_REL_TOL", 1e-18)
     with pytest.raises(QuadratureNotConverged):
@@ -191,8 +188,7 @@ def test_psi_is_unit_weight_psi_tilde_plus_drift(model):
         data = make_data(StableMeasure(0.75, 1), mu=SphericalMeasure([[1.0]], [0.4]),
                          gamma=[0.3])
     else:
-        radial = RadialProductMeasure(RadialProfile("stable", 0.7, 0.5),
-                                      [[1.0, 0.0], [-0.6, 0.8]], [1.0, 0.5])
+        radial = RadialProductMeasure(0.7, 0.5, [[1.0, 0.0], [-0.6, 0.8]], [1.0, 0.5])
         data = make_data(radial, mu=mu, gamma=[0.3, -0.2])
     Z = np.random.default_rng(4).normal(size=(6, data.n)) * 1.5
     want = psi_tilde(data, IDENTITY_MOD, Z) + 1j * (Z @ data.gamma)
@@ -233,6 +229,19 @@ def test_psi_tilde_stable_sign_quadrature_vs_oracle():
 def test_psi_tilde_table_requires_atoms():
     with pytest.raises(ModulatorUndefinedOnSupport):
         psi_tilde(stable_data(), Modulator(phi=table_mod([1.0])), [1.0])
+
+
+@pytest.mark.parametrize("mod", [Modulator(phi=sign_mod(axis=2)),
+                                 Modulator(phi=sign_mod(axis=-1)),
+                                 Modulator(psi=sign_mod(axis=1)),
+                                 Modulator(phi=halfspace_mod([1.0, 0.0]))])
+def test_modulator_off_the_jump_space_is_named(mod):
+    # n = 1: a sign axis outside [0, 1) or a halfspace normal of another size
+    # has no value on the support
+    data = make_data(AtomsMeasure([[1.0], [-2.0]], [0.7, 0.3]),
+                     mu=SphericalMeasure([[1.0]], [0.4]))
+    with pytest.raises(ModulatorUndefinedOnSupport):
+        validate(data, mod)
 
 
 def test_modulator_presets_evaluate():
@@ -466,7 +475,7 @@ def test_cross_stable_direct_near_cancelling_rates_raise():
 
 
 def _radial_halfspace():
-    radial = RadialProductMeasure(RadialProfile("stable", 0.7, 0.5),
+    radial = RadialProductMeasure(0.7, 0.5,
                                   [[1.0, 0.0], [0.6, 0.8], [-0.6, -0.8], [0.0, -1.0]],
                                   [1.0, 0.5, 0.7, 0.3])
     data = make_data(radial, mu=SphericalMeasure([[0.0, 1.0]], [0.5]), gamma=[0.2, -0.1])
@@ -541,9 +550,22 @@ def test_approximate_filters_atoms_below_eps(mixed_atoms_data, complex_phi):
 
 
 def test_approximate_eps_too_large():
-    radial = StableMeasure(ALPHA, 1).as_radial(r_max=10.0)
+    # the radial cut is 500 / eps, which eps = 30 does not lie below
+    radial = StableMeasure(ALPHA, 1).as_radial()
     with pytest.raises(EpsTooLarge):
-        approximate(make_data(radial), IDENTITY_MOD, 20.0)
+        approximate(make_data(radial), IDENTITY_MOD, 30.0)
+
+
+@pytest.mark.parametrize("eps", [0.1, 0.01])
+def test_approximate_stable_and_its_radial_form_agree_bitwise(eps):
+    # both forms of the stable measure are cut at 500 / eps: one surrogate
+    mod = Modulator(phi=sign_mod())
+    a_data, a_mod = approximate(make_data(StableMeasure(ALPHA, 1)), mod, eps, zeta_max=4.5)
+    b_data, b_mod = approximate(make_data(StableMeasure(ALPHA, 1).as_radial()), mod, eps,
+                                zeta_max=4.5)
+    assert np.array_equal(a_data.nu.atoms, b_data.nu.atoms)
+    assert np.array_equal(a_data.nu.weights, b_data.nu.weights)
+    assert np.array_equal(a_mod.phi.table, b_mod.phi.table)
 
 
 @pytest.mark.parametrize("eps", [0.0, -0.1, np.nan, np.inf])

@@ -28,7 +28,6 @@ from levymult import (
     psi_tilde,
     run_cpp_paths,
     semigroup_eval,
-    simulate_cpp,
     spectral_pairing_value,
     symbol_integral,
     table_mod,
@@ -48,6 +47,7 @@ from _traces import (
     general_G,
     parabolic_F,
     point_and_power_stats,
+    simulate_cpp,
 )
 
 
@@ -405,7 +405,7 @@ def test_pair_and_cov_do_not_alias_on_a_wide_band():
     mod = Modulator(phi=table_mod([0.9, -0.6j]))
     stats = run_cpp_paths(f, g, data, mod, 300, 3)
     band, _, blocks = mc._cpp_blocks(f, g, data, mod, 300, 3)
-    (_, offsets, (cF1, cG1, _, covF, covG)), = blocks
+    (_, offsets, (cF1, cG1, covF, covG)), = blocks
 
     def grid_integral(cF, cG):
         vals = []

@@ -21,7 +21,7 @@ from levymult import (
     q_func,
     riesz_matrix,
     sign_mod,
-    stable_constant,
+    stable_coefficient,
     symbol_gaussian,
     symbol_gaussian_limit,
     symbol_integral,
@@ -367,14 +367,14 @@ def test_preset_log_symbol_in_unit_interval():
 
 
 def test_stable_constant_gamma_arithmetic():
-    assert stable_constant(1.0, 1) == pytest.approx(1.0 / np.pi, rel=1e-14)
+    assert stable_coefficient(1.0, 1) == pytest.approx(1.0 / np.pi, rel=1e-14)
     # Gamma(3/4) 2^(1/2) pi^(-1/2) / |Gamma(-1/4)|
     import math
     want = math.gamma(0.75) * np.sqrt(2.0) / np.sqrt(np.pi) / abs(math.gamma(-0.25))
-    assert stable_constant(0.5, 1) == pytest.approx(want, rel=1e-14)
+    assert stable_coefficient(0.5, 1) == pytest.approx(want, rel=1e-14)
     for a in (0.1, 0.9, 1.5, 1.9):
-        assert stable_constant(a, 1) > 0.0
-        assert stable_constant(a, 3) > 0.0
+        assert stable_coefficient(a, 1) > 0.0
+        assert stable_coefficient(a, 3) > 0.0
 
 
 # ---------------------------------------------------------------------------
