@@ -20,6 +20,12 @@ or radial, is formed from that tangent.  The boundary convention includes
 |z| = 1 in the compensated region.
 `cross_form` evaluates the bilinear integral the ratio-form symbol needs
 directly, never as a difference of exponents, on the same batches of rows.
+
+Every weight is evaluated by `eval_modspec` on its support: phi per jump
+atom, or per direction of a radial density, where it must be constant
+along rays and weights that direction's integral; psi per sphere atom.
+validate and every exponent entry point go through it, so a weight with no
+value on the support is ModulatorUndefinedOnSupport wherever it is used.
 """
 
 import math
@@ -259,74 +265,79 @@ class Modulator:
 IDENTITY_MOD = Modulator()
 
 
-def eval_modspec(spec: ModSpec, points: np.ndarray) -> np.ndarray:
-    """Evaluate one preset weight at points (M, n); a per-atom table has no
-    value at arbitrary points, so its callers read the table themselves."""
+def eval_modspec(spec: ModSpec, points: np.ndarray, *, rays: bool = False, name: str = "phi"):
+    """The weight's values on a support of points (M, n): a constant as a
+    scalar, a table as itself, any other preset per point.  rays marks points
+    on the rays of a radial density, where a weight must be constant along
+    each ray.  ModulatorUndefinedOnSupport when the weight has no value there:
+    a sign axis outside [0, n), a halfspace normal not of size n, a table not
+    of size M, a table or ball on rays, or an unknown kind."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    m = points.shape[0]
+    m, n = points.shape
     if spec.kind == "constant":
-        return np.full(m, spec.value, dtype=complex)
+        return spec.value
+    if rays and spec.kind in ("table", "ball"):
+        raise ModulatorUndefinedOnSupport(
+            f"{name} {spec.kind} is not constant along the rays of a radial density")
+    if spec.kind == "table":
+        if spec.table.size != m:
+            raise ModulatorUndefinedOnSupport(
+                f"{name} table has {spec.table.size} entries for {m} support points")
+        return spec.table
     if spec.kind == "sign":
+        if not (isinstance(spec.axis, (int, np.integer)) and 0 <= spec.axis < n):
+            raise ModulatorUndefinedOnSupport(
+                f"{name} sign axis {spec.axis!r} is not an integer in [0, {n})")
         return np.sign(points[:, spec.axis]).astype(complex)
     if spec.kind == "halfspace":
-        normal = np.asarray(spec.normal, dtype=float)
-        if normal.size != points.shape[1]:
+        if len(spec.normal) != n:
             raise ModulatorUndefinedOnSupport(
-                f"halfspace normal has size {normal.size}, points have dimension {points.shape[1]}"
-            )
-        return (points @ normal > 0.0).astype(complex)
+                f"{name} halfspace normal has size {len(spec.normal)}, the support has "
+                f"dimension {n}")
+        return (points @ np.asarray(spec.normal, dtype=float) > 0.0).astype(complex)
     if spec.kind == "ball":
         return (np.linalg.norm(points, axis=1) <= spec.radius).astype(complex)
     if spec.kind == "phase":
-        if points.shape[1] >= 2:
+        if n >= 2:
             ang = np.arctan2(points[:, 1], points[:, 0])
         else:
             ang = np.where(points[:, 0] >= 0.0, 0.0, np.pi)
         return np.exp(1j * spec.harmonic * ang)
-    raise ModulatorUndefinedOnSupport(f"modulator kind {spec.kind!r} has no value at points")
+    raise ModulatorUndefinedOnSupport(f"{name} has unknown kind {spec.kind!r}")
 
 
-def _modspec_sup(spec: ModSpec) -> float:
-    """Supremum of |spec|: exact for tables and constants; the other presets
-    are bounded by 1 by construction."""
-    if spec.kind == "table":
-        return float(np.abs(spec.table).max()) if spec.table.size else 0.0
-    if spec.kind == "constant":
-        return abs(spec.value)
-    return 1.0
+def _radial(nu) -> RadialProductMeasure:
+    """The radial-product form of a stable or radial-product measure."""
+    if isinstance(nu, StableMeasure):
+        return nu.as_radial()
+    if isinstance(nu, RadialProductMeasure):
+        return nu
+    raise MeasureValidationError(f"unknown jump measure type {type(nu).__name__}")
+
+
+def _phi_values(nu, mod: Modulator):
+    """phi on the jump support: per atom, or per direction of a radial density;
+    a constant phi on a stable measure scales its closed form."""
+    if isinstance(nu, AtomsMeasure):
+        return eval_modspec(mod.phi, nu.atoms)
+    if isinstance(nu, StableMeasure) and mod.phi.kind == "constant":
+        return mod.phi.value
+    return eval_modspec(mod.phi, _radial(nu).directions, rays=True)
+
+
+def _phi_values_at_atoms(mod: Modulator, nu: AtomsMeasure) -> np.ndarray:
+    return np.broadcast_to(eval_modspec(mod.phi, nu.atoms), nu.weights.shape)
 
 
 def validate_modulator(mod: Modulator, data: "LevyData") -> Modulator:
-    n = data.n
-    for name, spec in (("phi", mod.phi), ("psi", mod.psi)):
-        if spec.kind not in ("constant", "sign", "halfspace", "ball", "phase", "table"):
-            raise ModulatorUndefinedOnSupport(f"{name} has unknown kind {spec.kind!r}")
-        if spec.kind == "sign" and not (isinstance(spec.axis, (int, np.integer))
-                                        and 0 <= spec.axis < n):
-            raise ModulatorUndefinedOnSupport(
-                f"{name} sign axis {spec.axis!r} is not an integer in [0, {n})")
-        if spec.kind == "halfspace" and len(spec.normal) != n:
-            raise ModulatorUndefinedOnSupport(
-                f"{name} halfspace normal has size {len(spec.normal)}, the jump space "
-                f"has dimension {n}")
-        sup = _modspec_sup(spec)
-        if sup > 1.0 + 1e-12:
+    """phi on the jump support and psi on the sphere must have values there,
+    bounded by 1 (a NaN fails too)."""
+    sphere = data.mu.directions.reshape(-1, data.n)
+    for name, vals in (("phi", _phi_values(data.nu, mod)),
+                       ("psi", eval_modspec(mod.psi, sphere, name="psi"))):
+        sup = float(np.max(np.abs(vals), initial=0.0))
+        if not sup <= 1.0 + 1e-12:
             raise ModulatorExceedsOne(f"sup |{name}| = {sup:.6g} exceeds 1")
-    if mod.phi.kind == "table":
-        if not isinstance(data.nu, AtomsMeasure):
-            raise ModulatorUndefinedOnSupport(
-                "per-atom phi table requires an atomic jump measure"
-            )
-        if mod.phi.table.size != data.nu.weights.size:
-            raise ModulatorUndefinedOnSupport(
-                f"phi table has {mod.phi.table.size} entries for "
-                f"{data.nu.weights.size} jump atoms"
-            )
-    if mod.psi.kind == "table" and mod.psi.table.size != data.mu.weights.size:
-        raise ModulatorUndefinedOnSupport(
-            f"psi table has {mod.psi.table.size} entries for "
-            f"{data.mu.weights.size} sphere atoms"
-        )
     return mod
 
 
@@ -344,6 +355,9 @@ def validate(data: LevyData, mod: Modulator = None) -> LevyData:
         )
     if data.gamma.shape != (n,):
         raise ShapeMismatch(f"gamma must have length {n}, got {data.gamma.shape}")
+    for name, arr in (("gamma", data.gamma), ("A", data.A), ("B", data.B)):
+        if not np.all(np.isfinite(arr)):
+            raise MeasureValidationError(f"{name} must be finite")
 
     nu = data.nu
     if isinstance(nu, AtomsMeasure):
@@ -353,6 +367,8 @@ def validate(data: LevyData, mod: Modulator = None) -> LevyData:
             )
         if nu.atoms.shape[0] != nu.weights.size:
             raise ShapeMismatch("atom/weight count mismatch")
+        if not np.all(np.isfinite(nu.atoms)):
+            raise MeasureValidationError("jump atoms must be finite")
         norms = np.linalg.norm(nu.atoms, axis=1)
         if np.any(norms == 0.0):
             raise AtomAtOrigin("jump atom at the origin")
@@ -361,10 +377,10 @@ def validate(data: LevyData, mod: Modulator = None) -> LevyData:
     elif isinstance(nu, RadialProductMeasure):
         if nu.directions.shape[1] != n:
             raise ShapeMismatch("angular atoms have the wrong dimension")
-        if np.any(np.abs(np.linalg.norm(nu.directions, axis=1) - 1.0) > UNIT_SPHERE_TOL):
-            raise MeasureValidationError("angular atoms must be unit vectors")
-        if np.any(nu.dir_weights < 0.0):
-            raise MeasureValidationError("angular weights must be nonnegative")
+        if not np.all(np.abs(np.linalg.norm(nu.directions, axis=1) - 1.0) <= UNIT_SPHERE_TOL):
+            raise MeasureValidationError("radial directions must be unit vectors")
+        if not np.all((nu.dir_weights >= 0.0) & np.isfinite(nu.dir_weights)):
+            raise MeasureValidationError("radial dir_weights must be nonnegative and finite")
         if not 0.0 < nu.alpha < 2.0:  # exactly when min(r^2, 1) r^(-1-alpha) is integrable
             raise NonIntegrableMeasure(
                 f"coeff r^(-1-alpha) is not integrable against min(r^2, 1): alpha = {nu.alpha}")
@@ -382,10 +398,11 @@ def validate(data: LevyData, mod: Modulator = None) -> LevyData:
     if not data.mu.is_empty:
         if data.mu.directions.shape[1] != n:
             raise ShapeMismatch("sphere atoms have the wrong dimension")
-        if np.any(np.abs(np.linalg.norm(data.mu.directions, axis=1) - 1.0) > UNIT_SPHERE_TOL):
-            raise MeasureValidationError("sphere atoms must be unit vectors")
-        if np.any(data.mu.weights < 0.0):
-            raise MeasureValidationError("sphere weights must be nonnegative")
+        if not np.all(np.abs(np.linalg.norm(data.mu.directions, axis=1) - 1.0)
+                      <= UNIT_SPHERE_TOL):
+            raise MeasureValidationError("sphere directions must be unit vectors")
+        if not np.all((data.mu.weights >= 0.0) & np.isfinite(data.mu.weights)):
+            raise MeasureValidationError("sphere weights must be nonnegative and finite")
 
     if mod is not None:
         validate_modulator(mod, data)
@@ -404,7 +421,8 @@ def _sphere_part(data: LevyData, Z1: np.ndarray, Z2: np.ndarray, mods) -> np.nda
     if data.mu.is_empty:
         return np.zeros((Z1.shape[0], len(mods)), dtype=complex)
     dirs = data.mu.directions.T  # (n, M)
-    w = np.stack([data.mu.weights * _psi_values_at_sphere(mod, data.mu) for mod in mods], axis=1)
+    w = np.stack([data.mu.weights * eval_modspec(mod.psi, data.mu.directions, name="psi")
+                  for mod in mods], axis=1)
     return -((Z1 @ dirs) * (Z2 @ dirs)) @ w
 
 
@@ -462,22 +480,20 @@ def _atoms_jump_part(nu: AtomsMeasure, Z: np.ndarray, phis) -> np.ndarray:
     return out
 
 
-def _radial_1d(nu: RadialProductMeasure, integrand, head: float, osc: float, terms, phi_fn):
-    """integral over (0, inf) of integrand(r) [phi(r)] coeff r^(-1-alpha) dr.
+def _radial_1d(nu: RadialProductMeasure, integrand, head: float, osc: float, terms):
+    """integral over (0, inf) of integrand(r, coeff r^(-1-alpha)) dr, the
+    integrand taking the density as its second argument.
 
-    head is the r^2 coefficient of |integrand| at the origin (head = 0 makes
-    the integrand vanish), osc the fastest oscillation rate, and terms the
-    (sign, c) pairs with integrand(r) = sum sign e^{icr} past r_max.
-    Numerical panels run on [floor, r_max]; the mass below the floor is
-    booked as error and the tail past r_max is added analytically, each
-    e^{icr} term by its asymptotic series (exactly when c = 0).  The series
-    needs |c| r_max >= 30, so the cut follows the slowest nonzero rate,
-    `slow`: r_max = 60 / slow, at least 100.  slow is kept above 1e-3 osc,
-    which bounds the panels at about 2400; the tail of a slower term is
-    then booked as error.  phi_fn,
-    when given, maps radii to weight values along the current direction
-    (its tail is then taken constant, valid for the shipped presets, which
-    depend only on the direction for large r).
+    head is the r^2 coefficient of |integrand| / density at the origin
+    (head = 0 makes the integrand vanish), osc the fastest oscillation rate,
+    and terms the (sign, c) pairs with integrand = density sum sign e^{icr}
+    past r_max.  Numerical panels run on [floor, r_max]; the mass below the
+    floor is booked as error and the tail past r_max is added analytically,
+    each e^{icr} term by its asymptotic series (exactly when c = 0).  The
+    series needs |c| r_max >= 30, so the cut follows the slowest nonzero
+    rate, `slow`: r_max = 60 / slow, at least 100.  slow is kept above
+    1e-3 osc, which bounds the panels at about 2400; the tail of a slower
+    term is then booked as error.
     Returns (value, error_estimate).
     """
     alpha, coeff = nu.alpha, nu.coeff
@@ -490,17 +506,14 @@ def _radial_1d(nu: RadialProductMeasure, integrand, head: float, osc: float, ter
     # floor above is ~1e-147); the mass below the floor is booked as error
     floor = max(min(floor, 0.5 / osc, 0.5), 1e300 ** (-1.0 / (1.0 + alpha)))
 
-    def weighted(r):
-        vals = integrand(r) * (coeff * r ** (-1.0 - alpha))
-        if phi_fn is not None:
-            vals = vals * phi_fn(r)
-        return vals
-
     edges = radial_edges(floor, r_max, osc, QUAD_ORDER)
-    nodes, weights = panel_rule(edges, QUAD_ORDER)
-    value = np.sum(weighted(nodes) * weights)
-    nodes2, weights2 = panel_rule(edges, QUAD_ORDER + 8)
-    value2 = np.sum(weighted(nodes2) * weights2)
+
+    def rule(order):
+        nodes, weights = panel_rule(edges, order)
+        return np.sum(integrand(nodes, coeff * nodes ** (-1.0 - alpha)) * weights)
+
+    value = rule(QUAD_ORDER)
+    value2 = rule(QUAD_ORDER + 8)
     err = abs(value2 - value)
     value = value2
 
@@ -508,9 +521,6 @@ def _radial_1d(nu: RadialProductMeasure, integrand, head: float, osc: float, ter
     err += head * coeff * floor ** (2.0 - alpha) / (2.0 - alpha)
 
     # analytic power-law tail beyond r_max
-    tail_phi = 1.0 + 0.0j
-    if phi_fn is not None:
-        tail_phi = complex(np.asarray(phi_fn(np.array([r_max]))).ravel()[0])
     mass = stable_tail_const(r_max, alpha, coeff)
     tail = 0.0 + 0.0j
     for sgn, c in terms:
@@ -522,110 +532,84 @@ def _radial_1d(nu: RadialProductMeasure, integrand, head: float, osc: float, ter
             err += osc_err
         else:
             err += mass  # unresolved oscillatory part
-    value += tail_phi * tail
-    return value, float(err)
+    return value + tail, float(err)
 
 
-def _radial_exponent_1d(nu: RadialProductMeasure, c: float, phi_fn=None):
-    """integral over (0, inf) of (e^{icr} - 1 - icr 1_{r<=1}) [phi(r)] coeff r^(-1-alpha) dr."""
-    def integrand(r):
+def _radial_exponent_1d(nu: RadialProductMeasure, c: float):
+    """integral over (0, inf) of (e^{icr} - 1 - icr 1_{r<=1}) coeff r^(-1-alpha) dr."""
+    def integrand(r, dens):
         D = c * r
         C, S = _expm1i_parts(D)
-        return C + 1j * (S - D * (r <= 1.0))
+        return (C + 1j * (S - D * (r <= 1.0))) * dens
 
-    return _radial_1d(nu, integrand, 0.5 * c * c, abs(c), ((1.0, c), (-1.0, 0.0)), phi_fn)
+    return _radial_1d(nu, integrand, 0.5 * c * c, abs(c), ((1.0, c), (-1.0, 0.0)))
 
 
-def _radial_cross_1d(nu: RadialProductMeasure, c1: float, c2: float, phi_fn=None):
-    """integral of (e^{ic1 r} - 1)(e^{ic2 r} - 1) [phi(r)] coeff r^(-1-alpha) dr on (0, inf)."""
-    def integrand(r):
-        C1, S1 = _expm1i_parts(c1 * r)
-        C2, S2 = _expm1i_parts(c2 * r)
-        return (C1 * C2 - S1 * S2) + 1j * (C1 * S2 + S1 * C2)
+def _radial_cross_1d(nu: RadialProductMeasure, c1: float, c2: float):
+    """integral of (e^{ic1 r} - 1)(e^{ic2 r} - 1) coeff r^(-1-alpha) dr on (0, inf).
+
+    With t = tan(D/2) and S = sin D, e^{iD} - 1 = i S (1 + i t), so the
+    product is -S1 S2 [(1 - t1 t2) + i (t1 + t2)].  The density goes into
+    S1 S2 first: near the panel floor each S is of order c r and the density
+    of order r^(-3), so no product of two small factors leaves the normal range.
+    """
+    def integrand(r, dens):
+        t1, t2 = np.tan(0.5 * c1 * r), np.tan(0.5 * c2 * r)
+        p = dens * (2.0 * t1 / (1.0 + t1 * t1)) * (2.0 * t2 / (1.0 + t2 * t2))
+        return -p * ((1.0 - t1 * t2) + 1j * (t1 + t2))
 
     # (e^{ic1 r}-1)(e^{ic2 r}-1) = e^{i(c1+c2)r} - e^{ic1 r} - e^{ic2 r} + 1
     return _radial_1d(
         nu, integrand, abs(c1 * c2), max(abs(c1), abs(c2), abs(c1 + c2)),
-        ((1.0, c1 + c2), (-1.0, c1), (-1.0, c2), (1.0, 0.0)), phi_fn,
+        ((1.0, c1 + c2), (-1.0, c1), (-1.0, c2), (1.0, 0.0)),
     )
 
 
-def _direction_phi_fn(mod: Modulator, theta: np.ndarray):
-    """phi restricted to the ray r -> r * theta, as a function of r; None for
-    a constant phi, whose value the callers apply themselves."""
-    if mod.phi.kind == "constant":
-        return None
-    if mod.phi.kind == "table":
-        raise ModulatorUndefinedOnSupport(
-            "per-atom phi table cannot be integrated against a radial density"
-        )
+def _radial_rows(nu, phi, rows: np.ndarray, integral, sum_scale: bool) -> np.ndarray:
+    """sum_j a_j phi_j integral(radial, (row, theta_j), ...) per row of rows
+    (K, r, n) for a stable or radial-product measure, phi being a constant or
+    its values per direction theta_j.
 
-    def fn(r):
-        pts = np.outer(np.asarray(r, dtype=float), theta)
-        return eval_modspec(mod.phi, pts)
-
-    return fn
-
-
-def _radial_rows(nu, mod: Modulator, rows: np.ndarray, integral, sum_scale: bool) -> np.ndarray:
-    """sum_j a_j integral(radial, (row, theta_j), ..., phi_j) per row of rows (K, r, n)
-    for a stable or radial-product measure.
-
-    integral takes the radial-product measure, the r projections of a row
-    on theta_j and phi_j, phi on the ray through theta_j (see
-    _direction_phi_fn), and returns (value, error); a constant phi
-    multiplies each row's sum.  A row raises
-    QuadratureNotConverged when its summed error exceeds DEFAULT_REL_TOL
-    times max(scale, 1), scale being |sum| if sum_scale, else the largest
-    |a_j value_j|.
+    integral takes the radial-product measure and the r projections of a row
+    on theta_j and returns (value, error); the (K, J) values are contracted
+    with w_j = a_j phi_j.  A row raises QuadratureNotConverged when
+    sum_j a_j err_j exceeds DEFAULT_REL_TOL times max(scale, 1), scale being
+    |sum| if sum_scale, else the largest |w_j value_j|.
     """
-    if not isinstance(nu, (StableMeasure, RadialProductMeasure)):
-        raise MeasureValidationError(f"unknown jump measure type {type(nu).__name__}")
-    radial = nu.as_radial() if isinstance(nu, StableMeasure) else nu
-    const = mod.phi.value if mod.phi.kind == "constant" else 1.0
-    dirs = [(theta, aj, _direction_phi_fn(mod, theta))
-            for theta, aj in zip(radial.directions, radial.dir_weights) if aj != 0.0]
-    out = np.zeros(rows.shape[0], dtype=complex)
+    radial = _radial(nu)
+    used = radial.dir_weights != 0.0
+    dirs, a = radial.directions[used], radial.dir_weights[used]
+    w = (radial.dir_weights * phi)[used]
+    vals = np.zeros((rows.shape[0], a.size), dtype=complex)
+    errs = np.zeros(vals.shape)
     for k, row in enumerate(rows):
-        total, err, scale = 0.0 + 0.0j, 0.0, 0.0
-        for theta, aj, phi_fn in dirs:
-            val, e = integral(radial, *(row @ theta).tolist(), phi_fn)
-            total += aj * val
-            err += aj * e
-            scale = max(scale, abs(val) * aj)
-        if sum_scale:
-            scale = abs(const * total)
-        if not err <= DEFAULT_REL_TOL * max(scale, 1.0):  # a NaN error fails too
+        for j, theta in enumerate(dirs):
+            vals[k, j], errs[k, j] = integral(radial, *(row @ theta).tolist())
+        terms = vals[k] * w
+        scale = abs(terms.sum()) if sum_scale else np.abs(terms).max(initial=0.0)
+        if not errs[k] @ a <= DEFAULT_REL_TOL * max(scale, 1.0):  # a NaN error fails too
             raise QuadratureNotConverged(
-                f"radial quadrature error {err:.3e} above tolerance at zeta={row.tolist()}"
+                f"radial quadrature error {errs[k] @ a:.3e} above tolerance at zeta={row.tolist()}"
             )
-        out[k] = total
-    return const * out
+    return (vals * w).sum(axis=1)
 
 
-def _psi_values_at_sphere(mod: Modulator, mu: SphericalMeasure) -> np.ndarray:
-    if mod.psi.kind == "table":
-        return mod.psi.table
-    return eval_modspec(mod.psi, mu.directions)
-
-
-def _radial_jump_part(nu, mod: Modulator, Z: np.ndarray) -> np.ndarray:
+def _radial_jump_part(nu, phi, Z: np.ndarray) -> np.ndarray:
     """Jump part of a stable or radial-product measure weighted by phi, over rows of Z."""
-    if isinstance(nu, StableMeasure) and mod.phi.kind == "constant":
-        return mod.phi.value * (-np.linalg.norm(Z, axis=1).astype(complex) ** nu.alpha)
-    return _radial_rows(nu, mod, Z[:, None], _radial_exponent_1d, sum_scale=False)
+    if isinstance(nu, StableMeasure) and np.ndim(phi) == 0:
+        return phi * (-np.linalg.norm(Z, axis=1).astype(complex) ** nu.alpha)
+    return _radial_rows(nu, phi, Z[:, None], _radial_exponent_1d, sum_scale=False)
 
 
 def _exponent(data: LevyData, mods, Z: np.ndarray) -> np.ndarray:
     """Jump part weighted by phi plus sphere part weighted by psi over rows of
     Z, one column per modulator in mods; atoms serve all columns in one pass."""
     nu = data.nu
+    phis = [_phi_values(nu, mod) for mod in mods]
     if isinstance(nu, AtomsMeasure):
-        # a constant phi stays a scalar: no per-atom array for psi's unit weight
-        jump = _atoms_jump_part(nu, Z, [mod.phi.value if mod.phi.kind == "constant"
-                                        else _phi_values_at_atoms(mod, nu) for mod in mods])
+        jump = _atoms_jump_part(nu, Z, phis)
     else:
-        jump = np.stack([_radial_jump_part(nu, mod, Z) for mod in mods], axis=1)
+        jump = np.stack([_radial_jump_part(nu, phi, Z) for phi in phis], axis=1)
     return jump + 0.5 * _sphere_part(data, Z, Z, mods)
 
 
@@ -661,16 +645,6 @@ def psi_tilde(data: LevyData, mod: Modulator, zeta):
     return _evaluate(data, (mod,), zeta, drift=False)[0]
 
 
-def _phi_values_at_atoms(mod: Modulator, nu: AtomsMeasure) -> np.ndarray:
-    if mod.phi.kind == "table":
-        if mod.phi.table.size != nu.weights.size:
-            raise ModulatorUndefinedOnSupport(
-                f"phi table has {mod.phi.table.size} entries for {nu.weights.size} atoms"
-            )
-        return mod.phi.table
-    return eval_modspec(mod.phi, nu.atoms)
-
-
 def _atoms_cross_part(nu: AtomsMeasure, Z1: np.ndarray, Z2: np.ndarray, phi) -> np.ndarray:
     """sum_i (e^{i(z1,z_i)} - 1)(e^{i(z2,z_i)} - 1) phi_i w_i over row pairs,
     in real arithmetic on the tangent parts (_expm1i_parts), in chunks of
@@ -703,11 +677,11 @@ def cross_form(data: LevyData, mod: Modulator, zeta1, zeta2):
     Z1, Z2 = _rows(data, zeta1), _rows(data, zeta2)
     if Z1.shape != Z2.shape:
         raise ShapeMismatch(f"zeta1 and zeta2 hold {Z1.shape} and {Z2.shape} rows")
-    nu = data.nu
+    nu, phi = data.nu, _phi_values(data.nu, mod)
     if isinstance(nu, AtomsMeasure):
-        out = _atoms_cross_part(nu, Z1, Z2, _phi_values_at_atoms(mod, nu))
+        out = _atoms_cross_part(nu, Z1, Z2, phi)
     else:
-        out = _radial_rows(nu, mod, np.stack([Z1, Z2], axis=1), _radial_cross_1d,
+        out = _radial_rows(nu, phi, np.stack([Z1, Z2], axis=1), _radial_cross_1d,
                            sum_scale=True)
     out += _sphere_part(data, Z1, Z2, (mod,))[:, 0]
     return complex(out[0]) if np.ndim(zeta1) == 1 else out
@@ -743,19 +717,12 @@ def approximate(data: LevyData, mod: Modulator, eps: float, *, zeta_max: float =
         keep = np.linalg.norm(nu.atoms, axis=1) > eps
         atoms = nu.atoms[keep]
         weights = nu.weights[keep]
-        if mod.phi.kind == "table":
-            phi_vals = mod.phi.table[keep]
-        else:
-            phi_vals = eval_modspec(mod.phi, atoms)
-    elif isinstance(nu, (RadialProductMeasure, StableMeasure)):
-        if mod.phi.kind == "table":
-            raise ModulatorUndefinedOnSupport(
-                "per-atom phi table cannot be carried through a radial conversion"
-            )
+        phi_vals = _phi_values_at_atoms(mod, nu)[keep]
+    else:
+        radial = _radial(nu)
         r_max = 500.0 / eps
         if eps >= r_max:
             raise EpsTooLarge(f"eps = {eps} is not below the radial cutoff 500 / eps = {r_max}")
-        radial = nu.as_radial() if isinstance(nu, StableMeasure) else nu
         edges = radial_edges(eps, r_max, zeta_max, QUAD_ORDER, periods_per_panel=16.0)
         nodes, node_w = panel_rule(edges, QUAD_ORDER)
         used = radial.dir_weights != 0.0
@@ -763,15 +730,14 @@ def approximate(data: LevyData, mod: Modulator, eps: float, *, zeta_max: float =
         atoms = (radial.directions[used][:, None, :] * nodes[:, None]).reshape(-1, data.n)
         weights = (radial.dir_weights[used][:, None] * node_w
                    * (radial.coeff * nodes ** (-1.0 - radial.alpha))).ravel()
-        phi_vals = eval_modspec(mod.phi, atoms)
-    else:
-        raise MeasureValidationError(f"unknown jump measure type {type(nu).__name__}")
+        phi_vals = np.broadcast_to(eval_modspec(mod.phi, atoms, rays=True), weights.shape)
 
     # sphere atoms become jumps of size eps with mass b / eps^2, weighted by psi
     if not data.mu.is_empty:
         atoms = np.concatenate([atoms, eps * data.mu.directions])
         weights = np.concatenate([weights, data.mu.weights / (eps * eps)])
-        phi_vals = np.concatenate([phi_vals, _psi_values_at_sphere(mod, data.mu)])
+        psi_vals = eval_modspec(mod.psi, data.mu.directions, name="psi")
+        phi_vals = np.concatenate([phi_vals, np.broadcast_to(psi_vals, data.mu.weights.shape)])
 
     new_nu = AtomsMeasure(atoms.reshape(-1, data.n), weights)
     new_data = replace(data, nu=new_nu, mu=SphericalMeasure.empty(data.n))

@@ -396,6 +396,21 @@ def test_cli_sign_axis_outside_the_jump_space_is_a_named_error(tmp_path):
     assert "axis" in last["message"]
 
 
+def test_cli_nan_in_the_config_is_a_named_error(tmp_path):
+    # Python's json reads NaN; validation names the field before any symbol is formed
+    cfg = json.loads(STABLE_CONFIG)
+    cfg["measure"] = {"variant": "atoms", "atoms": [[1.0], [float("nan")]],
+                      "weights": [0.5, 0.5]}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    res = _run_cli(["symbol", "--config", str(path), "--out", "run"], tmp_path)
+    assert res.returncode == 2, res.stdout + res.stderr
+    last = json.loads(res.stdout.strip().split("\n")[-1])
+    assert last["status"] == "error"
+    assert last["code"] == "MeasureValidationError"
+    assert "atoms" in last["message"]
+
+
 def test_cli_mc_names_a_gaussian_part_it_cannot_sample(tmp_path):
     cfg = json.loads(STABLE_CONFIG)
     cfg["matrices"] = {"A": [[1.0]], "B": [[-1.0]]}

@@ -15,6 +15,7 @@ from levymult import (
     SphericalMeasure,
     StableMeasure,
     approximate,
+    ball_mod,
     constant_mod,
     cross_form,
     drift_reduce,
@@ -101,6 +102,32 @@ def test_validate_rejects_nonunit_sphere_atom():
     mu = SphericalMeasure([[1.0 + 1e-6]], [1.0])
     with pytest.raises(MeasureValidationError):
         validate(make_data(AtomsMeasure([[1.0]], [1.0]), mu=mu))
+
+
+_RADIAL = dict(alpha=0.5, coeff=1.0, directions=[[1.0], [-1.0]], dir_weights=[1.0, 1.0])
+
+
+@pytest.mark.parametrize("field, kwargs, mod", [
+    ("atoms", dict(nu=AtomsMeasure([[math.nan]], [1.0])), None),
+    ("atoms", dict(nu=AtomsMeasure([[math.inf]], [1.0])), None),
+    ("gamma", dict(gamma=[math.nan]), None),
+    ("A", dict(A=[[math.nan]]), None),
+    ("B", dict(B=[[math.nan]]), None),
+    ("sphere directions", dict(mu=SphericalMeasure([[math.nan]], [1.0])), None),
+    ("sphere weights", dict(mu=SphericalMeasure([[1.0]], [math.nan])), None),
+    ("sphere weights", dict(mu=SphericalMeasure([[1.0]], [math.inf])), None),
+    ("radial directions", dict(nu=RadialProductMeasure(
+        **{**_RADIAL, "directions": [[math.nan], [-1.0]]})), None),
+    ("radial dir_weights", dict(nu=RadialProductMeasure(
+        **{**_RADIAL, "dir_weights": [math.nan, 1.0]})), None),
+    ("phi", {}, Modulator(phi=table_mod([math.nan]))),
+    ("phi", {}, Modulator(phi=constant_mod(math.nan))),
+])
+def test_validate_names_nonfinite_data(field, kwargs, mod):
+    # NaN passes a bare `x > bound` or `x < 0` test; each is named instead
+    args = {"nu": AtomsMeasure([[1.0]], [1.0]), **kwargs}
+    with pytest.raises(MeasureValidationError, match=field):
+        validate(make_data(**args), mod)
 
 
 # ---------------------------------------------------------------------------
@@ -231,17 +258,54 @@ def test_psi_tilde_table_requires_atoms():
         psi_tilde(stable_data(), Modulator(phi=table_mod([1.0])), [1.0])
 
 
+def test_ball_on_a_radial_measure_is_named():
+    # a ball weight is not constant along rays, so it has no per-direction value
+    data = make_data(StableMeasure(ALPHA, 1).as_radial())
+    mod = Modulator(phi=ball_mod(0.7))
+    with pytest.raises(ModulatorUndefinedOnSupport, match="ball"):
+        validate(data, mod)
+    with pytest.raises(ModulatorUndefinedOnSupport, match="ball"):
+        psi_tilde(data, mod, [1.3])
+
+
+def test_stable_measure_in_two_dimensions_takes_only_a_constant_phi():
+    data = make_data(StableMeasure(0.5, 2))
+    assert validate(data, Modulator(phi=constant_mod(0.5))) is data
+    with pytest.raises(MeasureValidationError, match="n = 1"):
+        validate(data, Modulator(phi=sign_mod()))
+
+
+def test_radial_psi_tilde_halfspace_keeps_the_directions_inside():
+    # phi weights each direction's integral: with a halfspace it keeps exactly
+    # the rays inside, as psi on the measure holding only those rays does
+    ang = np.array([0.3, 1.9, 3.5, 5.0])
+    dirs = np.stack([np.cos(ang), np.sin(ang)], axis=1)
+    a = np.array([0.5, 1.0, 0.25, 0.7])
+    normal = np.array([1.0, 0.4])
+    inside = dirs @ normal > 0.0
+    assert 0 < inside.sum() < ang.size
+    Z = np.random.default_rng(6).normal(size=(5, 2)) * 2.0
+    got = psi_tilde(make_data(RadialProductMeasure(0.8, 0.6, dirs, a)),
+                    Modulator(phi=halfspace_mod(normal)), Z)
+    want = psi(make_data(RadialProductMeasure(0.8, 0.6, dirs[inside], a[inside])), Z)
+    assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+
 @pytest.mark.parametrize("mod", [Modulator(phi=sign_mod(axis=2)),
                                  Modulator(phi=sign_mod(axis=-1)),
                                  Modulator(psi=sign_mod(axis=1)),
                                  Modulator(phi=halfspace_mod([1.0, 0.0]))])
 def test_modulator_off_the_jump_space_is_named(mod):
     # n = 1: a sign axis outside [0, 1) or a halfspace normal of another size
-    # has no value on the support
+    # has no value on the support, at validate and at every exponent entry point
     data = make_data(AtomsMeasure([[1.0], [-2.0]], [0.7, 0.3]),
                      mu=SphericalMeasure([[1.0]], [0.4]))
-    with pytest.raises(ModulatorUndefinedOnSupport):
-        validate(data, mod)
+    for call in (lambda: validate(data, mod), lambda: psi_tilde(data, mod, [1.0]),
+                 lambda: exponents(data, mod, [1.0]),
+                 lambda: cross_form(data, mod, [1.0], [0.5]),
+                 lambda: approximate(data, mod, 0.1)):
+        with pytest.raises(ModulatorUndefinedOnSupport):
+            call()
 
 
 def test_modulator_presets_evaluate():
@@ -371,11 +435,12 @@ def test_tangent_parts_raise_no_flag_at_the_radial_floors():
     # stays normal above |D| ~ 1e-154
     D = np.geomspace(1e-150, 1e7, 500)
     zeta = np.array([1e-4, 3e-3, 0.314, 1.0, 2.0, 40.0])
+    rows = np.concatenate([zeta, -zeta])[:, None]
     with np.errstate(all="raise"):
         levy._expm1i_parts(np.concatenate([[0.0], D, -D]))
         for alpha in (0.25, 0.5, 1.5, 1.9):
-            exponents(stable_data(alpha), Modulator(phi=sign_mod()),
-                      np.concatenate([zeta, -zeta])[:, None])
+            exponents(stable_data(alpha), Modulator(phi=sign_mod()), rows)
+            cross_form(stable_data(alpha), Modulator(phi=sign_mod()), rows, 0.5 * rows)
 
 
 def _radial_edges_loop(r_lo, r_hi, osc_rate, order, periods_per_panel=4.0):
