@@ -2,10 +2,11 @@
 
     levymult <command> --config <path> [--seed N] [--paths N] [--out DIR]
 
-Commands: symbol, apply, pair, probe, mc, gaussian-mc, selftest.  Every
-run echoes its defaults-filled config into the output directory, writes
-CSV (and binary, where applicable) artifacts, and exits nonzero on any
-failure with a machine-readable JSON reason on the last line.
+Commands (the COMMANDS table) read the run that parse_config built, so a
+malformed config fails every command alike.  Every run echoes its
+defaults-filled config into the output directory, writes CSV (and binary,
+where applicable) artifacts, and exits nonzero on any failure with a
+machine-readable JSON reason on the last line.
 """
 
 import argparse
@@ -37,10 +38,10 @@ from .symbols import evaluate_grid
 
 
 def _grid(cfg):
-    return evaluate_grid(cfg.build_symbol_spec(), L=cfg.grid_length, N=cfg.grid_points)
+    return evaluate_grid(cfg.spec, L=cfg.grid.L, N=cfg.grid.N)
 
 
-def cmd_symbol(cfg, out):
+def cmd_symbol(cfg, out, seed, paths):
     grid = _grid(cfg)
     (out / "symbol.csv").write_text(symbol_grid_csv(grid))
     write_symbol_grid(out / "symbol.lmgrid", grid)
@@ -48,21 +49,16 @@ def cmd_symbol(cfg, out):
     return grid.max_abs <= 1.0 + 1e-9, {"max_abs": grid.max_abs}
 
 
-def cmd_apply(cfg, out):
-    grid = _grid(cfg)
-    f = cfg.build_field("field")
-    mf = apply_multiplier(grid, f)
+def cmd_apply(cfg, out, seed, paths):
+    mf = apply_multiplier(_grid(cfg), cfg.field)
     (out / "applied.csv").write_text(field_csv(mf))
     write_field(out / "applied.lmfield", mf)
     print(f"wrote applied field, sup |Mf| = {np.abs(mf.values).max():.12g}")
     return True, {}
 
 
-def cmd_pair(cfg, out):
-    grid = _grid(cfg)
-    f = cfg.build_field("field")
-    g = cfg.build_field("field_g")
-    res = pairing(grid, f, g)
+def cmd_pair(cfg, out, seed, paths):
+    res = pairing(_grid(cfg), cfg.field, cfg.field_g)
     rows = ["route,re,im",
             f"spatial,{res.spatial.real:.17g},{res.spatial.imag:.17g}",
             f"spectral,{res.spectral.real:.17g},{res.spectral.imag:.17g}"]
@@ -72,7 +68,7 @@ def cmd_pair(cfg, out):
     return True, {"spatial": [res.spatial.real, res.spatial.imag]}
 
 
-def cmd_probe(cfg, out, seed):
+def cmd_probe(cfg, out, seed, paths):
     grid = _grid(cfg)
     reports = norm_probe(grid, cfg.params["p"], trials=int(cfg.params["trials"]),
                          seed=seed, ascent_steps=int(cfg.params["ascent_steps"]))
@@ -96,13 +92,10 @@ def _mc_report_csv(est, ref, *extra):
 
 
 def cmd_mc(cfg, out, seed, paths):
-    data = cfg.build_data()
-    mod = cfg.build_modulator()
-    f = cfg.build_field("field")
-    g = cfg.build_field("field_g")
+    f, g = cfg.field, cfg.field_g
     block = int(cfg.params["block_size"]) or None
-    est = estimate_pairing(f, g, data, mod, paths, seed, block_size=block)
-    ref = spectral_pairing_value(f, g, data, mod)
+    est = estimate_pairing(f, g, cfg.data, cfg.mod, paths, seed, block_size=block)
+    ref = spectral_pairing_value(f, g, cfg.data, cfg.mod)
     ok_spec = est.agrees_with(ref)
     ok_routes = est.routes_agree()
     (out / "mc_report.csv").write_text(_mc_report_csv(est, ref))
@@ -116,15 +109,13 @@ def cmd_mc(cfg, out, seed, paths):
 
 
 def cmd_gaussian_mc(cfg, out, seed, paths):
-    f = cfg.build_field("field")
-    g = cfg.build_field("field_g")
-    spec = cfg.build_symbol_spec()
+    f, g, spec = cfg.field, cfg.field_g, cfg.spec
     if spec.variant not in ("gaussian", "gaussian_limit"):
         raise LevyMultError("gaussian-mc needs a gaussian symbol variant in the config")
     var_scale = float(cfg.params["var_scale"])
-    est = brownian_pairing(f, g, cfg.A, cfg.B, spec.K, paths,
+    est = brownian_pairing(f, g, spec.A, spec.B, spec.K, paths,
                            int(cfg.params["steps"]), seed, var_scale=var_scale)
-    ref = gaussian_spectral_value(f, g, cfg.A, cfg.B, spec.K, var_scale=var_scale)
+    ref = gaussian_spectral_value(f, g, spec.A, spec.B, spec.K, var_scale=var_scale)
     ok = within_sigmas(est.estimate, est.stderr, ref)
     (out / "gaussian_mc_report.csv").write_text(
         _mc_report_csv(est, ref, ("step_bias", est.step_bias, est.step_bias_se)))
@@ -139,13 +130,17 @@ def cmd_gaussian_mc(cfg, out, seed, paths):
 SELFTEST_DIVISOR = 50
 
 
-def cmd_selftest(cfg, out):
+def cmd_selftest(cfg, out, seed, paths):
     records = []
     for criterion in CRITERIA:
         records.append(criterion(SELFTEST_DIVISOR))
         print(records[-1].line, flush=True)
     (out / "selftest.txt").write_text("".join(r.line + "\n" for r in records))
     return all(r.passed for r in records), {"checks": len(records)}
+
+
+COMMANDS = {"symbol": cmd_symbol, "apply": cmd_apply, "pair": cmd_pair, "probe": cmd_probe,
+            "mc": cmd_mc, "gaussian-mc": cmd_gaussian_mc, "selftest": cmd_selftest}
 
 
 def _flag_number(text: str):
@@ -164,8 +159,7 @@ def main(argv=None):
         prog="levymult",
         description="Non-symmetric multiplier symbols, spectral application, "
                     "and Monte-Carlo verification.")
-    parser.add_argument("command", choices=["symbol", "apply", "pair", "probe",
-                                            "mc", "gaussian-mc", "selftest"])
+    parser.add_argument("command", choices=list(COMMANDS))
     parser.add_argument("--config", required=True, help="path to the JSON config")
     parser.add_argument("--seed", type=_flag_number, default=None, help="override params.seed")
     parser.add_argument("--paths", type=_flag_number, default=None,
@@ -177,26 +171,12 @@ def main(argv=None):
         cfg = parse_config(Path(args.config).read_text())
         check_params({key: value for key, value in (("paths", args.paths), ("seed", args.seed))
                       if value is not None}, prefix="--")
-        out = Path(args.out or cfg.output_dir)
+        out = Path(args.out or cfg.raw["output_dir"])
         out.mkdir(parents=True, exist_ok=True)
         (out / "config.echo.json").write_text(emit_config(cfg))
         seed = int(args.seed if args.seed is not None else cfg.params["seed"])
         paths = int(args.paths if args.paths is not None else cfg.params["paths"])
-
-        if args.command == "symbol":
-            ok, info = cmd_symbol(cfg, out)
-        elif args.command == "apply":
-            ok, info = cmd_apply(cfg, out)
-        elif args.command == "pair":
-            ok, info = cmd_pair(cfg, out)
-        elif args.command == "probe":
-            ok, info = cmd_probe(cfg, out, seed)
-        elif args.command == "mc":
-            ok, info = cmd_mc(cfg, out, seed, paths)
-        elif args.command == "gaussian-mc":
-            ok, info = cmd_gaussian_mc(cfg, out, seed, paths)
-        else:
-            ok, info = cmd_selftest(cfg, out)
+        ok, info = COMMANDS[args.command](cfg, out, seed, paths)
     except LevyMultError as exc:
         print(json.dumps({"status": "error", "code": type(exc).__name__,
                           "message": str(exc)}))

@@ -1,10 +1,11 @@
 """Run configuration: a JSON document with strict keys and filled defaults.
 
-Complex scalars are written as two-element [re, im] arrays.  Unknown keys
-anywhere in the document are rejected with the offending key named, so
-typos cannot silently change a run.  parse(emit(config)) reproduces the
-config exactly, and emit() output is canonical (sorted keys), giving
-byte-stable run reports.
+parse_config reads it once and builds the run it describes (the Levy data and
+modulator, symbol, grid and fields) into a frozen RunConfig.  Complex scalars
+are [re, im] arrays.  An unknown key anywhere is rejected by name, so typos
+cannot silently change a run, and a malformed value is a named error.
+parse(emit(config)) reproduces the config exactly, and emit() output is
+canonical (sorted keys), giving byte-stable run reports.
 """
 
 import copy
@@ -25,8 +26,13 @@ from .levy import (
     StableMeasure,
     validate,
 )
-from .spectral import gaussian_bump
+from .spectral import SampledField, gaussian_bump
 from .symbols import SymbolSpec
+
+# blocks shared by phi and psi, and by field and field_g
+_WEIGHT = {"kind": "constant", "value": [1.0, 0.0], "axis": 0, "normal": [], "radius": 1.0,
+           "harmonic": 1, "table": []}
+_BUMP = {"center": [], "width": 1.0, "phase": [], "amplitude": [1.0, 0.0]}
 
 _DEFAULTS = {
     "dimensions": {"d": 1, "n": 1},
@@ -42,19 +48,12 @@ _DEFAULTS = {
     },
     "sphere": {"directions": [], "weights": []},
     "drift": [],
-    "modulator": {
-        "phi": {"kind": "constant", "value": [1.0, 0.0], "axis": 0, "normal": [],
-                "radius": 1.0, "harmonic": 1, "table": []},
-        "psi": {"kind": "constant", "value": [1.0, 0.0], "axis": 0, "normal": [],
-                "radius": 1.0, "harmonic": 1, "table": []},
-    },
+    "modulator": {"phi": _WEIGHT, "psi": _WEIGHT},
     "symbol": {"variant": "q_form", "K": [], "var_scale": 1.0, "alpha": 0.5,
                "preset": "riesz", "j": 0, "k": 1},
     "grid": {"length": 40.0, "points": 1024},
-    "field": {"kind": "gaussian", "center": [], "width": 1.0, "phase": [],
-              "amplitude": [1.0, 0.0]},
-    "field_g": {"kind": "same", "center": [], "width": 1.0, "phase": [],
-                "amplitude": [1.0, 0.0]},
+    "field": {"kind": "gaussian", **_BUMP},
+    "field_g": {"kind": "same", **_BUMP},
     "params": {
         "p": [1.25, 1.5, 2.0, 3.0, 4.0],
         "trials": 500,
@@ -85,25 +84,15 @@ def _merge(defaults, given, path=""):
     return out
 
 
-def _as_complex(v):
-    if isinstance(v, (list, tuple)):
-        if len(v) != 2:
-            raise ConfigValidationError(f"complex values are [re, im], got {v!r}")
-        return complex(v[0], v[1])
-    return complex(v)
-
-
-def _complex_list(vals):
-    return [_as_complex(v) for v in vals]
-
-
 def _number_in(v, low, whole=False):
     """A finite number >= low (an integral one if whole; JSON may write 500.0)."""
     return isinstance(v, (int, float)) and low <= v < np.inf and (not whole or v == int(v))
 
 
-# (key, test, what the value must be) for the checked scalar params
+# (key, test, what the value must be) for the checked dimensions and scalar params
 _PARAM_RULES = (
+    ("d", lambda v: _number_in(v, 1, whole=True), "an integer >= 1"),
+    ("n", lambda v: _number_in(v, 1, whole=True), "an integer >= 1"),
     ("p", lambda v: isinstance(v, list) and v and all(_number_in(x, 1) and x > 1 for x in v),
      "a non-empty list of values in (1, inf)"),
     ("trials", lambda v: _number_in(v, 1, whole=True), "an integer >= 1"),
@@ -116,7 +105,7 @@ _PARAM_RULES = (
 
 
 def check_params(params: dict, prefix: str = "params."):
-    """Raise ConfigValidationError naming the first given param that breaks its rule."""
+    """Raise ConfigValidationError naming the first given key that breaks its rule."""
     for key, ok, need in _PARAM_RULES:
         if key in params and not ok(params[key]):
             raise ConfigValidationError(f"{prefix}{key} = {params[key]!r} is not {need}")
@@ -124,150 +113,123 @@ def check_params(params: dict, prefix: str = "params."):
 
 @dataclass(frozen=True, eq=False)
 class RunConfig:
-    """Validated run description; `raw` is the defaults-filled document."""
+    """A parsed run: `raw` is the defaults-filled document, and the rest are
+    the objects it describes, each built once by parse_config."""
 
     raw: dict
+    data: LevyData
+    mod: Modulator
+    spec: SymbolSpec
+    grid: Grid
+    field: SampledField
+    field_g: SampledField
 
-    def __post_init__(self):
-        check_params(self.raw["params"])
+    params = property(lambda self: self.raw["params"])
 
-    # -- dimensions and matrices ------------------------------------------
-    @property
-    def d(self) -> int:
-        return int(self.raw["dimensions"]["d"])
 
-    @property
-    def n(self) -> int:
-        return int(self.raw["dimensions"]["n"])
+def _array(raw, key, shape, dtype=float, empty=None):
+    """The array at a dotted key, of the given shape (-1 is any length, () a
+    scalar, [] an empty list of rows); a complex entry may be an [re, im] pair,
+    and `empty`, if given, stands in for [].  Else ConfigValidationError."""
+    value = raw
+    for part in key.split("."):
+        value = value[part]
+    if empty is not None and value == []:
+        return empty
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):  # ragged, or not numbers
+        arr = None
+    if arr is not None:
+        if arr.size == 0 and len(shape) > 1:
+            arr = arr.reshape(0, *shape[1:])
+        if dtype is complex and arr.ndim == len(shape) + 1 and arr.shape[-1] == 2:
+            arr = np.ascontiguousarray(arr).view(complex)[..., 0]
+        if arr.ndim == len(shape) and all(s in (-1, a) for s, a in zip(shape, arr.shape)):
+            return arr.astype(dtype)
+    raise ConfigValidationError(f"{key} must be an array of shape {shape}, got {value!r}")
 
-    @property
-    def A(self) -> np.ndarray:
-        return np.asarray(self.raw["matrices"]["A"], dtype=float).reshape(self.d, self.n)
 
-    @property
-    def B(self) -> np.ndarray:
-        return np.asarray(self.raw["matrices"]["B"], dtype=float).reshape(self.d, self.n)
+def _named(key, build, *args, **kwargs):
+    """build(*args, **kwargs), a TypeError, ValueError or OverflowError named by `key`."""
+    try:
+        return build(*args, **kwargs)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigValidationError(f"{key}: {exc}") from None
 
-    # -- domain objects ----------------------------------------------------
-    def build_measure(self):
-        m = self.raw["measure"]
-        variant = m["variant"]
-        if variant == "atoms":
-            return AtomsMeasure(np.asarray(m["atoms"], dtype=float).reshape(-1, self.n),
-                                np.asarray(m["weights"], dtype=float))
-        if variant == "radial_product":
-            return RadialProductMeasure(
-                alpha=float(m["alpha"]),
-                coeff=float(m["coeff"]),
-                directions=np.asarray(m["directions"], dtype=float).reshape(-1, self.n),
-                dir_weights=np.asarray(m["dir_weights"], dtype=float),
-            )
-        if variant == "stable":
-            return StableMeasure(alpha=float(m["alpha"]), n=self.n)
-        raise ConfigValidationError(f"unknown measure variant {variant!r}")
 
-    def build_sphere(self) -> SphericalMeasure:
-        s = self.raw["sphere"]
-        if not s["weights"]:
-            return SphericalMeasure.empty(self.n)
-        return SphericalMeasure(np.asarray(s["directions"], dtype=float).reshape(-1, self.n),
-                                np.asarray(s["weights"], dtype=float))
+def _measure(raw, n):
+    m = raw["measure"]
+    variant = m["variant"]
+    if variant == "atoms":
+        atoms = _array(raw, "measure.atoms", (-1, n))
+        return AtomsMeasure(atoms, _array(raw, "measure.weights", (len(atoms),)))
+    if variant == "radial_product":
+        directions = _array(raw, "measure.directions", (-1, n))
+        return RadialProductMeasure(
+            alpha=float(m["alpha"]), coeff=float(m["coeff"]), directions=directions,
+            dir_weights=_array(raw, "measure.dir_weights", (len(directions),)))
+    if variant == "stable":
+        return StableMeasure(alpha=float(m["alpha"]), n=n)
+    raise ConfigValidationError(f"unknown measure variant {variant!r}")
 
-    def build_data(self) -> LevyData:
-        gamma = np.asarray(self.raw["drift"], dtype=float) if self.raw["drift"] \
-            else np.zeros(self.n)
-        data = LevyData(nu=self.build_measure(), mu=self.build_sphere(), gamma=gamma,
-                        A=self.A, B=self.B, d=self.d, n=self.n)
-        return validate(data, self.build_modulator())
 
-    def _modspec(self, block) -> ModSpec:
-        kind = block["kind"]
-        if kind == "table":
-            return ModSpec(kind="table", table=np.asarray(_complex_list(block["table"])))
-        return ModSpec(
-            kind=kind,
-            value=_as_complex(block["value"]),
-            axis=int(block["axis"]),
-            normal=tuple(float(v) for v in block["normal"]),
-            radius=float(block["radius"]),
-            harmonic=int(block["harmonic"]),
-        )
+def _modspec(raw, name) -> ModSpec:
+    block, key = raw["modulator"][name], f"modulator.{name}"
+    if block["kind"] == "table":
+        return ModSpec(kind="table", table=_array(raw, f"{key}.table", (-1,), complex))
+    return ModSpec(
+        kind=block["kind"],
+        value=complex(_array(raw, f"{key}.value", (), complex)),
+        axis=int(block["axis"]),
+        normal=tuple(float(v) for v in _array(raw, f"{key}.normal", (-1,))),
+        radius=float(block["radius"]),
+        harmonic=int(block["harmonic"]),
+    )
 
-    def build_modulator(self) -> Modulator:
-        mod = self.raw["modulator"]
-        return Modulator(phi=self._modspec(mod["phi"]), psi=self._modspec(mod["psi"]))
 
-    def build_symbol_spec(self) -> SymbolSpec:
-        s = self.raw["symbol"]
-        variant = s["variant"]
-        if variant in ("q_form", "integral_form", "limit_form"):
-            return SymbolSpec(variant=variant, data=self.build_data(),
-                              mod=self.build_modulator(),
-                              u=float(self.raw["params"]["u_scale"]))
-        if variant in ("gaussian", "gaussian_limit"):
-            K = np.asarray([_complex_list(row) for row in s["K"]], dtype=complex) \
-                if s["K"] else np.eye(self.n, dtype=complex)
-            return SymbolSpec(variant=variant, A=self.A, B=self.B,
-                              K=K.reshape(self.n, self.n),
-                              var_scale=float(s["var_scale"]))
-        if variant == "stable":
-            return SymbolSpec(variant="stable", alpha=float(s["alpha"]))
-        if variant == "preset":
-            return SymbolSpec(variant="preset", preset=s["preset"], j=int(s["j"]),
-                              k=int(s["k"]), d=self.d)
-        raise ConfigValidationError(f"unknown symbol variant {variant!r}")
-
-    def build_field(self, which: str = "field"):
-        blk = self.raw[which]
-        if which == "field_g" and blk["kind"] == "same":
-            blk = self.raw["field"]
-        if blk["kind"] != "gaussian":
-            raise ConfigValidationError(f"unknown field kind {blk['kind']!r}")
-        d = self.d
-        g = self.raw["grid"]
-        center = np.asarray(blk["center"], dtype=float) if blk["center"] else np.zeros(d)
-        phase = np.asarray(blk["phase"], dtype=float) if blk["phase"] else np.zeros(d)
-        return gaussian_bump(float(g["length"]), int(g["points"]), d,
-                             center=center, width=float(blk["width"]),
-                             phase_freq=phase, amplitude=_as_complex(blk["amplitude"]))
-
-    # -- scalar parameters ---------------------------------------------------
-    @property
-    def params(self) -> dict:
-        return self.raw["params"]
-
-    @property
-    def grid_length(self) -> float:
-        return float(self.raw["grid"]["length"])
-
-    @property
-    def grid_points(self) -> int:
-        return int(self.raw["grid"]["points"])
-
-    @property
-    def output_dir(self) -> str:
-        return self.raw["output_dir"]
+def _field(raw, which: str, grid: Grid) -> SampledField:
+    blk = raw[which]
+    if blk["kind"] != "gaussian":
+        raise ConfigValidationError(f"unknown {which} kind {blk['kind']!r}")
+    zeros = np.zeros(grid.d)
+    return _named(which, gaussian_bump, grid.L, grid.N, grid.d,
+                  center=_array(raw, f"{which}.center", (grid.d,), empty=zeros),
+                  width=blk["width"],
+                  phase_freq=_array(raw, f"{which}.phase", (grid.d,), empty=zeros),
+                  amplitude=complex(_array(raw, f"{which}.amplitude", (), complex)))
 
 
 def parse_config(text: str) -> RunConfig:
-    """Parse and validate a config document; fills defaults.
+    """Parse a config document, fill its defaults and build the run it describes.
 
     Raises ParseError (with line/column for syntax problems, or naming the
-    unknown key) and lets measure/modulator validation errors propagate.
+    unknown key), ConfigValidationError naming a key whose value is malformed,
+    and the named errors of measure, modulator and symbol validation.
     """
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(exc.msg, line=exc.lineno, column=exc.colno) from None
     raw = _merge(_DEFAULTS, doc)
-    cfg = RunConfig(raw=raw)
-    cfg.build_data()          # validates measure + modulator together
-    cfg.build_symbol_spec()
-    try:
-        Grid(cfg.d, cfg.raw["grid"]["length"], cfg.raw["grid"]["points"])
-    except ValueError as exc:
-        raise ConfigValidationError(f"grid: {exc}") from None
-    return cfg
+    check_params(raw["params"])
+    check_params(raw["dimensions"], prefix="dimensions.")
+    d, n = int(raw["dimensions"]["d"]), int(raw["dimensions"]["n"])
+    grid = _named("grid", Grid, d, raw["grid"]["length"], raw["grid"]["points"])
+    A, B = (_array(raw, f"matrices.{key}", (d, n)) for key in "AB")
+    mod = Modulator(*(_named(f"modulator.{name}", _modspec, raw, name)
+                      for name in ("phi", "psi")))
+    weights = _array(raw, "sphere.weights", (-1,))
+    mu = SphericalMeasure(_array(raw, "sphere.directions", (len(weights), n)), weights)
+    gamma = _array(raw, "drift", (n,), empty=np.zeros(n))
+    data = validate(LevyData(nu=_named("measure", _measure, raw, n), mu=mu, gamma=gamma,
+                             A=A, B=B, d=d, n=n), mod)
+    K = _array(raw, "symbol.K", (n, n), complex, empty=np.eye(n, dtype=complex))
+    spec = _named("symbol", SymbolSpec, **{**raw["symbol"], "K": K}, data=data, mod=mod,
+                  u=raw["params"]["u_scale"], A=A, B=B, d=d)
+    field = _field(raw, "field", grid)
+    field_g = field if raw["field_g"]["kind"] == "same" else _field(raw, "field_g", grid)
+    return RunConfig(raw, data, mod, spec, grid, field, field_g)
 
 
 def emit_config(cfg: RunConfig) -> str:

@@ -73,6 +73,10 @@ class StepTooCoarse(LevyMultError):
     pass
 
 
+class SymbolSpecError(LevyMultError):
+    """A symbol specification names no variant, preset or axis that exists."""
+
+
 class SymbolBoundViolation(LevyMultError):
     """A tabulated symbol exceeded the unit bound beyond tolerance."""
 

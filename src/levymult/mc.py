@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MeasureValidationError, StepTooCoarse
+from .errors import MeasureValidationError, ShapeMismatch, StepTooCoarse
 from .kernels import brownian_accumulate, cpp_pair_coeffs
 from .levy import (
     AtomsMeasure,
@@ -42,7 +42,7 @@ from .spectral import (
     transform_forward,
     values_from_coefficients,
 )
-from .symbols import SymbolSpec, _check_contraction, evaluate_grid
+from .symbols import SymbolSpec, _gaussian_maps, evaluate_grid
 
 SUB_STRIDE = 4   # the L^p powers are summed over every 4th x-grid point per axis
 
@@ -110,6 +110,8 @@ def _band(f: SampledField, g: SampledField, A, B):
     the band frequencies mapped by A and B (rows xi_k A, xi_k B).
     """
     _check_compat(f, g)
+    if A.shape[0] != f.d or B.shape[0] != f.d:
+        raise ShapeMismatch(f"A {A.shape} and B {B.shape} need {f.d} rows, the fields' dimension")
     fhat = transform_forward(f).ravel()
     ghat = transform_forward(g).ravel()
     mags = np.abs(fhat) + np.abs(ghat)
@@ -385,10 +387,7 @@ def brownian_pairing(f: SampledField, g: SampledField, A, B, Kmat,
     standard error trips a component with probability at most about
     Phi(-3) = 0.135 %.  The estimate and both routes do not depend on the gate.
     """
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    B = np.atleast_2d(np.asarray(B, dtype=float))
-    Kmat = np.atleast_2d(np.asarray(Kmat, dtype=complex))
-    _check_contraction(Kmat)
+    A, B, Kmat = _gaussian_maps(A, B, Kmat)
     _check_n_paths(n_paths)
     _check_block_size(block_size)
     _check_seed(seed)
@@ -454,7 +453,6 @@ def gaussian_spectral_value(f: SampledField, g: SampledField, A, B, Kmat,
                             var_scale: float = 0.5) -> complex:
     """Grid pairing against the Gaussian symbol at the same variance scale."""
     grid = evaluate_grid(
-        SymbolSpec(variant="gaussian", A=np.atleast_2d(A), B=np.atleast_2d(B),
-                   K=np.atleast_2d(Kmat), var_scale=var_scale),
+        SymbolSpec(variant="gaussian", A=A, B=B, K=Kmat, var_scale=var_scale),
         L=f.L, N=f.N)
     return pairing(grid, f, g).spectral

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridMismatch, LevyMultError
+from .errors import GridMismatch, LevyMultError, ShapeMismatch
 from .grids import Grid
 from .levy import LevyData, psi
 from .symbols import SymbolGrid
@@ -44,6 +44,9 @@ def gaussian_bump(L, N, d, center=None, width=1.0, phase_freq=None,
     """exp(-|x-c|^2/(2 w^2) + i (omega, x)); keep the support well inside the box."""
     center = np.zeros(d) if center is None else np.asarray(center, dtype=float)
     omega = np.zeros(d) if phase_freq is None else np.asarray(phase_freq, dtype=float)
+    for name, v in (("center", center), ("phase_freq", omega)):
+        if v.shape != (d,):
+            raise ShapeMismatch(f"{name} has shape {v.shape}, the grid has dimension {d}")
 
     def fn(*mesh):
         q = sum((m - c) ** 2 for m, c in zip(mesh, center))

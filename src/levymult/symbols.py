@@ -12,6 +12,7 @@ exponent differences.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,10 +20,12 @@ import numpy as np
 from .errors import (
     AlphaOutOfRange,
     DegenerateDenominator,
+    GridMismatch,
     KNormExceedsOne,
     RequiresEqualMatrices,
     ShapeMismatch,
     SymbolBoundViolation,
+    SymbolSpecError,
     ZeroCoordinate,
     ZeroFrequencyVector,
 )
@@ -146,10 +149,17 @@ def symbol_limit(data: LevyData, mod: Modulator, xi, on_degenerate: str = "raise
     return _maybe_scalar(vals, scalar)
 
 
-def _check_contraction(K: np.ndarray):
+def _gaussian_maps(A, B, K):
+    """The Gaussian branch's maps as arrays: A and B of one shape d x n, and K
+    an n x n contraction.  ShapeMismatch or KNormExceedsOne otherwise."""
+    A, B = (np.atleast_2d(np.asarray(M, dtype=float)) for M in (A, B))
+    K = np.atleast_2d(np.asarray(K, dtype=complex))
+    if A.ndim != 2 or B.shape != A.shape or K.shape != (A.shape[1],) * 2:
+        raise ShapeMismatch(f"A {A.shape} and B {B.shape} must be d x n and K {K.shape} n x n")
     smax = np.linalg.svd(K, compute_uv=False)[0]
     if smax > 1.0 + 1e-12:
         raise KNormExceedsOne(f"largest singular value of K is {smax:.12g} > 1")
+    return A, B, K
 
 
 def symbol_gaussian(A, B, K, xi, var_scale: float = 1.0):
@@ -164,10 +174,7 @@ def symbol_gaussian(A, B, K, xi, var_scale: float = 1.0):
     exponents above; 1/2 is the scale produced by the Brownian
     time-integral, which brownian_pairing verifies against.
     """
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    B = np.atleast_2d(np.asarray(B, dtype=float))
-    K = np.atleast_2d(np.asarray(K, dtype=complex))
-    _check_contraction(K)
+    A, B, K = _gaussian_maps(A, B, K)
     X, scalar = _xi_batch(xi, A.shape[0])
     a = X @ A
     b = X @ B
@@ -181,9 +188,7 @@ def symbol_gaussian(A, B, K, xi, var_scale: float = 1.0):
 
 def symbol_gaussian_limit(A, K, xi, on_degenerate: str = "raise"):
     """Homogeneous degree-0 Gaussian limit (a, K a)/(a, a), a = A^T xi."""
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    K = np.atleast_2d(np.asarray(K, dtype=complex))
-    _check_contraction(K)
+    A, _, K = _gaussian_maps(A, A, K)
     X, scalar = _xi_batch(xi, A.shape[0])
     a = X @ A
     aKa = np.einsum("kj,kj->k", a.astype(complex), a @ K.T)
@@ -234,8 +239,16 @@ def symbol_stable(alpha: float, xi):
     return complex(vals[0]) if scalar else vals
 
 
+def _axis(name: str, value, d: int) -> int:
+    """A preset's coordinate axis as an int; SymbolSpecError unless a whole number in [0, d)."""
+    if not (isinstance(value, numbers.Real) and float(value).is_integer() and 0 <= value < d):
+        raise SymbolSpecError(f"preset axis {name} = {value!r} is not a whole number in [0, {d})")
+    return int(value)
+
+
 def preset_log_symbol(j: int, d: int, xi):
     """ln(1 + xi_j^-2) / sum_k ln(1 + xi_k^-2); needs every coordinate nonzero."""
+    j = _axis("j", j, d)
     X, scalar = _xi_batch(xi, d)
     if np.any(X == 0.0):
         raise ZeroCoordinate("the log-ratio symbol needs all coordinates nonzero")
@@ -246,6 +259,7 @@ def preset_log_symbol(j: int, d: int, xi):
 
 def riesz_matrix(j: int, k: int, n: int) -> np.ndarray:
     """K = -(e_j e_k^T + e_k e_j^T); with A = I this gives -2 xi_j xi_k / |xi|^2."""
+    j, k = _axis("j", j, n), _axis("k", k, n)
     K = np.zeros((n, n))
     K[j, k] -= 1.0
     K[k, j] -= 1.0
@@ -265,6 +279,9 @@ class SymbolSpec:
 
     variants: q_form | integral_form | limit_form | gaussian |
               gaussian_limit | stable | preset
+
+    SymbolSpecError names an unknown variant or preset, a preset axis (j; k for
+    riesz) that is not a whole number in [0, d), and a stable symbol given d != 1.
     """
 
     variant: str
@@ -281,6 +298,18 @@ class SymbolSpec:
     k: int = 1
     d: int = None
 
+    def __post_init__(self):
+        v, d = self.variant, self.dim   # dim names an unknown variant
+        for name in ("u", "var_scale", "alpha"):
+            object.__setattr__(self, name, float(getattr(self, name)))
+        if v == "stable" and self.d not in (None, 1):
+            raise SymbolSpecError(f"the stable symbol is one-dimensional, got d = {self.d}")
+        if v == "preset":
+            if self.preset not in ("log", "riesz"):
+                raise SymbolSpecError(f"unknown preset {self.preset!r}")
+            for name in ("j", "k") if self.preset == "riesz" else ("j",):
+                object.__setattr__(self, name, _axis(name, getattr(self, name), d))
+
     @property
     def dim(self) -> int:
         if self.variant in ("q_form", "integral_form", "limit_form"):
@@ -289,7 +318,9 @@ class SymbolSpec:
             return np.atleast_2d(np.asarray(self.A)).shape[0]
         if self.variant == "stable":
             return 1
-        return self.d if self.d is not None else 2
+        if self.variant == "preset":
+            return self.d if self.d is not None else 2
+        raise SymbolSpecError(f"unknown symbol variant {self.variant!r}")
 
     def __call__(self, xi, on_degenerate: str = "raise"):
         v = self.variant
@@ -307,9 +338,7 @@ class SymbolSpec:
             xi_arr = np.atleast_2d(np.asarray(xi, dtype=float))
             vals = symbol_stable(self.alpha, xi_arr[:, 0])
             return vals if np.asarray(xi).ndim > 1 else complex(np.atleast_1d(vals)[0])
-        if v == "preset":
-            return self._preset(xi, on_degenerate)
-        raise ValueError(f"unknown symbol variant {v!r}")
+        return self._preset(xi, on_degenerate)
 
     def _preset(self, xi, on_degenerate):
         d = self.dim
@@ -322,11 +351,9 @@ class SymbolSpec:
             if np.any(ok):
                 vals[ok] = preset_log_symbol(self.j, d, X[ok])
             return _maybe_scalar(vals, scalar)
-        if self.preset == "riesz":
-            K = riesz_matrix(self.j, self.k, d)
-            return symbol_gaussian_limit(np.eye(d), K, X if not scalar else np.asarray(xi),
-                                         on_degenerate=on_degenerate)
-        raise ValueError(f"unknown preset {self.preset!r}")
+        K = riesz_matrix(self.j, self.k, d)
+        return symbol_gaussian_limit(np.eye(d), K, X if not scalar else np.asarray(xi),
+                                     on_degenerate=on_degenerate)
 
 
 @dataclass(frozen=True, eq=False)
@@ -365,6 +392,8 @@ def evaluate_grid(spec: SymbolSpec, L=None, N=None) -> SymbolGrid:
     Points where a degree-0 or axis-singular symbol is undefined store 0.
     """
     d = spec.dim
+    if (L is None or N is None) and d not in _DEFAULT_GRIDS:
+        raise GridMismatch(f"no default grid for d = {d}: give L and N")
     if L is None or N is None:
         Ld, Nd = _DEFAULT_GRIDS[d]
         L = Ld if L is None else L

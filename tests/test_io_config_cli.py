@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import levymult
+import levymult.cli
 from levymult import SampledField, SymbolSpec, evaluate_grid, gaussian_bump
 from levymult.config import emit_config, parse_config
 from levymult.errors import (
@@ -162,9 +163,9 @@ STABLE_CONFIG = """
 
 def test_parse_minimal_stable_config():
     cfg = parse_config(STABLE_CONFIG)
-    assert cfg.d == cfg.n == 1
-    assert cfg.A[0, 0] == -1.0 and cfg.B[0, 0] == 1.0
-    data = cfg.build_data()
+    data = cfg.data
+    assert data.d == data.n == 1
+    assert data.A[0, 0] == -1.0 and data.B[0, 0] == 1.0
     assert type(data.nu).__name__ == "StableMeasure"
 
 
@@ -373,14 +374,52 @@ def test_cli_mc_small_run(tmp_path):
     assert (tmp_path / "mc/mc_report.csv").exists()
 
 
-def test_cli_error_reports_reason_on_last_line(tmp_path):
+_TWO_D = {"dimensions": {"d": 2, "n": 2}, "matrices": {"A": np.eye(2).tolist(),
+                                                        "B": np.eye(2).tolist()},
+          "measure": {"variant": "atoms", "atoms": [[1.0, 0.0]], "weights": [1.0]},
+          "modulator": {}, "grid": {"length": 20.0, "points": 16}}
+
+
+@pytest.mark.parametrize("blocks, code, named", [
+    ({"fooo": 1}, "ParseError", "fooo"),
+    ({"symbol": {"variant": "preset", "preset": "riesz"}}, "SymbolSpecError", "k = 1 "),
+    ({**_TWO_D, "symbol": {"variant": "preset", "preset": "log", "j": 2}},
+     "SymbolSpecError", "j = 2 "),
+    ({"symbol": {"variant": "preset", "preset": "sobolev"}}, "SymbolSpecError", "'sobolev'"),
+    ({"symbol": {"variant": "gaussian", "K": [[1.0, 0.0], [0.0, 1.0]]}},
+     "ConfigValidationError", "symbol.K"),
+    ({"matrices": {"A": [[1.0, 0.0]], "B": [[1.0]]}}, "ConfigValidationError", "matrices.A"),
+    ({**_TWO_D, "measure": {"variant": "atoms", "atoms": [[1.0, 0.0, 2.0]], "weights": [1.0]}},
+     "ConfigValidationError", "measure.atoms"),
+    ({"dimensions": {"d": "x", "n": 1}}, "ConfigValidationError", "dimensions.d"),
+    ({"field": {"center": [0.1, 5.0]}}, "ConfigValidationError", "field.center"),
+    ({"field": {"kind": "square"}}, "ConfigValidationError", "field kind 'square'"),
+], ids=["unknown-key", "riesz-d1", "log-j2", "unknown-preset", "K-2x2-n1", "A-1x2",
+        "atoms-3-n2", "d-text", "center-2-d1", "field-kind"])
+def test_cli_error_reports_reason_on_last_line(tmp_path, blocks, code, named):
+    # the cases after the first used to exit 1 with a traceback, or (the two field
+    # blocks, which `symbol` never read) exit 0
+    doc = {**json.loads(STABLE_CONFIG), **blocks}
     path = tmp_path / "bad.json"
-    path.write_text('{"fooo": 1}')
-    res = _run_cli(["symbol", "--config", str(path)], tmp_path)
+    path.write_text(json.dumps(doc))
+    res = _run_cli(["symbol", "--config", str(path), "--out", "run"], tmp_path)
     assert res.returncode == 2, res.stdout + res.stderr
     last = json.loads(res.stdout.strip().split("\n")[-1])
-    assert last["status"] == "error"
-    assert "fooo" in last["message"]
+    assert last["status"] == "error" and last["code"] == code
+    assert named in last["message"] and "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize("path", sorted((Path(__file__).parent.parent / "configs").glob("*.json")),
+                         ids=lambda p: p.name)
+def test_shipped_configs_parse_and_round_trip(path):
+    cfg = parse_config(path.read_text())
+    assert parse_config(emit_config(cfg)).raw == cfg.raw
+
+
+def test_readme_command_table_lists_the_cli_commands():
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    listed = re.findall(r"^\| `([a-z-]+)` +\|", readme, flags=re.M)
+    assert listed == list(levymult.cli.COMMANDS)
 
 
 def test_cli_sign_axis_outside_the_jump_space_is_a_named_error(tmp_path):

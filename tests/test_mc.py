@@ -36,7 +36,7 @@ from levymult import (
 from levymult.kernels import brownian_accumulate
 from levymult.quadrature import panel_rule
 from levymult.spectral import values_from_coefficients
-from levymult.errors import GridMismatch, MeasureValidationError, StepTooCoarse
+from levymult.errors import GridMismatch, MeasureValidationError, ShapeMismatch, StepTooCoarse
 from levymult import checks, mc
 from levymult.mc import mean_and_se
 
@@ -321,6 +321,24 @@ def test_mc_entry_points_reject_fields_on_different_grids(bump_f):
             check_subordination(bump_f, other, data, mod, 10, 1, [0.3])
         with pytest.raises(GridMismatch):
             brownian_pairing(bump_f, other, [[1.0]], [[1.0]], [[0.5]], 10, 4, 1)
+
+
+@pytest.mark.parametrize("A, B, K", [
+    ([[1.0]], [[1.0]], np.eye(2)),                 # K is not n x n
+    ([[1.0, 0.0]], [[1.0]], [[0.5]]),              # A and B differ in shape
+    ([[1.0], [0.5]], [[1.0], [0.5]], [[0.5]]),     # two rows against 1-D fields
+])
+def test_brownian_pairing_names_bad_maps(bump_f, bump_g, A, B, K):
+    with pytest.raises(ShapeMismatch):
+        brownian_pairing(bump_f, bump_g, A, B, K, 10, 4, 1)
+
+
+@pytest.mark.parametrize("entry", ["run_cpp_paths", "estimate_pairing", "check_subordination"])
+def test_cpp_entry_points_name_maps_of_another_dimension(bump_f, bump_g, entry):
+    data = make_data(AtomsMeasure([[1.0]], [1.0]), A=[[1.0], [0.5]], B=[[1.0], [0.5]])
+    x = ([0.3, 0.0],) if entry == "check_subordination" else ()
+    with pytest.raises(ShapeMismatch, match="rows"):
+        getattr(mc, entry)(bump_f, bump_g, data, IDENTITY_MOD, 10, 1, *x)
 
 
 def test_jump_engine_rejects_gaussian_part(bump_f, bump_g):

@@ -14,6 +14,7 @@ from levymult import (
     SymbolSpec,
     approximate,
     evaluate_grid,
+    gaussian_bump,
     make_data,
     preset_log_symbol,
     psi,
@@ -34,9 +35,12 @@ from levymult import symbols
 from levymult.errors import (
     AlphaOutOfRange,
     DegenerateDenominator,
+    GridMismatch,
     KNormExceedsOne,
     RequiresEqualMatrices,
+    ShapeMismatch,
     SymbolBoundViolation,
+    SymbolSpecError,
     ZeroCoordinate,
     ZeroFrequencyVector,
 )
@@ -211,6 +215,19 @@ def test_symbol_gaussian_rejects_expanding_K():
         symbol_gaussian([[1.0]], [[1.0]], [[1.0 + 1e-6]], [1.0])
 
 
+@pytest.mark.parametrize("A, B, K", [
+    ([[1.0]], [[1.0]], np.eye(2)),                 # K is not n x n
+    ([[1.0, 0.0]], [[1.0]], [[0.5]]),              # A and B differ in shape
+])
+def test_symbol_gaussian_names_bad_maps(A, B, K):
+    # these used to end in numpy's bare matmul ValueError
+    with pytest.raises(ShapeMismatch):
+        symbol_gaussian(A, B, K, [1.0])
+    if A == B:
+        with pytest.raises(ShapeMismatch):
+            symbol_gaussian_limit(A, K, [1.0])
+
+
 def test_symbol_gaussian_limit_riesz():
     K = riesz_matrix(0, 1, 2)
     assert symbol_gaussian_limit(np.eye(2), K, [1.0, 1.0]) == \
@@ -356,6 +373,28 @@ def test_preset_log_symbol_values():
         pytest.approx(np.log(2.0) / (np.log(2.0) + np.log(1.25)), abs=1e-12)
     with pytest.raises(ZeroCoordinate):
         preset_log_symbol(0, 2, [0.0, 1.0])
+
+
+@pytest.mark.parametrize("build, error, match", [
+    (lambda: SymbolSpec(variant="q_from"), SymbolSpecError, "variant 'q_from'"),
+    (lambda: SymbolSpec(variant="preset", preset="sobolev"), SymbolSpecError, "'sobolev'"),
+    (lambda: SymbolSpec(variant="preset", preset="riesz", d=1), SymbolSpecError, "k = 1 "),
+    (lambda: SymbolSpec(variant="preset", preset="log", d=2, j=2), SymbolSpecError, "j = 2 "),
+    (lambda: SymbolSpec(variant="preset", preset="riesz", d=3, k=1.5), SymbolSpecError,
+     "k = 1.5 "),
+    (lambda: SymbolSpec(variant="stable", d=2), SymbolSpecError, "one-dimensional"),
+    (lambda: riesz_matrix(0, 1, 1), SymbolSpecError, "k = 1 "),
+    (lambda: preset_log_symbol(2, 2, [1.0, 1.0]), SymbolSpecError, "j = 2 "),
+    (lambda: evaluate_grid(SymbolSpec(variant="preset", preset="riesz", d=4)), GridMismatch,
+     "d = 4"),
+    (lambda: gaussian_bump(40.0, 64, 1, center=[0.1, 5.0]), ShapeMismatch, "center"),
+    (lambda: gaussian_bump(40.0, 64, 1, phase_freq=[0.1, 5.0]), ShapeMismatch, "phase_freq"),
+])
+def test_symbol_and_field_constructors_name_bad_input(build, error, match):
+    # these used to raise a bare IndexError, KeyError or ValueError, or nothing at all
+    # (zip dropped the extra entry, and an unchecked spec failed only when called)
+    with pytest.raises(error, match=match):
+        build()
 
 
 def test_preset_log_symbol_in_unit_interval():
