@@ -89,7 +89,8 @@ def _number_in(v, low, whole=False):
     return isinstance(v, (int, float)) and low <= v < np.inf and (not whole or v == int(v))
 
 
-# (key, test, what the value must be) for the checked dimensions and scalar params
+# (key, test, what the value must be) for the checked dimensions, scalar params
+# and field widths
 _PARAM_RULES = (
     ("d", lambda v: _number_in(v, 1, whole=True), "an integer >= 1"),
     ("n", lambda v: _number_in(v, 1, whole=True), "an integer >= 1"),
@@ -101,6 +102,8 @@ _PARAM_RULES = (
     ("steps", lambda v: _number_in(v, 2, whole=True) and v % 2 == 0, "an even integer >= 2"),
     ("block_size", lambda v: _number_in(v, 0, whole=True), "an integer >= 0"),
     ("seed", lambda v: _number_in(v, 0, whole=True) and v < 2**64, "an integer in [0, 2**64)"),
+    ("u_scale", lambda v: _number_in(v, 0) and v > 0, "a finite number > 0"),
+    ("width", lambda v: _number_in(v, 0) and v > 0, "a finite number > 0"),
 )
 
 
@@ -192,6 +195,7 @@ def _field(raw, which: str, grid: Grid) -> SampledField:
     blk = raw[which]
     if blk["kind"] != "gaussian":
         raise ConfigValidationError(f"unknown {which} kind {blk['kind']!r}")
+    check_params(blk, prefix=f"{which}.")
     zeros = np.zeros(grid.d)
     return _named(which, gaussian_bump, grid.L, grid.N, grid.d,
                   center=_array(raw, f"{which}.center", (grid.d,), empty=zeros),

@@ -37,10 +37,6 @@ class ModulatorUndefinedOnSupport(LevyMultError):
     pass
 
 
-class QuadratureNotConverged(LevyMultError):
-    pass
-
-
 class EpsTooLarge(LevyMultError):
     pass
 

@@ -15,11 +15,14 @@ drift term i(zeta, gamma), and `exponents` returns the pair from one call.
 On an atomic measure that call is one real-arithmetic pass over the atoms:
 the phases D = (zeta, z_i) are formed once, and cos D - 1 and
 sin D - D 1_{|z_i|<=1}, both from one tangent t = tan(D/2), are contracted
-with both weight columns.  Every e^{iD} - 1 of the exponent layer, atomic
-or radial, is formed from that tangent.  The boundary convention includes
-|z| = 1 in the compensated region.
-`cross_form` evaluates the bilinear integral the ratio-form symbol needs
-directly, never as a difference of exponents, on the same batches of rows.
+with both weight columns.  The boundary convention includes |z| = 1 in the
+compensated region.  On a radial density each ray's integral has a closed
+form, f(c) = Gamma(-alpha) (-ic)^alpha - ic / (1 - alpha) at c = (zeta,
+theta_j), so the radial exponent is one (rows, directions) array expression
+with no quadrature.
+`cross_form` evaluates the bilinear integral the ratio-form symbol needs on
+the same batches of rows: directly on atoms, and as the difference of the
+closed-form jump parts on a radial density, where the compensators cancel.
 
 Every weight is evaluated by `eval_modspec` on its support: phi per jump
 atom, or per direction of a radial density, where it must be constant
@@ -41,24 +44,22 @@ from .errors import (
     ModulatorExceedsOne,
     ModulatorUndefinedOnSupport,
     NonIntegrableMeasure,
-    QuadratureNotConverged,
     RequiresFiniteMeasure,
     ShapeMismatch,
 )
-from .quadrature import (
-    panel_rule,
-    radial_edges,
-    singular_floor,
-    stable_tail_const,
-    stable_tail_exp,
-)
+from .quadrature import panel_rule, radial_edges
 
-DEFAULT_REL_TOL = 1e-9
 UNIT_SPHERE_TOL = 1e-12
 # values in one (rows, atoms) temporary of the atom passes: about 512 kB, so
 # a chunk's phases stay in cache through the tangent and both contractions
 ATOM_CHUNK_VALUES = 1 << 16
-QUAD_ORDER = 64   # Gauss-Legendre nodes per radial panel
+QUAD_ORDER = 64   # Gauss-Legendre nodes per radial panel of approximate()
+EULER = 0.5772156649015329
+# zeta(2), ..., zeta(13): the series lgamma(1 - delta) = EULER delta + sum_k zeta(k) delta^k / k
+# to about 1e-14 at |delta| = 0.1
+_ZETA = (1.6449340668482264, 1.2020569031595942, 1.0823232337111381, 1.03692775514337,
+         1.0173430619844492, 1.008349277381923, 1.0040773561979444, 1.0020083928260821,
+         1.000994575127818, 1.0004941886041194, 1.000246086553308, 1.0001227133475785)
 
 
 def stable_coefficient(alpha: float, d: int) -> float:
@@ -107,8 +108,8 @@ class RadialProductMeasure:
     nu(E) = sum_j a_j I 1_E(r theta_j) coeff r^(-1-alpha) dr.
 
     alpha outside (0, 2) gives a non-integrable measure that validate()
-    rejects.  The exponent integrates to infinity (the tail past the
-    panels by its asymptotic series) and approximate() cuts at 500 / eps.
+    rejects.  The exponent takes each ray's integral in closed form, and
+    approximate() cuts at 500 / eps.
     """
 
     alpha: float
@@ -480,125 +481,58 @@ def _atoms_jump_part(nu: AtomsMeasure, Z: np.ndarray, phis) -> np.ndarray:
     return out
 
 
-def _radial_1d(nu: RadialProductMeasure, integrand, head: float, osc: float, terms):
-    """integral over (0, inf) of integrand(r, coeff r^(-1-alpha)) dr, the
-    integrand taking the density as its second argument.
+def _ray_integrals(C: np.ndarray, alpha: float) -> np.ndarray:
+    """f(c) = I_0^inf (e^{icr} - 1 - icr 1_{r<=1}) r^(-1-alpha) dr at every
+    entry c of C, in closed form: f(c) = Gamma(-alpha) (-ic)^alpha - ic / (1 - alpha).
 
-    head is the r^2 coefficient of |integrand| / density at the origin
-    (head = 0 makes the integrand vanish), osc the fastest oscillation rate,
-    and terms the (sign, c) pairs with integrand = density sum sign e^{icr}
-    past r_max.  Numerical panels run on [floor, r_max]; the mass below the
-    floor is booked as error and the tail past r_max is added analytically,
-    each e^{icr} term by its asymptotic series (exactly when c = 0).  The
-    series needs |c| r_max >= 30, so the cut follows the slowest nonzero
-    rate, `slow`: r_max = 60 / slow, at least 100.  slow is kept above
-    1e-3 osc, which bounds the panels at about 2400; the tail of a slower
-    term is then booked as error.
-    Returns (value, error_estimate).
+    Both parts are formed at x = |c| and the imaginary part takes the sign of
+    c, so f(-c) = conj f(c) exactly and f(0) = 0.  Near alpha = 1 the pole of
+    Gamma(-alpha) cancels the one of 1 / (1 - alpha); for |delta| < 0.1,
+    delta = alpha - 1, f is written without either pole as
+
+        f(x) = -ix (e^{delta h} - 1) / delta,
+        h = (lgamma(1 - delta) - log1p(delta)) / delta + log x - i pi/2,
+
+    with lgamma(1 - delta) / delta = EULER + sum_k zeta(k) delta^(k-1) / k
+    and e^{delta h} - 1 = expm1(a) + e^a (e^{-i pi delta/2} - 1),
+    a = delta Re h, the last factor from _expm1i_parts.  At delta = 0 it is
+    the limit -ix h.
     """
-    alpha, coeff = nu.alpha, nu.coeff
-    if head == 0.0:
-        return 0.0 + 0.0j, 0.0
-    slow = max(min(abs(c) for _, c in terms if c != 0.0), 1e-3 * osc)
-    r_max = max(100.0, 60.0 / slow)
-    floor = singular_floor(alpha, head * coeff, 1e-16)
-    # r^(-1-alpha) overflows below 1e300^(-1/(1+alpha)) (near alpha = 2, where the
-    # floor above is ~1e-147); the mass below the floor is booked as error
-    floor = max(min(floor, 0.5 / osc, 0.5), 1e300 ** (-1.0 / (1.0 + alpha)))
-
-    edges = radial_edges(floor, r_max, osc, QUAD_ORDER)
-
-    def rule(order):
-        nodes, weights = panel_rule(edges, order)
-        return np.sum(integrand(nodes, coeff * nodes ** (-1.0 - alpha)) * weights)
-
-    value = rule(QUAD_ORDER)
-    value2 = rule(QUAD_ORDER + 8)
-    err = abs(value2 - value)
-    value = value2
-
-    # head below the panel floor: |integrand| ~ head r^2
-    err += head * coeff * floor ** (2.0 - alpha) / (2.0 - alpha)
-
-    # analytic power-law tail beyond r_max
-    mass = stable_tail_const(r_max, alpha, coeff)
-    tail = 0.0 + 0.0j
-    for sgn, c in terms:
-        if c == 0.0:
-            tail += sgn * mass
-        elif abs(c) * r_max >= 30.0:
-            osc_val, osc_err = stable_tail_exp(c, r_max, alpha, coeff)
-            tail += sgn * osc_val
-            err += osc_err
+    x = np.abs(C)
+    delta = alpha - 1.0
+    if abs(delta) >= 0.1:
+        g = math.gamma(-alpha) * x ** alpha
+        re = g * math.cos(0.5 * math.pi * alpha)
+        im = x / delta - g * math.sin(0.5 * math.pi * alpha)
+    else:
+        s = EULER + sum(z * delta ** (k - 1) / k for k, z in enumerate(_ZETA, 2))
+        s -= math.log1p(delta) / delta if delta else 1.0
+        re_h = s + np.log(x, out=np.zeros_like(x), where=x > 0.0)
+        if delta:
+            cb, sb = _expm1i_parts(np.full(1, -0.5 * math.pi * delta))
+            a = delta * re_h
+            ea = np.exp(a)
+            re_e, im_e = (np.expm1(a) + ea * cb) / delta, ea * (sb / delta)
         else:
-            err += mass  # unresolved oscillatory part
-    return value + tail, float(err)
+            re_e, im_e = re_h, -0.5 * math.pi
+        re, im = x * im_e, -x * re_e
+    return re + 1j * (np.sign(C) * im)
 
 
-def _radial_exponent_1d(nu: RadialProductMeasure, c: float):
-    """integral over (0, inf) of (e^{icr} - 1 - icr 1_{r<=1}) coeff r^(-1-alpha) dr."""
-    def integrand(r, dens):
-        D = c * r
-        C, S = _expm1i_parts(D)
-        return (C + 1j * (S - D * (r <= 1.0))) * dens
+def _radial_jump_part(nu, phis, Z: np.ndarray) -> np.ndarray:
+    """Jump part of a stable or radial-product measure over rows of Z, one
+    column per weight in phis (a constant or its values per direction).
 
-    return _radial_1d(nu, integrand, 0.5 * c * c, abs(c), ((1.0, c), (-1.0, 0.0)))
-
-
-def _radial_cross_1d(nu: RadialProductMeasure, c1: float, c2: float):
-    """integral of (e^{ic1 r} - 1)(e^{ic2 r} - 1) coeff r^(-1-alpha) dr on (0, inf).
-
-    With t = tan(D/2) and S = sin D, e^{iD} - 1 = i S (1 + i t), so the
-    product is -S1 S2 [(1 - t1 t2) + i (t1 + t2)].  The density goes into
-    S1 S2 first: near the panel floor each S is of order c r and the density
-    of order r^(-3), so no product of two small factors leaves the normal range.
+    A stable measure with only constant weights scales its closed form
+    -|z|^alpha.  Otherwise every row and direction theta_j goes through one
+    (K, J) evaluation of the ray integral f((z, theta_j)), contracted with
+    coeff a_j phi_j.
     """
-    def integrand(r, dens):
-        t1, t2 = np.tan(0.5 * c1 * r), np.tan(0.5 * c2 * r)
-        p = dens * (2.0 * t1 / (1.0 + t1 * t1)) * (2.0 * t2 / (1.0 + t2 * t2))
-        return -p * ((1.0 - t1 * t2) + 1j * (t1 + t2))
-
-    # (e^{ic1 r}-1)(e^{ic2 r}-1) = e^{i(c1+c2)r} - e^{ic1 r} - e^{ic2 r} + 1
-    return _radial_1d(
-        nu, integrand, abs(c1 * c2), max(abs(c1), abs(c2), abs(c1 + c2)),
-        ((1.0, c1 + c2), (-1.0, c1), (-1.0, c2), (1.0, 0.0)),
-    )
-
-
-def _radial_rows(nu, phi, rows: np.ndarray, integral, sum_scale: bool) -> np.ndarray:
-    """sum_j a_j phi_j integral(radial, (row, theta_j), ...) per row of rows
-    (K, r, n) for a stable or radial-product measure, phi being a constant or
-    its values per direction theta_j.
-
-    integral takes the radial-product measure and the r projections of a row
-    on theta_j and returns (value, error); the (K, J) values are contracted
-    with w_j = a_j phi_j.  A row raises QuadratureNotConverged when
-    sum_j a_j err_j exceeds DEFAULT_REL_TOL times max(scale, 1), scale being
-    |sum| if sum_scale, else the largest |w_j value_j|.
-    """
+    if isinstance(nu, StableMeasure) and all(np.ndim(p) == 0 for p in phis):
+        return -np.linalg.norm(Z, axis=1)[:, None].astype(complex) ** nu.alpha * np.array(phis)
     radial = _radial(nu)
-    used = radial.dir_weights != 0.0
-    dirs, a = radial.directions[used], radial.dir_weights[used]
-    w = (radial.dir_weights * phi)[used]
-    vals = np.zeros((rows.shape[0], a.size), dtype=complex)
-    errs = np.zeros(vals.shape)
-    for k, row in enumerate(rows):
-        for j, theta in enumerate(dirs):
-            vals[k, j], errs[k, j] = integral(radial, *(row @ theta).tolist())
-        terms = vals[k] * w
-        scale = abs(terms.sum()) if sum_scale else np.abs(terms).max(initial=0.0)
-        if not errs[k] @ a <= DEFAULT_REL_TOL * max(scale, 1.0):  # a NaN error fails too
-            raise QuadratureNotConverged(
-                f"radial quadrature error {errs[k] @ a:.3e} above tolerance at zeta={row.tolist()}"
-            )
-    return (vals * w).sum(axis=1)
-
-
-def _radial_jump_part(nu, phi, Z: np.ndarray) -> np.ndarray:
-    """Jump part of a stable or radial-product measure weighted by phi, over rows of Z."""
-    if isinstance(nu, StableMeasure) and np.ndim(phi) == 0:
-        return phi * (-np.linalg.norm(Z, axis=1).astype(complex) ** nu.alpha)
-    return _radial_rows(nu, phi, Z[:, None], _radial_exponent_1d, sum_scale=False)
+    W = np.stack([radial.coeff * radial.dir_weights * p for p in phis], axis=1)
+    return _ray_integrals(Z @ radial.directions.T, radial.alpha) @ W
 
 
 def _exponent(data: LevyData, mods, Z: np.ndarray) -> np.ndarray:
@@ -609,7 +543,7 @@ def _exponent(data: LevyData, mods, Z: np.ndarray) -> np.ndarray:
     if isinstance(nu, AtomsMeasure):
         jump = _atoms_jump_part(nu, Z, phis)
     else:
-        jump = np.stack([_radial_jump_part(nu, phi, Z) for phi in phis], axis=1)
+        jump = _radial_jump_part(nu, phis, Z)
     return jump + 0.5 * _sphere_part(data, Z, Z, mods)
 
 
@@ -664,15 +598,16 @@ def _atoms_cross_part(nu: AtomsMeasure, Z1: np.ndarray, Z2: np.ndarray, phi) -> 
 
 
 def cross_form(data: LevyData, mod: Modulator, zeta1, zeta2):
-    """The bilinear cross integral, evaluated directly:
+    """The bilinear cross integral
 
-        I (e^{i(z1,z)}-1)(e^{i(z2,z)}-1) phi nu(dz) - I (z1,th)(z2,th) psi mu(dth).
+        I (e^{i(z1,z)}-1)(e^{i(z2,z)}-1) phi nu(dz) - I (z1,th)(z2,th) psi mu(dth),
 
-    It equals psi_tilde(z1+z2) - psi_tilde(z1) - psi_tilde(z2) but is not
-    computed from it, so the ratio-form symbol stays an independent check of
-    the q-form.  zeta1 and zeta2 are points or equal batches (K, n) of rows,
-    as in psi: atoms are summed in one pass, radial measures by quadrature
-    per row and direction.
+    which equals psi_tilde(z1+z2) - psi_tilde(z1) - psi_tilde(z2).  zeta1 and
+    zeta2 are points or equal batches (K, n) of rows, as in psi.  Atoms are
+    summed directly in one pass, not from exponent differences, so on an
+    atomic measure the ratio-form symbol is an independent check of the
+    q-form.  On a stable or radial-product measure it is that difference of
+    the closed-form jump parts, whose compensators cancel.
     """
     Z1, Z2 = _rows(data, zeta1), _rows(data, zeta2)
     if Z1.shape != Z2.shape:
@@ -681,8 +616,9 @@ def cross_form(data: LevyData, mod: Modulator, zeta1, zeta2):
     if isinstance(nu, AtomsMeasure):
         out = _atoms_cross_part(nu, Z1, Z2, phi)
     else:
-        out = _radial_rows(nu, phi, np.stack([Z1, Z2], axis=1), _radial_cross_1d,
-                           sum_scale=True)
+        rows = np.concatenate([Z1 + Z2, Z1, Z2])
+        j12, j1, j2 = _radial_jump_part(nu, [phi], rows).reshape(3, -1)
+        out = j12 - j1 - j2
     out += _sphere_part(data, Z1, Z2, (mod,))[:, 0]
     return complex(out[0]) if np.ndim(zeta1) == 1 else out
 

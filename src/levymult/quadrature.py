@@ -1,4 +1,5 @@
-"""Radial quadrature helpers for heavy-tailed jump densities.
+"""Gauss-Legendre panels on a ray, from which `approximate` builds the
+quadrature atoms of a radial density.
 
 The jump integrands change character at three scales: a power-law
 singularity at r = 0, the compensation cutoff at r = 1, and oscillation
@@ -65,43 +66,3 @@ def radial_edges(r_lo: float, r_hi: float, osc_rate: float, order: int,
         runs.append([stop])
         r = stop
     return np.concatenate(runs)
-
-
-def singular_floor(alpha: float, scale: float, tol: float) -> float:
-    """Radius below which the compensated stable integrand contributes < tol.
-
-    The integrand behaves like scale * r^(1-alpha) near zero, so the mass
-    of (0, delta] is scale * delta^(2-alpha) / (2-alpha).
-    """
-    if scale <= 0.0:
-        return 1e-8
-    delta = (tol * (2.0 - alpha) / scale) ** (1.0 / (2.0 - alpha))
-    return float(min(max(delta, 1e-300), 0.5))
-
-
-def stable_tail_exp(c: float, r0: float, alpha: float, coeff: float):
-    """Asymptotic tail integral(coeff * e^{icr} * r^{-1-alpha}, r0..inf).
-
-    Ten terms of integration by parts in e^{icr}; valid when |c| * r0 >> 1.
-    Returns (value, error_bound).
-    """
-    if c == 0.0:
-        raise ValueError("oscillation rate must be nonzero for the tail series")
-    terms = 10
-    s = 1.0 + alpha
-    ic = 1j * c
-    value = 0.0 + 0.0j
-    pref = coeff * np.exp(ic * r0)
-    fac = 1.0
-    for k in range(terms):
-        value += -pref * fac * r0 ** (-(s + k)) / ic ** (k + 1)
-        fac *= s + k
-    bound = abs(coeff) * fac * r0 ** (-(s + terms - 1)) / (
-        abs(c) ** terms * (s + terms - 1)
-    )
-    return value, float(bound)
-
-
-def stable_tail_const(r0: float, alpha: float, coeff: float) -> float:
-    """Exact integral(coeff * r^{-1-alpha}, r0..inf): mass of the far tail."""
-    return coeff * r0 ** (-alpha) / alpha

@@ -243,6 +243,7 @@ def test_config_negative_radial_coeff_named():
     ("trials", 0), ("trials", 2.5), ("ascent_steps", -1),
     ("paths", 0), ("paths", 1), ("paths", 2.5), ("steps", 1), ("steps", 3), ("steps", 2.5),
     ("block_size", -3), ("block_size", 1.5), ("seed", -1), ("seed", 1.5), ("seed", 2**64),
+    ("u_scale", "x"), ("u_scale", 0.0), ("u_scale", float("nan")),
 ])
 def test_config_bad_probe_params_named(key, value):
     bad = json.loads(STABLE_CONFIG)
@@ -394,11 +395,17 @@ _TWO_D = {"dimensions": {"d": 2, "n": 2}, "matrices": {"A": np.eye(2).tolist(),
     ({"dimensions": {"d": "x", "n": 1}}, "ConfigValidationError", "dimensions.d"),
     ({"field": {"center": [0.1, 5.0]}}, "ConfigValidationError", "field.center"),
     ({"field": {"kind": "square"}}, "ConfigValidationError", "field kind 'square'"),
+    ({"field": {"width": 0.0}}, "ConfigValidationError", "field.width = 0.0 "),
+    ({"field": {"width": -1.0}}, "ConfigValidationError", "field.width = -1.0 "),
+    ({"field_g": {"kind": "gaussian", "width": float("nan")}}, "ConfigValidationError",
+     "field_g.width = nan "),
 ], ids=["unknown-key", "riesz-d1", "log-j2", "unknown-preset", "K-2x2-n1", "A-1x2",
-        "atoms-3-n2", "d-text", "center-2-d1", "field-kind"])
+        "atoms-3-n2", "d-text", "center-2-d1", "field-kind", "width-0", "width-negative",
+        "field_g-width-nan"])
 def test_cli_error_reports_reason_on_last_line(tmp_path, blocks, code, named):
     # the cases after the first used to exit 1 with a traceback, or (the two field
-    # blocks, which `symbol` never read) exit 0
+    # blocks, which `symbol` never read) exit 0; a width of 0 or below, or NaN,
+    # is named before the bump is sampled, so no numpy warning is printed
     doc = {**json.loads(STABLE_CONFIG), **blocks}
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
@@ -407,6 +414,7 @@ def test_cli_error_reports_reason_on_last_line(tmp_path, blocks, code, named):
     last = json.loads(res.stdout.strip().split("\n")[-1])
     assert last["status"] == "error" and last["code"] == code
     assert named in last["message"] and "Traceback" not in res.stderr
+    assert "RuntimeWarning" not in res.stderr
 
 
 @pytest.mark.parametrize("path", sorted((Path(__file__).parent.parent / "configs").glob("*.json")),

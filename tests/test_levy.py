@@ -25,6 +25,9 @@ from levymult import (
     psi_tilde,
     sign_mod,
     stable_coefficient,
+    symbol_integral,
+    symbol_q,
+    symbol_stable,
     table_mod,
     validate,
 )
@@ -35,7 +38,6 @@ from levymult.errors import (
     ModulatorExceedsOne,
     ModulatorUndefinedOnSupport,
     NonIntegrableMeasure,
-    QuadratureNotConverged,
     RequiresFiniteMeasure,
     ShapeMismatch,
 )
@@ -161,19 +163,10 @@ def test_psi_radial_quadrature_matches_closed_form():
 
 
 def test_psi_radial_runs_past_r_max_at_slow_rates():
-    # the panels run to 60 / |zeta|, where the tail series holds, instead of
-    # booking the tail as error
+    # the ray integral is in closed form, so a slow rate keeps every digit
     data = make_data(StableMeasure(0.5, 1).as_radial())
     for z in (0.001, 0.002):
         assert abs(psi(data, [z]) + z ** 0.5) < 1e-14
-
-
-def test_psi_quadrature_error_control(monkeypatch):
-    radial = StableMeasure(ALPHA, 1).as_radial()
-    data = make_data(radial)
-    monkeypatch.setattr(levy, "DEFAULT_REL_TOL", 1e-18)
-    with pytest.raises(QuadratureNotConverged):
-        psi(data, [1.0])
 
 
 def test_psi_conjugation_and_negativity(mixed_atoms_data):
@@ -222,13 +215,16 @@ def test_psi_is_unit_weight_psi_tilde_plus_drift(model):
     assert np.array_equal(psi(data, Z), want)
 
 
-def test_psi_tilde_nonfinite_quadrature_raises():
-    # closer to alpha = 2 the panel floor that keeps r^(-1-alpha) finite leaves
-    # a head error above tolerance: the quadrature raises, with no overflow
-    # (before that floor the density overflowed and the error estimate was NaN)
+def test_symbol_q_stable_near_alpha_two():
+    # close to alpha = 2 the sign-weighted q-form is finite, raises no flag
+    # and keeps the closed form's digits
+    x = np.array([0.3, 0.6, 1.2, 2.0])
     for alpha in (1.95, 1.99):
-        with np.errstate(all="raise"), pytest.raises(QuadratureNotConverged):
-            psi_tilde(stable_data(alpha), Modulator(phi=sign_mod()), [0.6])
+        with np.errstate(all="raise"):
+            got = symbol_q(stable_data(alpha), Modulator(phi=sign_mod()),
+                           np.concatenate([x, -x])[:, None])
+        want = symbol_stable(alpha, np.concatenate([x, -x]))
+        assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-12
 
 
 def test_psi_tilde_zero_modulator(mixed_atoms_data):
@@ -273,6 +269,20 @@ def test_stable_measure_in_two_dimensions_takes_only_a_constant_phi():
     assert validate(data, Modulator(phi=constant_mod(0.5))) is data
     with pytest.raises(MeasureValidationError, match="n = 1"):
         validate(data, Modulator(phi=sign_mod()))
+
+
+def test_stable_measure_in_two_dimensions_through_the_ratio_form():
+    # a constant phi on the 2-D stable measure: the cross forms are differences
+    # of the closed form -|z|^alpha, so the ratio form runs and meets the q-form
+    data = make_data(StableMeasure(0.7, 2), A=[[1.0, 0.3], [-0.2, 0.8]],
+                     B=[[-0.5, 1.0], [0.9, 0.4]])
+    mod = Modulator(phi=constant_mod(0.6))
+    xi = np.random.default_rng(8).normal(size=(20, 2)) * 1.5
+    want = symbol_q(data, mod, xi)
+    assert np.max(np.abs(symbol_integral(data, mod, xi) - want)) <= 1e-12 * np.max(np.abs(want))
+    # approximate has no discretisation of the 2-D measure
+    with pytest.raises(MeasureValidationError, match="n = 1"):
+        approximate(data, mod, 0.1)
 
 
 def test_radial_psi_tilde_halfspace_keeps_the_directions_inside():
@@ -431,8 +441,8 @@ def test_tangent_parts_keep_relative_precision_at_small_phase():
 
 
 def test_tangent_parts_raise_no_flag_at_the_radial_floors():
-    # the radial panel floors reach down to about 4e-104 (alpha = 1.9); t^2
-    # stays normal above |D| ~ 1e-154
+    # t^2 stays normal above |D| ~ 1e-154, and the radial exponents and cross
+    # forms raise no flag from slow to fast rates
     D = np.geomspace(1e-150, 1e7, 500)
     zeta = np.array([1e-4, 3e-3, 0.314, 1.0, 2.0, 40.0])
     rows = np.concatenate([zeta, -zeta])[:, None]
@@ -525,18 +535,18 @@ def test_cross_stable_sign_closed_form_vs_quadrature():
 
 @pytest.mark.parametrize("z1, z2", [(1.0, 0.2), (2.0, -0.25)])
 def test_cross_stable_direct_resolves_slowest_tail_term(z1, z2):
-    # the tail cut follows the slowest rate, here |z2|, not the fastest |z1 + z2|
+    # a slow rate |z2| beside a fast |z1 + z2| on the stable closed form
     data = make_data(StableMeasure(0.5, 1))
     direct = cross_form(data, IDENTITY_MOD, [z1], [z2])
     assert abs(direct - _difference(data, IDENTITY_MOD, [z1], [z2])) < 1e-13
 
 
-def test_cross_stable_direct_near_cancelling_rates_raise():
-    # |z1 + z2| = 1e-7 |z1|: following that rate would take 2e8 panels, so its
-    # tail stays booked as error and the direct integral raises a named error
-    data = make_data(StableMeasure(0.5, 1))
-    with pytest.raises(QuadratureNotConverged):
-        cross_form(data, IDENTITY_MOD, [1.0], [-0.9999999])
+def test_cross_stable_near_cancelling_rates_closed_form():
+    # |z1 + z2| = 1e-7 |z1| on the radial form: the cross form of psi = -|z|^alpha
+    data = make_data(StableMeasure(0.5, 1).as_radial())
+    z1, z2 = 1.0, -0.9999999
+    want = -abs(z1 + z2) ** 0.5 + abs(z1) ** 0.5 + abs(z2) ** 0.5
+    assert cross_form(data, IDENTITY_MOD, [z1], [z2]) == pytest.approx(want, rel=1e-14, abs=0.0)
 
 
 def _radial_halfspace():
@@ -548,8 +558,8 @@ def _radial_halfspace():
 
 
 def test_cross_radial_halfspace_direct_vs_difference():
-    # the direct integral and the exponent share the per-direction sum; check
-    # it with a weight that differs between directions and along them
+    # a radial cross form is the difference of its jump parts; check it with a
+    # weight that differs between directions, and with a sphere part
     data, mod = _radial_halfspace()
     rng = np.random.default_rng(5)
     for _ in range(4):

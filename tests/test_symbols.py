@@ -327,7 +327,7 @@ def test_symbol_stable_finite_at_large_frequency():
 
 
 def test_symbol_q_stable_small_frequency_sweep():
-    # the radial quadrature of the sign-weighted stable model down to |xi| = 1e-4
+    # the sign-weighted stable model through its ray integrals down to |xi| = 1e-4
     x = np.geomspace(1e-4, 0.05, 200)
     x = np.concatenate([x, -x])
     for alpha in (0.5, 0.75):
@@ -337,9 +337,8 @@ def test_symbol_q_stable_small_frequency_sweep():
 
 
 def test_symbol_q_stable_mid_alpha_sweep():
-    # the compensated integrand's cos(cr) - 1 = -2t^2/(1+t^2), t = tan(cr/2),
-    # keeps its digits at small cr, so the order-64 and order-72 panel sums
-    # do not differ by the roundoff of cos(cr) - 1
+    # 1 < alpha < 2: the ray integral's linear term -ic / (1 - alpha) cancels
+    # in the q-form's bracket
     x = np.array([0.6, 1.2, -0.8, 2.0])
     x = np.concatenate([x, -x])
     for alpha in (1.25, 1.5, 1.7):
@@ -350,8 +349,7 @@ def test_symbol_q_stable_mid_alpha_sweep():
 
 
 def test_symbol_q_stable_alpha_1_9():
-    # the radial panel floor is kept where r^(-2.9) is finite (it was ~1e-147,
-    # where the density overflowed and the q-form came out NaN)
+    # near alpha = 2 the q-form stays finite and raises no flag
     x = np.array([0.314, 0.6, 1.2, 2.0, -0.8])
     data = make_data(StableMeasure(1.9, 1), A=[[-1.0]], B=[[1.0]])
     with warnings.catch_warnings(), np.errstate(all="raise"):
@@ -360,6 +358,20 @@ def test_symbol_q_stable_alpha_1_9():
     want = symbol_stable(1.9, x)
     assert np.max(np.abs(got[:5] - want) / np.abs(want)) < 1e-9
     assert np.max(np.abs(got[:5] + got[5:])) <= 1e-12
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1 - 1e-6, 1 - 1e-9, 1.0, 1 + 1e-9, 1 + 1e-6, 1.5, 1.9])
+def test_symbol_q_stable_conditioned_near_alpha_one(alpha):
+    # Gamma(-alpha) (-ic)^alpha and ic / (alpha - 1) each have a pole at alpha = 1;
+    # the ray integral is formed without either, so the radial model keeps its
+    # digits there and at alpha = 1 itself.  psi pins Re f, the q-form Im f.
+    data = make_data(StableMeasure(alpha, 1).as_radial(), A=[[-1.0]], B=[[1.0]])
+    x = np.array([1e-4, 0.05, 0.3, 1.0, 2.5, -0.7])
+    got = symbol_q(data, Modulator(phi=sign_mod()), x[:, None])
+    want = symbol_stable(alpha, x)
+    assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-12
+    want_psi = -np.abs(x) ** alpha
+    assert np.max(np.abs(psi(data, x[:, None]) - want_psi) / np.abs(want_psi)) <= 1e-14
 
 
 def test_symbol_stable_alpha_range():
