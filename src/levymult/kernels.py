@@ -35,7 +35,12 @@ axis), so for any map A and any point w
     e^{-i(xi_k, A w)} = prod_ax  e^{-i theta_ax k_ax},   theta_ax = (2 pi / L_ax) (A w)_ax.
 
 lattice_phases evaluates the whole band from one complex exponential per
-path and axis; the Brownian kernel takes its path phases that way.
+path and axis; the Brownian kernel takes its path phases that way.  It holds
+them, and its accumulators, modes by paths, (K, P): the doubling then
+multiplies contiguous row blocks, and each mode's factor scales one row.
+With A = B the covariation integrand's phase product is |phase|^2 = 1, so the
+covariation x-integral is one sum over steps and modes, the same for every
+path, and its Monte-Carlo standard error is roundoff.
 """
 
 import numpy as np
@@ -111,34 +116,42 @@ def cpp_pair_coeffs(times, marks, offsets, zatoms, phi_atoms,
 # ---------------------------------------------------------------------------
 
 
-def lattice_phases(theta, kint):
-    """e^{-i sum_ax kint[k, ax] theta[p, ax]} as a (P, K) array.
+def lattice_axes(kint):
+    """Per axis of the (K, d) integer lattice coordinates kint, the largest
+    |k| and the rows that gather the band from that axis's FFT-order table
+    (None when the band is the table itself, k = 0 .. m, -m .. -1)."""
+    axes = []
+    for k in kint.T:
+        m = int(np.abs(k).max())
+        rows = k % (2 * m + 1)
+        axes.append((m, None if np.array_equal(rows, np.arange(2 * m + 1)) else rows))
+    return axes
 
-    theta is (P, d), kint the (K, d) integer lattice coordinates.  Per axis,
-    the powers w^0 .. w^m of w = e^{-i theta} come from repeated doubling
-    (w^{n+j} = w^n w^j) and the negative powers by conjugation, laid out in
-    FFT order (column k mod (2m+1) holds w^k).  A band in that order is the
-    table itself; any other band is gathered from it.  The axes multiply.
+
+def lattice_phases(theta, axes):
+    """e^{-i sum_ax kint[k, ax] theta[p, ax]} as a (K, P) array, modes by paths.
+
+    theta is (P, d) and axes = lattice_axes(kint).  Per axis, the powers
+    w^0 .. w^m of w = e^{-i theta} come from repeated doubling
+    (w^{n+j} = w^n w^j, a contiguous block of rows at a time) and the negative
+    powers by conjugation, laid out in FFT order (row k mod (2m+1) holds w^k).
+    A band in that order is the table itself; any other band is gathered from
+    it.  The axes multiply.
     """
     P = theta.shape[0]
     out = None
-    for ax in range(kint.shape[1]):
-        k = kint[:, ax]
-        m = int(np.abs(k).max())
-        size = 2 * m + 1
-        table = np.empty((P, size), dtype=complex)
-        table[:, 0] = 1.0
+    for ax, (m, rows) in enumerate(axes):
+        table = np.empty((2 * m + 1, P), dtype=complex)
+        table[0] = 1.0
         if m:
-            table[:, 1] = np.exp(-1j * theta[:, ax])
+            table[1] = np.exp(-1j * theta[:, ax])
         n = 2
         while n <= m:
             hi = min(2 * n, m + 1)
-            np.multiply(table[:, :hi - n], (table[:, n - 1] * table[:, 1])[:, None],
-                        out=table[:, n:hi])
+            np.multiply(table[:hi - n], table[n - 1] * table[1], out=table[n:hi])
             n *= 2
-        np.conjugate(table[:, m:0:-1], out=table[:, m + 1:])
-        col = k % size
-        phase = table if np.array_equal(col, np.arange(size)) else np.take(table, col, axis=1)
+        np.conjugate(table[m:0:-1], out=table[m + 1:])
+        phase = table if rows is None else np.take(table, rows, axis=0)
         out = phase if out is None else out * phase
     return out
 
@@ -155,23 +168,49 @@ def brownian_accumulate(dW, EA, EB, U, GB, kint, TA, TB, fhat, coarse: bool = Fa
     (steps even), the Ito sum of G1 at steps/2 on the same path: its points
     are the even fine points and its increments dW[:, s] + dW[:, s + 1],
     so it reuses the fine step's phases (None without coarse).
+
+    The per-step state (phases and accumulators) is held modes by paths,
+    (K, P), so every product runs over contiguous rows; the results are
+    transposed to (P, K) once at the end.  When TA equals TB the phase
+    product phA conj(phB) is |e^{-i(k, theta)}|^2 = 1, so every path's Tcov
+    is the one sum h sum_s sum_k U_k EA[s, k] EB[s, k]: the covariation
+    route then carries no Monte-Carlo error.
     """
     P, steps, n = dW.shape
+    if coarse and steps % 2:
+        raise ValueError(f"steps = {steps} is odd: the coarse level pairs the fine steps")
     h = 1.0 / steps
+    K = fhat.size
+    axes = lattice_axes(kint)
     W = np.cumsum(dW, axis=1)               # path point at the end of each step
     same = np.array_equal(TA, TB)
     # (P or 2P, steps, d): A rows, then B rows unless the maps coincide
     theta = W @ TA.T if same else np.concatenate([W @ TA.T, W @ TB.T])
-    cG1 = np.zeros((P, fhat.size), dtype=complex)
+    del W                                   # as large as dW, and not read again
+    cG1 = np.zeros((K, P), dtype=complex)
     cG1_coarse = np.zeros_like(cG1) if coarse else None
-    Tcov = np.zeros(P, dtype=complex)
-    phA = phB = np.ones((P, fhat.size), dtype=complex)
+    term = np.empty_like(cG1)
+
+    def add_ito(acc, GBs, dw, ph):
+        """acc += (GBs @ dw) * ph, one increment axis at a time."""
+        for j in range(n):
+            np.multiply(ph, dw[j], out=term)
+            np.multiply(term, GBs[:, j, None], out=term)
+            acc += term
+
+    if same:
+        Tcov = np.full(P, h * (np.einsum("sk,sk->k", EA, EB) @ U))
+    else:
+        Tcov = np.zeros(P, dtype=complex)
+    phA = phB = np.ones((K, P), dtype=complex)
     for s in range(steps):
         GBs = EB[s][:, None] * GB            # (K, n)
-        Tcov += h * ((phA * np.conj(phB)) @ (U * EA[s] * EB[s]))
-        cG1 += (dW[:, s, :] @ GBs.T) * phB
+        if not same:
+            Tcov += h * ((U * EA[s] * EB[s]) @ (phA * np.conj(phB)))
+        add_ito(cG1, GBs, dW[:, s].T, phB)
         if coarse and s % 2 == 0:
-            cG1_coarse += ((dW[:, s, :] + dW[:, s + 1, :]) @ GBs.T) * phB
-        ph = lattice_phases(theta[:, s], kint)
-        phA, phB = (ph, ph) if same else (ph[:P], ph[P:])
-    return fhat * phA, cG1, Tcov, cG1_coarse
+            add_ito(cG1_coarse, GBs, (dW[:, s] + dW[:, s + 1]).T, phB)
+        ph = lattice_phases(theta[:, s], axes)
+        phA, phB = (ph, ph) if same else (ph[:, :P], ph[:, P:])
+    return ((fhat[:, None] * phA).T, cG1.T, Tcov,
+            None if cG1_coarse is None else cG1_coarse.T)

@@ -12,8 +12,8 @@ and the Parseval sum; its step-bias gate takes the coarse Euler level
 kernel pass.
 All randomness flows from one master seed through counter-based per-path
 streams (Philox keyed by (seed, path index)), so results are independent
-of block size and scheduling.  The jump sampler builds one generator per
-block and resets its state to each path's key, drawing what a fresh
+of block size and scheduling.  Both samplers build one generator per
+block and reset its state to each path's key, drawing what a fresh
 generator per path draws.
 """
 
@@ -57,30 +57,37 @@ def path_stream(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.Philox(key=key))
 
 
-def _sample_paths(nu: AtomsMeasure, seed: int, first: int, count: int):
-    """Jump times and marks of paths first .. first + count - 1.
-
-    Path i draws from the Philox stream keyed by (seed, i), as path_stream
-    builds it: the count Poisson(|nu|), then c uniforms whose order
-    statistics are the times, then c uniforms whose quantiles under
-    nu/|nu| are the marks.  One generator serves every path: its state is
-    reset to counter 0, key (seed, i) and an empty buffer, and one
-    random(2 c) call draws both uniform runs.  Returns (times, marks,
-    offsets): the jumps of path first + i are rows offsets[i]:offsets[i+1].
-    """
-    lam = nu.total_mass
-    cum = np.cumsum(nu.weights) / lam
+def _path_streams(seed: int, first: int, count: int):
+    """Yield a generator for each of paths first .. first + count - 1 that
+    draws what path_stream(seed, i) draws.  One Philox generator serves every
+    path: before each yield its state is reset to counter 0, key (seed, i)
+    and an empty buffer."""
     key = np.array([seed, 0], dtype=np.uint64)
     rng = np.random.Generator(np.random.Philox(key=key))
     state = {"bit_generator": "Philox",
              "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
              "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
              "has_uint32": 0, "uinteger": 0}
-    counts = np.zeros(count, dtype=np.int64)
-    draws = []
     for i in range(count):
         key[1] = first + i
         rng.bit_generator.state = state
+        yield rng
+
+
+def _sample_paths(nu: AtomsMeasure, seed: int, first: int, count: int):
+    """Jump times and marks of paths first .. first + count - 1.
+
+    Path i draws from its stream of _path_streams: the count Poisson(|nu|),
+    then c uniforms whose order statistics are the times, then c uniforms
+    whose quantiles under nu/|nu| are the marks; one random(2 c) call draws
+    both uniform runs.  Returns (times, marks, offsets): the jumps of path
+    first + i are rows offsets[i]:offsets[i+1].
+    """
+    lam = nu.total_mass
+    cum = np.cumsum(nu.weights) / lam
+    counts = np.zeros(count, dtype=np.int64)
+    draws = []
+    for i, rng in enumerate(_path_streams(seed, first, count)):
         c = rng.poisson(lam)
         counts[i] = c
         draws.append(rng.random(2 * c))
@@ -374,7 +381,13 @@ def brownian_pairing(f: SampledField, g: SampledField, A, B, Kmat,
     band and the covariation route uses the time-quadrature of the
     integrand product (full-box x-integral via the frequency lattice).
     With var_scale = 1/2 the matching spectral symbol is the Gaussian form
-    at the same scale.
+    at the same scale.  When A = B the covariation integrand's phases cancel
+    (|e^{-i(xi, A W)}|^2 = 1), so every path gives the same time sum: the
+    covariation route then carries no Monte-Carlo error, and cov_stderr is
+    roundoff; it differs from the spectral value by the time-quadrature bias
+    alone.  Each block's increments come from one Philox generator reset to
+    each path's key (path_stream's draws) and are held (P, steps, n); the
+    kernel keeps its state modes by paths.
 
     With richardson (steps even), the same kernel pass also accumulates the
     coarse level at steps/2 on the fine increments summed in pairs (Giles,
@@ -422,8 +435,9 @@ def brownian_pairing(f: SampledField, g: SampledField, A, B, Kmat,
     for b0 in range(0, n_paths, block_size):
         P = min(block_size, n_paths - b0)
         dW = np.empty((P, steps, n))
-        for i in range(P):
-            dW[i] = path_stream(seed, b0 + i).standard_normal((steps, n)) * sig
+        for i, rng in enumerate(_path_streams(seed, b0, P)):
+            rng.standard_normal(out=dW[i])
+        dW *= sig
         cF1, cG1, Tcov, cG1_coarse = brownian_accumulate(
             dW, EA, EB, U, GB, f.k[band], turns[:, None] * A, turns[:, None] * B,
             fhat[band], coarse=richardson)

@@ -5,7 +5,7 @@ import pytest
 
 from levymult import AtomsMeasure, Modulator, gaussian_bump, make_data, table_mod
 from levymult import kernels, mc
-from levymult.kernels import brownian_accumulate, lattice_phases
+from levymult.kernels import brownian_accumulate, lattice_axes, lattice_phases
 from levymult.mc import run_cpp_paths
 
 from _traces import JumpPath, general_G, simulate_cpp
@@ -100,9 +100,9 @@ def test_lattice_phases_match_direct_exponentials(d, band):
         kint[1] = -512
         kint[2] = 0
     theta = rng.normal(scale=0.3, size=(7, d))
-    got = lattice_phases(theta / L * 2.0 * np.pi, kint)
-    want = np.exp(-1j * theta @ (kint * 2.0 * np.pi / L).T)
-    assert got.shape == (7, kint.shape[0])
+    got = lattice_phases(theta / L * 2.0 * np.pi, lattice_axes(kint))
+    want = np.exp(-1j * (kint * 2.0 * np.pi / L) @ theta.T)
+    assert got.shape == (kint.shape[0], 7)
     assert np.max(np.abs(got - want)) < 1e-12
 
 
@@ -158,3 +158,51 @@ def test_brownian_kernel_matches_direct_exponentials(case):
     for name, a, b in zip(("cF1", "cG1", "Tcov"), got, want):
         scale = np.max(np.abs(b))
         assert np.max(np.abs(a - b)) <= 1e-12 * scale, name
+
+
+def _one_dimensional_kernel_case(b):
+    """Kernel inputs on a 1-D band in FFT order, A = 1 and B = b."""
+    rng = np.random.default_rng(21)
+    kint = np.r_[0:32, -31:0][:, None]
+    turns = 2.0 * np.pi / 40.0
+    A, B = np.array([[1.0]]), np.array([[b]])
+    zA, zB = kint * turns @ A, kint * turns @ B
+    P, steps = 6, 30
+    v = np.arange(steps) / steps
+    EA = np.exp(-np.outer(1.0 - v, 0.5 * (zA * zA).sum(axis=1)))
+    EB = np.exp(-np.outer(1.0 - v, 0.5 * (zB * zB).sum(axis=1)))
+    fhat, ghat = rng.normal(size=(2, kint.shape[0])) + 1j * rng.normal(size=(2, kint.shape[0]))
+    U = fhat * ghat * 0.7j * (zA * zB)[:, 0]
+    GB = -1j * ghat[:, None] * 0.7j * zB
+    dW = rng.normal(scale=np.sqrt(1.0 / steps), size=(P, steps, 1))
+    return (dW, EA, EB, U, GB, kint, turns * A, turns * B, fhat), (zA, zB)
+
+
+def test_brownian_covariation_with_A_equal_B_is_one_closed_sum():
+    """With A = B, phA conj(phB) = 1: every path's Tcov is h sum_s sum_k U EA EB."""
+    args, _ = _one_dimensional_kernel_case(1.0)
+    dW, EA, EB, U = args[:4]
+    Tcov = brownian_accumulate(*args)[2]
+    closed = (U * EA * EB).sum() / dW.shape[1]
+    assert np.all(Tcov == Tcov[0])
+    assert abs(Tcov[0] - closed) <= 1e-14 * abs(closed)
+
+
+def test_brownian_kernel_one_ulp_from_A_equal_B_sums_per_path():
+    """TB one ulp off TA takes the per-path covariation sum, which still
+    matches the direct per-mode reference."""
+    args, (zA, zB) = _one_dimensional_kernel_case(1.0)
+    TB = np.nextafter(args[7], 2.0)
+    assert not np.array_equal(args[6], TB)
+    got = brownian_accumulate(*args[:7], TB, args[8])
+    want = _reference_brownian(*args[:5], zA, zB, args[8])
+    for name, a, b in zip(("cF1", "cG1", "Tcov"), got, want):
+        assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b)), name
+    assert not np.all(got[2] == got[2][0])
+
+
+def test_brownian_kernel_odd_steps_with_coarse_level_is_named():
+    args, _ = _one_dimensional_kernel_case(-0.8)
+    dW = args[0][:, :29]
+    with pytest.raises(ValueError, match="steps = 29"):
+        brownian_accumulate(dW, *args[1:], coarse=True)

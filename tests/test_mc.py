@@ -570,6 +570,23 @@ def test_brownian_coarse_level_is_the_kernel_on_paired_increments():
     assert np.max(np.abs(fine[3] - coarse[1])) <= 1e-12 * np.max(np.abs(coarse[1]))
 
 
+def test_brownian_blocks_draw_the_per_path_streams(monkeypatch, bump_f, bump_g):
+    """Path i's increments are, bitwise, path_stream(seed, i)'s normals times
+    sqrt(2 var_scale / steps), in the first block and in the second."""
+    seen = []
+    kernel = mc.brownian_accumulate
+    monkeypatch.setattr(mc, "brownian_accumulate",
+                        lambda dW, *a, **k: seen.append(dW.copy()) or kernel(dW, *a, **k))
+    seed, steps, n_paths = 88, 6, 12
+    brownian_pairing(bump_f, bump_g, [[1.0, 0.0]], [[0.3, 1.0]], [[0.0, -1.0], [1.0, 0.0]],
+                     n_paths, steps, seed, block_size=8, richardson=False)
+    assert [dW.shape for dW in seen] == [(8, steps, 2), (4, steps, 2)]
+    dW = np.concatenate(seen)
+    sig = np.sqrt(2.0 * 0.5 * (1.0 / steps))
+    for i in range(n_paths):
+        assert np.array_equal(dW[i], mc.path_stream(seed, i).standard_normal((steps, 2)) * sig)
+
+
 @pytest.mark.parametrize("K", [1.0, 0.7j])
 def test_brownian_gate_quiet_on_former_false_alarm_seeds(K):
     """The uncoupled coarse re-run fired on seeds 3, 16, 17 and 19 of 0-39 at
