@@ -35,12 +35,29 @@ axis), so for any map A and any point w
     e^{-i(xi_k, A w)} = prod_ax  e^{-i theta_ax k_ax},   theta_ax = (2 pi / L_ax) (A w)_ax.
 
 lattice_phases evaluates the whole band from one complex exponential per
-path and axis; the Brownian kernel takes its path phases that way.  It holds
-them, and its accumulators, modes by paths, (K, P): the doubling then
-multiplies contiguous row blocks, and each mode's factor scales one row.
-With A = B the covariation integrand's phase product is |phase|^2 = 1, so the
-covariation x-integral is one sum over steps and modes, the same for every
-path, and its Monte-Carlo standard error is roundoff.
+path and axis, modes by paths (K, P), so the doubling multiplies contiguous
+row blocks.
+
+The Brownian estimator reads each path's Parseval sum sum_k cF1[k] cG1[-k]
+only.  With the angle maps TA = (2 pi / L) A, TB = (2 pi / L) B and W_s the
+path point at the left end of step s (W_0 = 0), cF1[k] = fhat_k
+e^{-i(k, TA W_1)} and the Ito sum is cG1[k] = sum_s EB[s, k] (GB[k], dW_s)
+e^{-i(k, TB W_s)}, so the two phases meet in one table per step,
+
+    V_s = sum_k fhat_k EB[s, -k] GB[-k, :] e^{-i(k, TA W_1 - TB W_s)},
+
+an (n, K) @ (K, P) product, and the pairing is pair = sum_s (V_s, dW_s): no
+(K, P) accumulator is kept.  The coarse level at steps/2 takes the even
+points with the increments dW_s + dW_{s+1}, so fine minus coarse is
+
+    diff = sum_{s even} (V_{s+1} - V_s, dW_{s+1}).
+
+A Nyquist coordinate (k = -N/2) is its own negative on the grid, so a mode
+holding one takes e^{-i(delta_k, TB W_s)} on top of its table value, delta_k
+= k + (lattice point of -k).  The covariation integrand's phase is
+e^{-i(k, (TA - TB) W_s)}; with A = B it is 1, so the covariation x-integral
+is one sum over steps and modes, the same for every path, and its
+Monte-Carlo standard error is roundoff.
 """
 
 import numpy as np
@@ -48,6 +65,7 @@ import numpy as np
 from .symbols import q_func
 
 W_CUT = 0.1   # modes with |WB| below this integrate the compensator by q_func
+STEP_RUN_VALUES = 1 << 16   # phase values per Brownian table build; sets the steps it covers
 
 
 def cpp_pair_coeffs(times, marks, offsets, zatoms, phi_atoms,
@@ -128,7 +146,21 @@ def lattice_axes(kint):
     return axes
 
 
-def lattice_phases(theta, axes):
+def lattice_buffers(axes, cols):
+    """Flat work arrays for lattice_phases on up to cols columns: one table
+    per axis and, for a gathered band, the product and (d >= 2) one gather."""
+    tables = [np.empty((2 * m + 1) * cols, dtype=complex) for m, _ in axes]
+    gathered = [rows.size for _, rows in axes if rows is not None]
+    spare = [np.empty(size * cols, dtype=complex) for size in gathered[:2]]
+    return tables, spare
+
+
+def _leading(buf, rows, cols):
+    """The first rows * cols values of a flat buffer as a C-ordered (rows, cols) array."""
+    return buf[:rows * cols].reshape(rows, cols)
+
+
+def lattice_phases(theta, axes, buffers):
     """e^{-i sum_ax kint[k, ax] theta[p, ax]} as a (K, P) array, modes by paths.
 
     theta is (P, d) and axes = lattice_axes(kint).  Per axis, the powers
@@ -136,12 +168,15 @@ def lattice_phases(theta, axes):
     (w^{n+j} = w^n w^j, a contiguous block of rows at a time) and the negative
     powers by conjugation, laid out in FFT order (row k mod (2m+1) holds w^k).
     A band in that order is the table itself; any other band is gathered from
-    it.  The axes multiply.
+    it.  The axes multiply.  Tables, gathers and the product are written into
+    buffers = lattice_buffers(axes, cols), cols >= P, and the result is a
+    view of them, valid until the next call on the same buffers.
     """
     P = theta.shape[0]
+    tables, spare = buffers
     out = None
     for ax, (m, rows) in enumerate(axes):
-        table = np.empty((2 * m + 1, P), dtype=complex)
+        table = _leading(tables[ax], 2 * m + 1, P)
         table[0] = 1.0
         if m:
             table[1] = np.exp(-1j * theta[:, ax])
@@ -151,66 +186,86 @@ def lattice_phases(theta, axes):
             np.multiply(table[:hi - n], table[n - 1] * table[1], out=table[n:hi])
             n *= 2
         np.conjugate(table[m:0:-1], out=table[m + 1:])
-        phase = table if rows is None else np.take(table, rows, axis=0)
-        out = phase if out is None else out * phase
+        if rows is None:
+            phase = table
+        else:   # the first gather holds the product; later ones go to the other buffer
+            phase = _leading(spare[0 if out is None else -1], rows.size, P)
+            np.take(table, rows, axis=0, out=phase, mode="clip")   # "raise" would buffer out
+        if out is None:
+            out = phase
+        else:
+            np.multiply(out, phase, out=out)
     return out
 
 
-def brownian_accumulate(dW, EA, EB, U, GB, kint, TA, TB, fhat, coarse: bool = False):
-    """Euler accumulation along a block of Brownian paths.
+def brownian_accumulate(dW, EA, EB, U, GB, kint, neg, TA, TB, fhat, coarse: bool = False):
+    """Euler pairing along a block of Brownian paths, one value per path.
 
-    dW is (P, steps, n); kint holds the band's integer lattice coordinates
-    and TA, TB the (d, n) angle maps (2 pi / L_ax) A[ax, :], so that the
-    phase of mode k at the path point W is e^{-i(kint_k, TA W)}; when TA
-    equals TB one phase table serves both maps.  Returns (cF1, cG1, Tcov,
-    cG1_coarse): endpoint coefficients of f(x + A W_1), the Ito-sum
-    coefficients of G1, the in-path covariation x-integral, and, with coarse
-    (steps even), the Ito sum of G1 at steps/2 on the same path: its points
-    are the even fine points and its increments dW[:, s] + dW[:, s + 1],
-    so it reuses the fine step's phases (None without coarse).
+    dW is (P, steps, n); kint holds the band's integer lattice coordinates,
+    neg the position in the band of each mode's negative, and TA, TB the
+    (d, n) angle maps (2 pi / L_ax) A[ax, :], so that the phase of mode k at
+    the path point W is e^{-i(kint_k, TA W)}.  Returns (pair, Tcov, diff):
+    pair = sum_k cF1[k] cG1[neg k], the Parseval sum (without its dxi/(2 pi)^d)
+    of the endpoint coefficients of f(x + A W_1) and the Ito-sum coefficients
+    of G1; Tcov, the in-path covariation x-integral; and, with coarse (steps
+    even), diff = pair minus the same sum at steps/2 on the increments
+    dW[:, s] + dW[:, s + 1] at the even fine points (None without coarse).
+    See the module docstring for the one table per step these come from.
 
-    The per-step state (phases and accumulators) is held modes by paths,
-    (K, P), so every product runs over contiguous rows; the results are
-    transposed to (P, K) once at the end.  When TA equals TB the phase
-    product phA conj(phB) is |e^{-i(k, theta)}|^2 = 1, so every path's Tcov
-    is the one sum h sum_s sum_k U_k EA[s, k] EB[s, k]: the covariation
-    route then carries no Monte-Carlo error.
+    Steps run in even-length runs whose tables hold about STEP_RUN_VALUES
+    values, built by one lattice_phases call into buffers allocated once
+    here.  With TA = TB the covariation phase is 1 and every path's Tcov is
+    the one sum h sum_s sum_k U_k EA[s, k] EB[s, k]: the covariation route
+    then carries no Monte-Carlo error; otherwise each step also takes a table
+    at (TA - TB) W_s.
     """
-    P, steps, n = dW.shape
+    P, steps, _ = dW.shape
     if coarse and steps % 2:
         raise ValueError(f"steps = {steps} is odd: the coarse level pairs the fine steps")
     h = 1.0 / steps
-    K = fhat.size
-    axes = lattice_axes(kint)
-    W = np.cumsum(dW, axis=1)               # path point at the end of each step
+    K, d = kint.shape
     same = np.array_equal(TA, TB)
-    # (P or 2P, steps, d): A rows, then B rows unless the maps coincide
-    theta = W @ TA.T if same else np.concatenate([W @ TA.T, W @ TB.T])
-    del W                                   # as large as dW, and not read again
-    cG1 = np.zeros((K, P), dtype=complex)
-    cG1_coarse = np.zeros_like(cG1) if coarse else None
-    term = np.empty_like(cG1)
+    # the maps of the angles summed along the path: TB, then TA - TB unless A = B
+    Ts = np.stack([TB.T] if same else [TB.T, (TA - TB).T])   # (c, n, d)
+    c = Ts.shape[0]                          # tables per step: the pairing's, the covariation's
+    end = dW.sum(axis=1) @ TA.T              # TA W_1, (P, d)
+    # a Nyquist coordinate is its own negative: such modes take e^{-i(delta_k, TB W_s)}
+    delta = kint + kint[neg]
+    fixes = [(ax, v, np.flatnonzero(delta[:, ax] == v))
+             for ax in range(d) for v in np.unique(delta[:, ax]) if v]
 
-    def add_ito(acc, GBs, dw, ph):
-        """acc += (GBs @ dw) * ph, one increment axis at a time."""
-        for j in range(n):
-            np.multiply(ph, dw[j], out=term)
-            np.multiply(term, GBs[:, j, None], out=term)
-            acc += term
-
+    run = min(max(2, STEP_RUN_VALUES // (K * c * P) // 2 * 2), steps + steps % 2)
+    axes = lattice_axes(kint)
+    buffers = lattice_buffers(axes, run * c * P)
+    theta = np.empty((run, c, P, d))         # one run's angles, per step, map and path
+    carry = np.zeros((c, P, d))              # the angles at the run's first left point
+    fG = (fhat[:, None] * GB[neg]).T         # (n, K)
+    pair = np.zeros(P, dtype=complex)
+    diff = np.zeros(P, dtype=complex) if coarse else None
     if same:
         Tcov = np.full(P, h * (np.einsum("sk,sk->k", EA, EB) @ U))
     else:
         Tcov = np.zeros(P, dtype=complex)
-    phA = phB = np.ones((K, P), dtype=complex)
-    for s in range(steps):
-        GBs = EB[s][:, None] * GB            # (K, n)
+    for s0 in range(0, steps, run):
+        s1 = min(s0 + run, steps)
+        r = s1 - s0
+        # TB W_s and (TA - TB) W_s at the left points W_s (W_0 = 0), then TA W_1 - TB W_s
+        theta[0] = carry
+        np.matmul(dW[:, None, s0:s1 - 1], Ts, out=theta[1:r].transpose(2, 1, 0, 3))
+        np.cumsum(theta[:r], axis=0, out=theta[:r])
+        carry = theta[r - 1] + dW[:, s1 - 1] @ Ts
+        nyquist = [(rows, np.exp(-1j * v * theta[:r, 0, :, ax])) for ax, v, rows in fixes]
+        np.subtract(end, theta[:r, 0], out=theta[:r, 0])
+        tab = lattice_phases(theta[:r].reshape(-1, d), axes, buffers).reshape(K, r, c, P)
+        ph = tab[:, :, 0]                    # (K, r, P)
+        for rows, factor in nyquist:
+            ph[rows] *= factor
+        V = np.matmul(EB[s0:s1, neg][:, None, :] * fG, ph.transpose(1, 0, 2))   # (r, n, P)
+        dw = dW[:, s0:s1].transpose(1, 2, 0)
+        pair += (V * dw).sum(axis=(0, 1))
+        if coarse:
+            diff += ((V[1::2] - V[::2]) * dw[1::2]).sum(axis=(0, 1))
         if not same:
-            Tcov += h * ((U * EA[s] * EB[s]) @ (phA * np.conj(phB)))
-        add_ito(cG1, GBs, dW[:, s].T, phB)
-        if coarse and s % 2 == 0:
-            add_ito(cG1_coarse, GBs, (dW[:, s] + dW[:, s + 1]).T, phB)
-        ph = lattice_phases(theta[:, s], axes)
-        phA, phB = (ph, ph) if same else (ph[:, :P], ph[:, P:])
-    return ((fhat[:, None] * phA).T, cG1.T, Tcov,
-            None if cG1_coarse is None else cG1_coarse.T)
+            w = h * U * EA[s0:s1] * EB[s0:s1]
+            Tcov += np.matmul(w[:, None, :], tab[:, :, 1].transpose(1, 0, 2)).sum(axis=(0, 1))
+    return pair, Tcov, diff

@@ -6,10 +6,10 @@ and of each jump's increments dF, dG.  These are trig polynomials on one
 band of the frequency lattice, so the box integrals of F1 G1 and dF dG
 are the discrete Parseval sums over the band, and the subordination check's
 point values are sums against the phases of the point; only the L^p powers
-of F1 are taken on the x-grid.  The Brownian engine shares the band set-up
-and the Parseval sum; its step-bias gate takes the coarse Euler level
-(steps/2, on the fine path's increments summed in pairs) inside the same
-kernel pass.
+of F1 are taken on the x-grid.  The Brownian engine shares the band set-up;
+its kernel returns each path's Parseval sum itself, so no band coefficients
+leave it, and its step-bias gate takes the coarse Euler level (steps/2, on
+the fine path's increments summed in pairs) inside the same kernel pass.
 All randomness flows from one master seed through counter-based per-path
 streams (Philox keyed by (seed, path index)), so results are independent
 of block size and scheduling.  Both samplers build one generator per
@@ -376,9 +376,10 @@ def brownian_pairing(f: SampledField, g: SampledField, A, B, Kmat,
                      richardson: bool = True) -> BrownianEstimate:
     """Euler estimate of the Gaussian-branch pairing on shared Brownian paths.
 
-    Both stochastic integrals are accumulated along one path per draw; the
+    Both stochastic integrals are taken along one path per draw; the
     endpoint route integrates F1 G1 over the box by the Parseval sum on the
-    band and the covariation route uses the time-quadrature of the
+    band, which the kernel returns per path (this function only scales it by
+    dxi/(2 pi)^d), and the covariation route uses the time-quadrature of the
     integrand product (full-box x-integral via the frequency lattice).
     With var_scale = 1/2 the matching spectral symbol is the Gaussian form
     at the same scale.  When A = B the covariation integrand's phases cancel
@@ -387,13 +388,15 @@ def brownian_pairing(f: SampledField, g: SampledField, A, B, Kmat,
     roundoff; it differs from the spectral value by the time-quadrature bias
     alone.  Each block's increments come from one Philox generator reset to
     each path's key (path_stream's draws) and are held (P, steps, n); the
-    kernel keeps its state modes by paths.
+    kernel contracts one phase table per step over the band and keeps no
+    per-mode state.
 
-    With richardson (steps even), the same kernel pass also accumulates the
-    coarse level at steps/2 on the fine increments summed in pairs (Giles,
-    Oper. Res. 56(3), 2008).  step_bias is the mean of the per-path
-    D = pair(fine) - pair(coarse), to first order minus the fine run's step
-    bias, and step_bias_se its standard error.  StepTooCoarse is raised when,
+    With richardson (steps even), the same kernel pass also takes the coarse
+    level at steps/2 on the fine increments summed in pairs (Giles, Oper.
+    Res. 56(3), 2008).  step_bias is the mean of the per-path
+    D = pair(fine) - pair(coarse), which the kernel returns as diff, to first
+    order minus the fine run's step bias, and step_bias_se its standard
+    error.  StepTooCoarse is raised when,
     for a real component, |mean D| - 3 SE(D) exceeds the estimate's standard
     error (floored as in within_sigmas): a step bias above the run's own
     statistical error at a one-sided 3-sigma level, so a bias of exactly one
@@ -438,12 +441,12 @@ def brownian_pairing(f: SampledField, g: SampledField, A, B, Kmat,
         for i, rng in enumerate(_path_streams(seed, b0, P)):
             rng.standard_normal(out=dW[i])
         dW *= sig
-        cF1, cG1, Tcov, cG1_coarse = brownian_accumulate(
-            dW, EA, EB, U, GB, f.k[band], turns[:, None] * A, turns[:, None] * B,
+        pair, Tcov, diff = brownian_accumulate(
+            dW, EA, EB, U, GB, f.k[band], neg, turns[:, None] * A, turns[:, None] * B,
             fhat[band], coarse=richardson)
-        pair_stats[b0:b0 + P] = _parseval(f, cF1, cG1, neg)
+        pair_stats[b0:b0 + P] = pair * f.dxi_norm
         if richardson:
-            diff_stats[b0:b0 + P] = _parseval(f, cF1, cG1 - cG1_coarse, neg)
+            diff_stats[b0:b0 + P] = diff * f.dxi_norm
         cov_stats[b0:b0 + P] = Tcov
 
     est, se = mean_and_se(pair_stats)

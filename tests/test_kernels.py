@@ -5,7 +5,7 @@ import pytest
 
 from levymult import AtomsMeasure, Modulator, gaussian_bump, make_data, table_mod
 from levymult import kernels, mc
-from levymult.kernels import brownian_accumulate, lattice_axes, lattice_phases
+from levymult.kernels import brownian_accumulate, lattice_axes, lattice_buffers, lattice_phases
 from levymult.mc import run_cpp_paths
 
 from _traces import JumpPath, general_G, simulate_cpp
@@ -100,14 +100,25 @@ def test_lattice_phases_match_direct_exponentials(d, band):
         kint[1] = -512
         kint[2] = 0
     theta = rng.normal(scale=0.3, size=(7, d))
-    got = lattice_phases(theta / L * 2.0 * np.pi, lattice_axes(kint))
+    axes = lattice_axes(kint)
+    # buffers for more columns than theta has, as for a step run's last, shorter table
+    got = lattice_phases(theta / L * 2.0 * np.pi, axes, lattice_buffers(axes, 9))
     want = np.exp(-1j * (kint * 2.0 * np.pi / L) @ theta.T)
     assert got.shape == (kint.shape[0], 7)
     assert np.max(np.abs(got - want)) < 1e-12
 
 
+def _negatives(kint, N):
+    """Position in the band of each mode's negative on the grid (mod N per
+    axis, so a Nyquist coordinate -N/2 is its own negative)."""
+    N = np.asarray(N)
+    at = {tuple(k): i for i, k in enumerate(kint)}
+    return np.array([at[tuple(k)] for k in (N // 2 - kint) % N - N // 2])
+
+
 def _reference_brownian(dW, EA, EB, U, GB, zA, zB, fhat):
-    """Per-step Euler loop with one complex exponential per mode and path."""
+    """Per-step Euler loop with one complex exponential per mode and path:
+    the band coefficients cF1, cG1 and the covariation sum Tcov."""
     P, steps, n = dW.shape
     h = 1.0 / steps
     phA = np.ones((P, fhat.size), dtype=complex)
@@ -123,26 +134,26 @@ def _reference_brownian(dW, EA, EB, U, GB, zA, zB, fhat):
     return fhat * phA, cG1, Tcov
 
 
-# with A = B the kernel builds one phase table for both maps
-@pytest.mark.parametrize("case", ["1d-A!=B", "2d-nondiagonal-A", "2d-A=B"])
-def test_brownian_kernel_matches_direct_exponentials(case):
-    rng = np.random.default_rng(9)
-    if case == "1d-A!=B":
-        L, N = np.array([40.0]), (63,)     # odd: a symmetric band in FFT order
-        A, B = np.array([[1.0]]), np.array([[-0.8]])
-        K = np.array([[0.9j]])
-    else:
-        L, N = np.array([20.0, 16.0]), (16, 16)
-        A = np.array([[1.0, 0.4], [-0.3, 0.9]])
-        B = A.copy() if case == "2d-A=B" else np.array([[0.7, 0.0], [0.2, 1.1]])
-        K = np.array([[0.3, 0.5j], [0.4, -0.2]])
-    axes = [np.fft.fftfreq(n, 1.0 / n) for n in N]
+def _reference_pair(neg, *args):
+    """Per path, the Parseval sum sum_k cF1[k] cG1[neg k] of the reference
+    loop and its Tcov."""
+    cF1, cG1, Tcov = _reference_brownian(*args)
+    return (cF1 * cG1[:, neg]).sum(axis=1), Tcov
+
+
+def _assert_close(got, want, name):
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), name
+
+
+def _lattice_case(rng, L, N, A, B, K, P, steps):
+    """Kernel inputs on the full lattice of an N grid: (dW, EA, EB, U, GB,
+    kint, neg, TA, TB, fhat) and the mapped frequencies (zA, zB)."""
+    axes = [np.fft.fftfreq(m, 1.0 / m) for m in N]
     kint = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")],
                     axis=-1).astype(np.int64)
-    turns = 2.0 * np.pi / L
+    turns = 2.0 * np.pi / np.asarray(L)
     Xi = kint * turns
     zA, zB = Xi @ A, Xi @ B
-    P, steps, n = 5, 40, A.shape[1]
     v = np.arange(steps) / steps
     EA = np.exp(-np.outer(1.0 - v, 0.5 * (zA * zA).sum(axis=1)))
     EB = np.exp(-np.outer(1.0 - v, 0.5 * (zB * zB).sum(axis=1)))
@@ -150,14 +161,31 @@ def test_brownian_kernel_matches_direct_exponentials(case):
     ghat = rng.normal(size=Xi.shape[0]) + 1j * rng.normal(size=Xi.shape[0])
     U = fhat * ghat * np.einsum("kj,kj->k", zA, zB @ K.T)
     GB = -1j * ghat[:, None] * (zB @ K.T)
-    dW = rng.normal(scale=np.sqrt(1.0 / steps), size=(P, steps, n))
+    dW = rng.normal(scale=np.sqrt(1.0 / steps), size=(P, steps, A.shape[1]))
+    return ((dW, EA, EB, U, GB, kint, _negatives(kint, N), turns[:, None] * A,
+             turns[:, None] * B, fhat), (zA, zB))
 
-    got = brownian_accumulate(dW, EA, EB, U, GB, kint, turns[:, None] * A,
-                              turns[:, None] * B, fhat)
-    want = _reference_brownian(dW, EA, EB, U, GB, zA, zB, fhat)
-    for name, a, b in zip(("cF1", "cG1", "Tcov"), got, want):
-        scale = np.max(np.abs(b))
-        assert np.max(np.abs(a - b)) <= 1e-12 * scale, name
+
+# with A = B the kernel builds one phase table for both maps; the 16 x 16
+# lattice holds the Nyquist coordinate -8, its own negative
+@pytest.mark.parametrize("case", ["1d-A!=B", "2d-nondiagonal-A", "2d-A=B"])
+def test_brownian_kernel_matches_direct_exponentials(case):
+    rng = np.random.default_rng(9)
+    if case == "1d-A!=B":
+        L, N = [40.0], (63,)     # odd: a symmetric band in FFT order
+        A, B = np.array([[1.0]]), np.array([[-0.8]])
+        K = np.array([[0.9j]])
+    else:
+        L, N = [20.0, 16.0], (16, 16)
+        A = np.array([[1.0, 0.4], [-0.3, 0.9]])
+        B = A.copy() if case == "2d-A=B" else np.array([[0.7, 0.0], [0.2, 1.1]])
+        K = np.array([[0.3, 0.5j], [0.4, -0.2]])
+    args, (zA, zB) = _lattice_case(rng, L, N, A, B, K, 5, 40)
+    pair, Tcov, diff = brownian_accumulate(*args)
+    want = _reference_pair(args[6], *args[:5], zA, zB, args[9])
+    assert diff is None
+    for name, a, b in zip(("pair", "Tcov"), (pair, Tcov), want):
+        _assert_close(a, b, name)
 
 
 def _one_dimensional_kernel_case(b):
@@ -175,14 +203,15 @@ def _one_dimensional_kernel_case(b):
     U = fhat * ghat * 0.7j * (zA * zB)[:, 0]
     GB = -1j * ghat[:, None] * 0.7j * zB
     dW = rng.normal(scale=np.sqrt(1.0 / steps), size=(P, steps, 1))
-    return (dW, EA, EB, U, GB, kint, turns * A, turns * B, fhat), (zA, zB)
+    neg = _negatives(kint, [63])
+    return (dW, EA, EB, U, GB, kint, neg, turns * A, turns * B, fhat), (zA, zB)
 
 
 def test_brownian_covariation_with_A_equal_B_is_one_closed_sum():
     """With A = B, phA conj(phB) = 1: every path's Tcov is h sum_s sum_k U EA EB."""
     args, _ = _one_dimensional_kernel_case(1.0)
     dW, EA, EB, U = args[:4]
-    Tcov = brownian_accumulate(*args)[2]
+    Tcov = brownian_accumulate(*args)[1]
     closed = (U * EA * EB).sum() / dW.shape[1]
     assert np.all(Tcov == Tcov[0])
     assert abs(Tcov[0] - closed) <= 1e-14 * abs(closed)
@@ -192,13 +221,52 @@ def test_brownian_kernel_one_ulp_from_A_equal_B_sums_per_path():
     """TB one ulp off TA takes the per-path covariation sum, which still
     matches the direct per-mode reference."""
     args, (zA, zB) = _one_dimensional_kernel_case(1.0)
-    TB = np.nextafter(args[7], 2.0)
-    assert not np.array_equal(args[6], TB)
-    got = brownian_accumulate(*args[:7], TB, args[8])
-    want = _reference_brownian(*args[:5], zA, zB, args[8])
-    for name, a, b in zip(("cF1", "cG1", "Tcov"), got, want):
-        assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b)), name
-    assert not np.all(got[2] == got[2][0])
+    TB = np.nextafter(args[8], 2.0)
+    assert not np.array_equal(args[7], TB)
+    pair, Tcov, _ = brownian_accumulate(*args[:8], TB, args[9])
+    want = _reference_pair(args[6], *args[:5], zA, zB, args[9])
+    for name, a, b in zip(("pair", "Tcov"), (pair, Tcov), want):
+        _assert_close(a, b, name)
+    assert not np.all(Tcov == Tcov[0])
+
+
+@pytest.mark.parametrize("same", [False, True])
+def test_brownian_coarse_level_over_uneven_step_runs(monkeypatch, same):
+    """d = n = 2 with the coarse level on and 10 steps in runs of 4, 4 and 2:
+    pair and diff match the reference, and no table the kernel is still
+    reading is overwritten before the next build (odd N, so no Nyquist
+    coordinate, whose modes the kernel corrects in the table)."""
+    rng = np.random.default_rng(33)
+    A = np.array([[1.0, 0.4], [-0.3, 0.9]])
+    B = A.copy() if same else np.array([[0.7, 0.0], [0.2, 1.1]])
+    K = np.array([[0.3, 0.5j], [0.4, -0.2]])
+    P, steps = 5, 10
+    args, (zA, zB) = _lattice_case(rng, [20.0, 16.0], (9, 7), A, B, K, P, steps)
+    cols = (1 if same else 2) * P       # table columns per step
+    monkeypatch.setattr(kernels, "STEP_RUN_VALUES", 63 * cols * 4)
+    built = []
+    build = kernels.lattice_phases
+
+    def checked(theta, axes, buffers):
+        """Check the last table is as it was built, then build the next."""
+        if built:
+            assert np.array_equal(built[-1][0], built[-1][1])
+        table = build(theta, axes, buffers)
+        assert not np.shares_memory(table, theta)
+        built.append((table, table.copy()))
+        return table
+
+    monkeypatch.setattr(kernels, "lattice_phases", checked)
+    pair, Tcov, diff = brownian_accumulate(*args, coarse=True)
+    assert np.array_equal(built[-1][0], built[-1][1])
+    assert [t.shape[1] for t, _ in built] == [4 * cols, 4 * cols, 2 * cols]
+    dW, EA, EB, U, GB, _, neg = args[:7]
+    fine, Tref = _reference_pair(neg, *args[:5], zA, zB, args[9])
+    coarse, _ = _reference_pair(neg, dW[:, 0::2] + dW[:, 1::2], EA[::2], EB[::2], U, GB,
+                                zA, zB, args[9])
+    _assert_close(pair, fine, "pair")
+    _assert_close(Tcov, Tref, "Tcov")
+    _assert_close(diff, fine - coarse, "diff")
 
 
 def test_brownian_kernel_odd_steps_with_coarse_level_is_named():

@@ -546,10 +546,12 @@ def test_brownian_gate_leaves_the_estimate_bitwise_unchanged(bump_f, bump_g):
 
 
 def test_brownian_coarse_level_is_the_kernel_on_paired_increments():
-    """The fused coarse accumulator is a separate kernel pass at steps/2 on the
-    fine increments summed in pairs, at the even fine points (d = 1, n = 2)."""
+    """The fused coarse level is a separate kernel pass at steps/2 on the fine
+    increments summed in pairs, at the even fine points (d = 1, n = 2): diff
+    is the fine pair minus that pass's pair."""
     rng = np.random.default_rng(12)
     kint = np.r_[0:32, -31:0][:, None]
+    neg = np.r_[0, 62:0:-1]
     turns = 2.0 * np.pi / 40.0
     A, B = np.array([[1.0, 0.3]]), np.array([[-0.8, 0.5]])
     K = np.array([[0.3, 0.5j], [0.4, -0.2]])
@@ -561,13 +563,14 @@ def test_brownian_coarse_level_is_the_kernel_on_paired_increments():
     fhat, ghat = rng.normal(size=(2, kint.shape[0])) + 1j * rng.normal(size=(2, kint.shape[0]))
     U = fhat * ghat * np.einsum("kj,kj->k", zA, zB @ K.T)
     GB = -1j * ghat[:, None] * (zB @ K.T)
-    rest = (U, GB, kint, turns * A, turns * B, fhat)
+    rest = (U, GB, kint, neg, turns * A, turns * B, fhat)
     dW = rng.normal(scale=np.sqrt(1.0 / steps), size=(P, steps, 2))
     fine = brownian_accumulate(dW, EA, EB, *rest, coarse=True)
     plain = brownian_accumulate(dW, EA, EB, *rest)
     coarse = brownian_accumulate(dW[:, 0::2] + dW[:, 1::2], EA[::2], EB[::2], *rest)
-    assert plain[3] is None and all(np.array_equal(a, b) for a, b in zip(fine[:3], plain[:3]))
-    assert np.max(np.abs(fine[3] - coarse[1])) <= 1e-12 * np.max(np.abs(coarse[1]))
+    assert plain[2] is None and all(np.array_equal(a, b) for a, b in zip(fine[:2], plain[:2]))
+    want = fine[0] - coarse[0]
+    assert np.max(np.abs(fine[2] - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_brownian_blocks_draw_the_per_path_streams(monkeypatch, bump_f, bump_g):
@@ -621,7 +624,9 @@ def test_criterion_9_gate_catches_scaled_brownian_increments(monkeypatch):
     Criterion 9's fields, seeds and both K, at 2000 paths x 50 steps with the
     step-bias gate on: over seeds 31-50 the planted runs land 4.6 to 7.5 sigma
     from the spectral value (all 40 caught) and the unplanted ones 0.72 sigma
-    in the median (none rejected).
+    in the median, 1.83 at most (none rejected).  The same with the kernel
+    that kept the (K, P) Ito sums and with the per-path pairing kernel: the
+    80 sigma values agree to 3e-14.
     """
     f = gaussian_bump(40.0, 1024, 1, center=[0.4], width=0.9)
     g = gaussian_bump(40.0, 1024, 1, center=[-0.2], width=1.0)
@@ -649,7 +654,9 @@ def test_criterion_9_gate_catches_transposed_K_on_a_rotation(monkeypatch):
     pairing.  At 400 paths x 40 steps with the step-bias gate on, over seeds
     0-199 the planted runs land 26 sigma or more from the spectral value
     (median 29; all 200 outside 6) and the unplanted ones 0.55 sigma in the
-    median, 2.2 at most (none outside 3).
+    median, 2.2 at most (none outside 3).  The same with the kernel that kept
+    the (K, P) Ito sums and with the per-path pairing kernel: the 400 sigma
+    values agree to 2e-14.
     """
     f = gaussian_bump(40.0, 1024, 1, center=[0.4], width=0.9)
     g = gaussian_bump(40.0, 1024, 1, center=[-0.2], width=1.0)
