@@ -93,8 +93,7 @@ def _mc_report_csv(est, ref, *extra):
 
 def cmd_mc(cfg, out, seed, paths):
     f, g = cfg.field, cfg.field_g
-    block = int(cfg.params["block_size"]) or None
-    est = estimate_pairing(f, g, cfg.data, cfg.mod, paths, seed, block_size=block)
+    est = estimate_pairing(f, g, cfg.data, cfg.mod, paths, seed)
     ref = spectral_pairing_value(f, g, cfg.data, cfg.mod)
     ok_spec = est.agrees_with(ref)
     ok_routes = est.routes_agree()

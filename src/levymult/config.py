@@ -63,7 +63,6 @@ _DEFAULTS = {
         "seed": 12345,
         "var_scale": 0.5,
         "ascent_steps": 200,
-        "block_size": 0,
     },
     "output_dir": "out",
 }
@@ -100,7 +99,6 @@ _PARAM_RULES = (
     ("ascent_steps", lambda v: _number_in(v, 0, whole=True), "an integer >= 0"),
     ("paths", lambda v: _number_in(v, 2, whole=True), "an integer >= 2"),
     ("steps", lambda v: _number_in(v, 2, whole=True) and v % 2 == 0, "an even integer >= 2"),
-    ("block_size", lambda v: _number_in(v, 0, whole=True), "an integer >= 0"),
     ("seed", lambda v: _number_in(v, 0, whole=True) and v < 2**64, "an integer in [0, 2**64)"),
     ("u_scale", lambda v: _number_in(v, 0) and v > 0, "a finite number > 0"),
     ("width", lambda v: _number_in(v, 0) and v > 0, "a finite number > 0"),

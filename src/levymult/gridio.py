@@ -89,27 +89,23 @@ def read_field(path) -> SampledField:
     return SampledField(d=grid.d, L=grid.L, N=grid.N, values=flat)
 
 
-def symbol_grid_csv(grid: SymbolGrid) -> str:
-    xi = grid.xi[grid.order]
-    vals = grid.flat[grid.order]
-    header = ",".join(f"xi_{i + 1}" for i in range(grid.d)) + ",re_m,im_m"
-    lines = [header]
-    for row, v in zip(xi, vals):
-        coords = ",".join(_FMT % c for c in row)
-        lines.append(f"{coords},{_FMT % v.real},{_FMT % v.imag}")
+def _points_csv(coord: str, value: str, pts, vals) -> str:
+    """Header coord_1, .., coord_d, re_value, im_value, then one row per point."""
+    lines = [",".join(f"{coord}_{i + 1}" for i in range(pts.shape[1]))
+             + f",re_{value},im_{value}"]
+    for row, v in zip(pts, vals):
+        lines.append(",".join(_FMT % c for c in row) + f",{_FMT % v.real},{_FMT % v.imag}")
     return "\n".join(lines) + "\n"
+
+
+def symbol_grid_csv(grid: SymbolGrid) -> str:
+    return _points_csv("xi", "m", grid.xi[grid.order], grid.flat[grid.order])
 
 
 def field_csv(field: SampledField) -> str:
     mesh = np.meshgrid(*field.space_axes, indexing="ij")
     pts = np.stack([m.ravel() for m in mesh], axis=-1)
-    vals = field.values.ravel()
-    header = ",".join(f"x_{i + 1}" for i in range(field.d)) + ",re_f,im_f"
-    lines = [header]
-    for row, v in zip(pts, vals):
-        coords = ",".join(_FMT % c for c in row)
-        lines.append(f"{coords},{_FMT % v.real},{_FMT % v.imag}")
-    return "\n".join(lines) + "\n"
+    return _points_csv("x", "f", pts, field.values.ravel())
 
 
 def probe_report_csv(reports) -> str:

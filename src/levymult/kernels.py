@@ -39,10 +39,12 @@ path and axis, modes by paths (K, P), so the doubling multiplies contiguous
 row blocks.
 
 The Brownian estimator reads each path's Parseval sum sum_k cF1[k] cG1[-k]
-only.  With the angle maps TA = (2 pi / L) A, TB = (2 pi / L) B and W_s the
-path point at the left end of step s (W_0 = 0), cF1[k] = fhat_k
-e^{-i(k, TA W_1)} and the Ito sum is cG1[k] = sum_s EB[s, k] (GB[k], dW_s)
-e^{-i(k, TB W_s)}, so the two phases meet in one table per step,
+only.  With the angle maps TA = (2 pi / L) A, TB = (2 pi / L) B, W_s the
+path point at the left end of step s (W_0 = 0) and the decay
+EB[s, k] = e^{-(1 - s h) rB_k} of the per-mode rate rB_k (rA_k alike),
+cF1[k] = fhat_k e^{-i(k, TA W_1)} and the Ito sum is cG1[k] = sum_s
+EB[s, k] (GB[k], dW_s) e^{-i(k, TB W_s)}, so the two phases meet in one
+table per step,
 
     V_s = sum_k fhat_k EB[s, -k] GB[-k, :] e^{-i(k, TA W_1 - TB W_s)},
 
@@ -198,13 +200,15 @@ def lattice_phases(theta, axes, buffers):
     return out
 
 
-def brownian_accumulate(dW, EA, EB, U, GB, kint, neg, TA, TB, fhat, coarse: bool = False):
+def brownian_accumulate(dW, rA, rB, U, GB, kint, neg, TA, TB, fhat, coarse: bool = False):
     """Euler pairing along a block of Brownian paths, one value per path.
 
-    dW is (P, steps, n); kint holds the band's integer lattice coordinates,
-    neg the position in the band of each mode's negative, and TA, TB the
-    (d, n) angle maps (2 pi / L_ax) A[ax, :], so that the phase of mode k at
-    the path point W is e^{-i(kint_k, TA W)}.  Returns (pair, Tcov, diff):
+    dW is (P, steps, n); rA, rB are the per-mode rates var_scale |A^T xi_k|^2
+    and var_scale |B^T xi_k|^2 of the decays EA[s, k] = e^{-(1 - s h) rA_k},
+    EB alike; kint holds the band's integer lattice coordinates, neg the
+    position in the band of each mode's negative, and TA, TB the (d, n)
+    angle maps (2 pi / L_ax) A[ax, :], so that the phase of mode k at the
+    path point W is e^{-i(kint_k, TA W)}.  Returns (pair, Tcov, diff):
     pair = sum_k cF1[k] cG1[neg k], the Parseval sum (without its dxi/(2 pi)^d)
     of the endpoint coefficients of f(x + A W_1) and the Ito-sum coefficients
     of G1; Tcov, the in-path covariation x-integral; and, with coarse (steps
@@ -214,8 +218,10 @@ def brownian_accumulate(dW, EA, EB, U, GB, kint, neg, TA, TB, fhat, coarse: bool
 
     Steps run in even-length runs whose tables hold about STEP_RUN_VALUES
     values, built by one lattice_phases call into buffers allocated once
-    here.  With TA = TB the covariation phase is 1 and every path's Tcov is
-    the one sum h sum_s sum_k U_k EA[s, k] EB[s, k]: the covariation route
+    here; each run builds its own rows of EB, which the contraction reads at
+    the negated modes (at a Nyquist mode of a mixing B, rB of -k is not rB of
+    k).  With TA = TB and rA = rB the covariation phase is 1 and every path's
+    Tcov is the one sum h sum_s sum_k U_k EB[s, k]^2: the covariation route
     then carries no Monte-Carlo error; otherwise each step also takes a table
     at (TA - TB) W_s.
     """
@@ -224,7 +230,7 @@ def brownian_accumulate(dW, EA, EB, U, GB, kint, neg, TA, TB, fhat, coarse: bool
         raise ValueError(f"steps = {steps} is odd: the coarse level pairs the fine steps")
     h = 1.0 / steps
     K, d = kint.shape
-    same = np.array_equal(TA, TB)
+    same = np.array_equal(TA, TB) and np.array_equal(rA, rB)
     # the maps of the angles summed along the path: TB, then TA - TB unless A = B
     Ts = np.stack([TB.T] if same else [TB.T, (TA - TB).T])   # (c, n, d)
     c = Ts.shape[0]                          # tables per step: the pairing's, the covariation's
@@ -240,12 +246,11 @@ def brownian_accumulate(dW, EA, EB, U, GB, kint, neg, TA, TB, fhat, coarse: bool
     theta = np.empty((run, c, P, d))         # one run's angles, per step, map and path
     carry = np.zeros((c, P, d))              # the angles at the run's first left point
     fG = (fhat[:, None] * GB[neg]).T         # (n, K)
+    lag = np.arange(steps)[:, None] * h - 1.0   # s h - 1: EB[s] = e^{lag_s rB}
     pair = np.zeros(P, dtype=complex)
     diff = np.zeros(P, dtype=complex) if coarse else None
-    if same:
-        Tcov = np.full(P, h * (np.einsum("sk,sk->k", EA, EB) @ U))
-    else:
-        Tcov = np.zeros(P, dtype=complex)
+    Tcov = np.zeros(P, dtype=complex)
+    squares = np.zeros(K)                    # sum_s EB[s, k]^2, read when A = B
     for s0 in range(0, steps, run):
         s1 = min(s0 + run, steps)
         r = s1 - s0
@@ -260,12 +265,17 @@ def brownian_accumulate(dW, EA, EB, U, GB, kint, neg, TA, TB, fhat, coarse: bool
         ph = tab[:, :, 0]                    # (K, r, P)
         for rows, factor in nyquist:
             ph[rows] *= factor
-        V = np.matmul(EB[s0:s1, neg][:, None, :] * fG, ph.transpose(1, 0, 2))   # (r, n, P)
+        EB = np.exp(lag[s0:s1] * rB)
+        if same:
+            squares += np.einsum("sk,sk->k", EB, EB)
+        else:
+            w = h * U * np.exp(lag[s0:s1] * rA) * EB
+            Tcov += np.matmul(w[:, None, :], tab[:, :, 1].transpose(1, 0, 2)).sum(axis=(0, 1))
+        V = np.matmul(EB[:, neg][:, None, :] * fG, ph.transpose(1, 0, 2))   # (r, n, P)
         dw = dW[:, s0:s1].transpose(1, 2, 0)
         pair += (V * dw).sum(axis=(0, 1))
         if coarse:
             diff += ((V[1::2] - V[::2]) * dw[1::2]).sum(axis=(0, 1))
-        if not same:
-            w = h * U * EA[s0:s1] * EB[s0:s1]
-            Tcov += np.matmul(w[:, None, :], tab[:, :, 1].transpose(1, 0, 2)).sum(axis=(0, 1))
+    if same:
+        Tcov[:] = h * (squares @ U)
     return pair, Tcov, diff

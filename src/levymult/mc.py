@@ -11,10 +11,12 @@ its kernel returns each path's Parseval sum itself, so no band coefficients
 leave it, and its step-bias gate takes the coarse Euler level (steps/2, on
 the fine path's increments summed in pairs) inside the same kernel pass.
 All randomness flows from one master seed through counter-based per-path
-streams (Philox keyed by (seed, path index)), so results are independent
-of block size and scheduling.  Both samplers build one generator per
-block and reset its state to each path's key, drawing what a fresh
-generator per path draws.
+streams (Philox keyed by (seed, path index)), so no result depends on how
+the paths are grouped (the Brownian ones up to the roundoff of its
+band contraction), and each engine sizes its own blocks from a budget of
+values, CPP_BLOCK_VALUES or BROWNIAN_BLOCK_VALUES.  Both samplers build one
+generator per block and reset its state to each path's key, drawing what a
+fresh generator per path draws.
 """
 
 from dataclasses import dataclass
@@ -45,6 +47,10 @@ from .spectral import (
 from .symbols import SymbolSpec, _gaussian_maps, evaluate_grid
 
 SUB_STRIDE = 4   # the L^p powers are summed over every 4th x-grid point per axis
+# values per block of paths: grid points x paths for the compound-Poisson
+# engine, steps x paths for the Brownian one (each within fixed path bounds)
+CPP_BLOCK_VALUES = 1 << 24
+BROWNIAN_BLOCK_VALUES = 1 << 22
 
 # ---------------------------------------------------------------------------
 # counter-based streams and path simulation
@@ -164,17 +170,12 @@ def mean_and_se(vals: np.ndarray):
     return float(m), float(vals.std(ddof=1) / rt)
 
 
-def _check_block_size(block_size):
-    if block_size is not None:
-        _check_integer("block_size", block_size, 1)
-
-
 def _check_n_paths(n_paths):
     _check_integer("n_paths", n_paths, 2, ": a standard error needs two paths")
 
 
 def _cpp_blocks(f: SampledField, g: SampledField, data: LevyData, mod: Modulator,
-                n_paths: int, seed: int, block_size: int = None):
+                n_paths: int, seed: int):
     """Set-up and block loop of the compound-Poisson engine.
 
     Returns the frequency band (flat indices into the grid), the position
@@ -184,7 +185,6 @@ def _cpp_blocks(f: SampledField, g: SampledField, data: LevyData, mod: Modulator
     the per-jump coefficients, and coefficients is the output of
     cpp_pair_coeffs, (cF1, cG1, covF, covG), on the band.
     """
-    _check_block_size(block_size)
     _check_seed(seed)
     validate(data, mod)
     nu = data.nu
@@ -210,12 +210,11 @@ def _cpp_blocks(f: SampledField, g: SampledField, data: LevyData, mod: Modulator
     psiA, psiB = exps[:band.size], exps[band.size:]
     inside = np.linalg.norm(nu.atoms, axis=1) <= 1.0
     S = tilde[band.size:] - 1j * (zB @ ((phi_atoms * nu.weights * inside) @ nu.atoms))
-    if block_size is None:
-        block_size = max(16, min(1024, (1 << 24) // f.size))
+    block = max(16, min(1024, CPP_BLOCK_VALUES // f.size))
 
     def blocks():
-        for b0 in range(0, n_paths, block_size):
-            times, marks, offsets = _sample_paths(nu, seed, b0, min(block_size, n_paths - b0))
+        for b0 in range(0, n_paths, block):
+            times, marks, offsets = _sample_paths(nu, seed, b0, min(block, n_paths - b0))
             yield b0, offsets, cpp_pair_coeffs(
                 times, marks, offsets, nu.atoms, phi_atoms,
                 fband, gband, psiA, psiB, zA, zB, cdA, cdB, S,
@@ -225,7 +224,7 @@ def _cpp_blocks(f: SampledField, g: SampledField, data: LevyData, mod: Modulator
 
 
 def run_cpp_paths(f: SampledField, g: SampledField, data: LevyData, mod: Modulator,
-                  n_paths: int, seed: int, *, block_size: int = None, fend_powers=()):
+                  n_paths: int, seed: int, *, fend_powers=()):
     """Per-path statistics of the paired martingales from the blocked engine.
 
     pair and cov are box integrals of trig polynomials on the band, taken
@@ -237,7 +236,7 @@ def run_cpp_paths(f: SampledField, g: SampledField, data: LevyData, mod: Modulat
       njumps    jump counts
     """
     _check_n_paths(n_paths)
-    band, neg, blocks = _cpp_blocks(f, g, data, mod, n_paths, seed, block_size)
+    band, neg, blocks = _cpp_blocks(f, g, data, mod, n_paths, seed)
     out = {
         "pair": np.zeros(n_paths, dtype=complex),
         "cov": np.zeros(n_paths, dtype=complex),
@@ -333,11 +332,10 @@ class PairingEstimate:
 
 
 def estimate_pairing(f: SampledField, g: SampledField, data: LevyData,
-                     mod: Modulator, n_paths: int, seed: int, *,
-                     block_size: int = None) -> PairingEstimate:
+                     mod: Modulator, n_paths: int, seed: int) -> PairingEstimate:
     """MC estimate of the pairing integral E F1(x) G1(x) dx (no conjugation),
     with the per-jump covariation route computed on the same paths."""
-    stats = run_cpp_paths(f, g, data, mod, n_paths, seed, block_size=block_size)
+    stats = run_cpp_paths(f, g, data, mod, n_paths, seed)
     est, se = mean_and_se(stats["pair"])
     cest, cse = mean_and_se(stats["cov"])
     _, dse = mean_and_se(stats["pair"] - stats["cov"])
@@ -372,8 +370,7 @@ class BrownianEstimate:
 
 def brownian_pairing(f: SampledField, g: SampledField, A, B, Kmat,
                      n_paths: int, steps: int, seed: int, *,
-                     var_scale: float = 0.5, block_size: int = None,
-                     richardson: bool = True) -> BrownianEstimate:
+                     var_scale: float = 0.5, richardson: bool = True) -> BrownianEstimate:
     """Euler estimate of the Gaussian-branch pairing on shared Brownian paths.
 
     Both stochastic integrals are taken along one path per draw; the
@@ -391,12 +388,12 @@ def brownian_pairing(f: SampledField, g: SampledField, A, B, Kmat,
     kernel contracts one phase table per step over the band and keeps no
     per-mode state.
 
-    With richardson (steps even), the same kernel pass also takes the coarse
-    level at steps/2 on the fine increments summed in pairs (Giles, Oper.
-    Res. 56(3), 2008).  step_bias is the mean of the per-path
-    D = pair(fine) - pair(coarse), which the kernel returns as diff, to first
-    order minus the fine run's step bias, and step_bias_se its standard
-    error.  StepTooCoarse is raised when,
+    With richardson (steps even: the kernel names odd steps), the same
+    kernel pass also takes the coarse level at steps/2 on the fine
+    increments summed in pairs (Giles, Oper. Res. 56(3), 2008).  step_bias
+    is the mean of the per-path D = pair(fine) - pair(coarse), which the
+    kernel returns as diff, to first order minus the fine run's step bias,
+    and step_bias_se its standard error.  StepTooCoarse is raised when,
     for a real component, |mean D| - 3 SE(D) exceeds the estimate's standard
     error (floored as in within_sigmas): a step bias above the run's own
     statistical error at a one-sided 3-sigma level, so a bias of exactly one
@@ -405,21 +402,16 @@ def brownian_pairing(f: SampledField, g: SampledField, A, B, Kmat,
     """
     A, B, Kmat = _gaussian_maps(A, B, Kmat)
     _check_n_paths(n_paths)
-    _check_block_size(block_size)
     _check_seed(seed)
     _check_integer("steps", steps, 2)
-    if richardson and steps % 2:
-        raise ValueError(f"steps = {steps} is odd: the step-bias gate pairs the fine steps")
 
     n = A.shape[1]
     fhat, ghat, band, neg, zA, zB = _band(f, g, A, B)
     # band frequencies are 2 pi k / L per axis: the kernel takes the integer k and
     # the angle maps (2 pi / L) A, (2 pi / L) B
     turns = 2.0 * np.pi / np.asarray(f.L)
-    h = 1.0 / steps
-    v_times = np.arange(steps) * h
-    EA = np.exp(-np.outer(1.0 - v_times, var_scale * (zA * zA).sum(axis=1)))
-    EB = np.exp(-np.outer(1.0 - v_times, var_scale * (zB * zB).sum(axis=1)))
+    rA = var_scale * (zA * zA).sum(axis=1)
+    rB = var_scale * (zB * zB).sum(axis=1)
 
     KzB = zB @ Kmat.T                      # rows K B^T xi_k
     aKb = np.einsum("kj,kj->k", zA.astype(complex), KzB)
@@ -427,22 +419,20 @@ def brownian_pairing(f: SampledField, g: SampledField, A, B, Kmat,
     U = sigma2 * aKb * fhat[band] * ghat[band][neg] * f.dxi_norm
     GB = -1j * ghat[band][:, None] * KzB
 
-    if block_size is None:
-        block_size = max(8, min(256, (1 << 22) // max(steps, 1)))
-
+    block = max(8, min(256, BROWNIAN_BLOCK_VALUES // steps))
     pair_stats = np.zeros(n_paths, dtype=complex)
     cov_stats = np.zeros(n_paths, dtype=complex)
     diff_stats = np.zeros(n_paths, dtype=complex)
-    sig = np.sqrt(sigma2 * h)
+    sig = np.sqrt(sigma2 * (1.0 / steps))   # sqrt(sigma^2 h)
 
-    for b0 in range(0, n_paths, block_size):
-        P = min(block_size, n_paths - b0)
+    for b0 in range(0, n_paths, block):
+        P = min(block, n_paths - b0)
         dW = np.empty((P, steps, n))
         for i, rng in enumerate(_path_streams(seed, b0, P)):
             rng.standard_normal(out=dW[i])
         dW *= sig
         pair, Tcov, diff = brownian_accumulate(
-            dW, EA, EB, U, GB, f.k[band], neg, turns[:, None] * A, turns[:, None] * B,
+            dW, rA, rB, U, GB, f.k[band], neg, turns[:, None] * A, turns[:, None] * B,
             fhat[band], coarse=richardson)
         pair_stats[b0:b0 + P] = pair * f.dxi_norm
         if richardson:

@@ -183,9 +183,11 @@ def test_unknown_key_named():
 
 def test_nested_unknown_key_named():
     # params.eps and params.zeta_max are gone, as no command read them, and so
-    # are measure.r_max and measure.quad_order, as the radial measure has no cut
+    # are measure.r_max and measure.quad_order, as the radial measure has no cut,
+    # and params.block_size, as each Monte-Carlo engine sizes its own blocks
     for block, key in (("params", "warp"), ("params", "eps"), ("params", "zeta_max"),
-                       ("measure", "r_max"), ("measure", "quad_order")):
+                       ("measure", "r_max"), ("measure", "quad_order"),
+                       ("params", "block_size")):
         with pytest.raises(ParseError, match=re.escape(f"unknown key '{key}' at {block}.")):
             parse_config(f'{{"{block}": {{"{key}": 9}}}}')
 
@@ -242,7 +244,7 @@ def test_config_negative_radial_coeff_named():
     ("p", [1.0]), ("p", [2.0, 0.5]), ("p", [float("nan")]), ("p", []), ("p", 2.0),
     ("trials", 0), ("trials", 2.5), ("ascent_steps", -1),
     ("paths", 0), ("paths", 1), ("paths", 2.5), ("steps", 1), ("steps", 3), ("steps", 2.5),
-    ("block_size", -3), ("block_size", 1.5), ("seed", -1), ("seed", 1.5), ("seed", 2**64),
+    ("seed", -1), ("seed", 1.5), ("seed", 2**64),
     ("u_scale", "x"), ("u_scale", 0.0), ("u_scale", float("nan")),
 ])
 def test_config_bad_probe_params_named(key, value):
@@ -428,6 +430,13 @@ def test_readme_command_table_lists_the_cli_commands():
     readme = (Path(__file__).parent.parent / "README.md").read_text()
     listed = re.findall(r"^\| `([a-z-]+)` +\|", readme, flags=re.M)
     assert listed == list(levymult.cli.COMMANDS)
+
+
+def test_readme_params_bullet_lists_the_params_keys():
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    bullet = re.search(r"^\* `params`: (.*?)\.$", readme, flags=re.M | re.S).group(1)
+    listed = re.findall(r"`(\w+)`", bullet)
+    assert listed == list(levymult.config._DEFAULTS["params"])
 
 
 def test_cli_sign_axis_outside_the_jump_space_is_a_named_error(tmp_path):

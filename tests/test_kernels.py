@@ -116,11 +116,18 @@ def _negatives(kint, N):
     return np.array([at[tuple(k)] for k in (N // 2 - kint) % N - N // 2])
 
 
-def _reference_brownian(dW, EA, EB, U, GB, zA, zB, fhat):
-    """Per-step Euler loop with one complex exponential per mode and path:
-    the band coefficients cF1, cG1 and the covariation sum Tcov."""
+def _decays(rates, steps):
+    """(steps, K) table of e^{-(1 - s h) r_k}, the per-step decay of each mode."""
+    return np.exp(-np.outer(1.0 - np.arange(steps) / steps, rates))
+
+
+def _reference_brownian(dW, rA, rB, U, GB, zA, zB, fhat):
+    """Per-step Euler loop with one complex exponential per mode and path,
+    on (steps, K) decay tables of its own: the band coefficients cF1, cG1
+    and the covariation sum Tcov."""
     P, steps, n = dW.shape
     h = 1.0 / steps
+    EA, EB = _decays(rA, steps), _decays(rB, steps)
     phA = np.ones((P, fhat.size), dtype=complex)
     phB = np.ones((P, fhat.size), dtype=complex)
     cG1 = np.zeros((P, fhat.size), dtype=complex)
@@ -146,7 +153,7 @@ def _assert_close(got, want, name):
 
 
 def _lattice_case(rng, L, N, A, B, K, P, steps):
-    """Kernel inputs on the full lattice of an N grid: (dW, EA, EB, U, GB,
+    """Kernel inputs on the full lattice of an N grid: (dW, rA, rB, U, GB,
     kint, neg, TA, TB, fhat) and the mapped frequencies (zA, zB)."""
     axes = [np.fft.fftfreq(m, 1.0 / m) for m in N]
     kint = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")],
@@ -154,15 +161,13 @@ def _lattice_case(rng, L, N, A, B, K, P, steps):
     turns = 2.0 * np.pi / np.asarray(L)
     Xi = kint * turns
     zA, zB = Xi @ A, Xi @ B
-    v = np.arange(steps) / steps
-    EA = np.exp(-np.outer(1.0 - v, 0.5 * (zA * zA).sum(axis=1)))
-    EB = np.exp(-np.outer(1.0 - v, 0.5 * (zB * zB).sum(axis=1)))
+    rA, rB = 0.5 * (zA * zA).sum(axis=1), 0.5 * (zB * zB).sum(axis=1)
     fhat = rng.normal(size=Xi.shape[0]) + 1j * rng.normal(size=Xi.shape[0])
     ghat = rng.normal(size=Xi.shape[0]) + 1j * rng.normal(size=Xi.shape[0])
     U = fhat * ghat * np.einsum("kj,kj->k", zA, zB @ K.T)
     GB = -1j * ghat[:, None] * (zB @ K.T)
     dW = rng.normal(scale=np.sqrt(1.0 / steps), size=(P, steps, A.shape[1]))
-    return ((dW, EA, EB, U, GB, kint, _negatives(kint, N), turns[:, None] * A,
+    return ((dW, rA, rB, U, GB, kint, _negatives(kint, N), turns[:, None] * A,
              turns[:, None] * B, fhat), (zA, zB))
 
 
@@ -196,23 +201,22 @@ def _one_dimensional_kernel_case(b):
     A, B = np.array([[1.0]]), np.array([[b]])
     zA, zB = kint * turns @ A, kint * turns @ B
     P, steps = 6, 30
-    v = np.arange(steps) / steps
-    EA = np.exp(-np.outer(1.0 - v, 0.5 * (zA * zA).sum(axis=1)))
-    EB = np.exp(-np.outer(1.0 - v, 0.5 * (zB * zB).sum(axis=1)))
+    rA, rB = 0.5 * (zA * zA).sum(axis=1), 0.5 * (zB * zB).sum(axis=1)
     fhat, ghat = rng.normal(size=(2, kint.shape[0])) + 1j * rng.normal(size=(2, kint.shape[0]))
     U = fhat * ghat * 0.7j * (zA * zB)[:, 0]
     GB = -1j * ghat[:, None] * 0.7j * zB
     dW = rng.normal(scale=np.sqrt(1.0 / steps), size=(P, steps, 1))
     neg = _negatives(kint, [63])
-    return (dW, EA, EB, U, GB, kint, neg, turns * A, turns * B, fhat), (zA, zB)
+    return (dW, rA, rB, U, GB, kint, neg, turns * A, turns * B, fhat), (zA, zB)
 
 
 def test_brownian_covariation_with_A_equal_B_is_one_closed_sum():
     """With A = B, phA conj(phB) = 1: every path's Tcov is h sum_s sum_k U EA EB."""
     args, _ = _one_dimensional_kernel_case(1.0)
-    dW, EA, EB, U = args[:4]
+    dW, rA, rB, U = args[:4]
+    steps = dW.shape[1]
     Tcov = brownian_accumulate(*args)[1]
-    closed = (U * EA * EB).sum() / dW.shape[1]
+    closed = (U * _decays(rA, steps) * _decays(rB, steps)).sum() / steps
     assert np.all(Tcov == Tcov[0])
     assert abs(Tcov[0] - closed) <= 1e-14 * abs(closed)
 
@@ -260,10 +264,9 @@ def test_brownian_coarse_level_over_uneven_step_runs(monkeypatch, same):
     pair, Tcov, diff = brownian_accumulate(*args, coarse=True)
     assert np.array_equal(built[-1][0], built[-1][1])
     assert [t.shape[1] for t, _ in built] == [4 * cols, 4 * cols, 2 * cols]
-    dW, EA, EB, U, GB, _, neg = args[:7]
+    dW, neg = args[0], args[6]
     fine, Tref = _reference_pair(neg, *args[:5], zA, zB, args[9])
-    coarse, _ = _reference_pair(neg, dW[:, 0::2] + dW[:, 1::2], EA[::2], EB[::2], U, GB,
-                                zA, zB, args[9])
+    coarse, _ = _reference_pair(neg, dW[:, 0::2] + dW[:, 1::2], *args[1:5], zA, zB, args[9])
     _assert_close(pair, fine, "pair")
     _assert_close(Tcov, Tref, "Tcov")
     _assert_close(diff, fine - coarse, "diff")

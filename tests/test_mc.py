@@ -441,12 +441,42 @@ def test_pair_and_cov_do_not_alias_on_a_wide_band():
         assert np.abs(stats[key] - ref[key]).max() <= 1e-12 * scale
 
 
-def test_blocked_kernel_block_size_invariance(bump_f, bump_g):
+def test_blocked_kernel_block_size_invariance(monkeypatch, bump_f, bump_g):
+    """Blocks of 64 and of 256 paths (from the patched value budget on the
+    1024-point grid) give bitwise the same per-path statistics."""
     data, mod = _config()
-    a = run_cpp_paths(bump_f, bump_g, data, mod, 300, 77, block_size=64)
-    b = run_cpp_paths(bump_f, bump_g, data, mod, 300, 77, block_size=256)
+    counts = []
+    sample = mc._sample_paths
+    monkeypatch.setattr(mc, "_sample_paths",
+                        lambda nu, seed, first, count: counts.append(count)
+                        or sample(nu, seed, first, count))
+    runs = []
+    for block in (64, 256):
+        monkeypatch.setattr(mc, "CPP_BLOCK_VALUES", block * bump_f.size)
+        runs.append(run_cpp_paths(bump_f, bump_g, data, mod, 300, 77))
+    assert counts == [64] * 4 + [44, 256, 44]
+    a, b = runs
     assert np.array_equal(a["pair"], b["pair"])
     assert np.array_equal(a["cov"], b["cov"])
+
+
+@pytest.mark.parametrize("A, B, K", [
+    ([[1.0]], [[1.0]], [[0.7j]]),
+    ([[1.0]], [[-0.8]], [[0.9j]]),
+    ([[1.0, 0.0]], [[0.3, 1.0]], [[0.0, -1.0], [1.0, 0.0]]),
+], ids=["A=B", "A!=B", "n2-rotation"])
+def test_brownian_block_size_invariance(monkeypatch, bump_f, bump_g, A, B, K):
+    """Blocks of 8 and of 37 paths (from the patched value budget) agree with
+    the default one-block run to 1e-12 relative: every path draws from its
+    own stream, and only the band contraction's rounding sees the block."""
+    n_paths, steps = 100, 40
+    default = brownian_pairing(bump_f, bump_g, A, B, K, n_paths, steps, 6)
+    for block in (8, 37):
+        monkeypatch.setattr(mc, "BROWNIAN_BLOCK_VALUES", block * steps)
+        est = brownian_pairing(bump_f, bump_g, A, B, K, n_paths, steps, 6)
+        for name in ("estimate", "stderr", "cov_estimate", "step_bias"):
+            a, b = getattr(est, name), getattr(default, name)
+            assert abs(a - b) <= 1e-12 * abs(b), (block, name)
 
 
 def test_estimate_pairing_matches_spectral_small(bump_f, bump_g):
@@ -557,17 +587,15 @@ def test_brownian_coarse_level_is_the_kernel_on_paired_increments():
     K = np.array([[0.3, 0.5j], [0.4, -0.2]])
     zA, zB = kint * turns @ A, kint * turns @ B
     P, steps = 5, 40
-    v = np.arange(steps) / steps
-    EA = np.exp(-np.outer(1.0 - v, 0.5 * (zA * zA).sum(axis=1)))
-    EB = np.exp(-np.outer(1.0 - v, 0.5 * (zB * zB).sum(axis=1)))
     fhat, ghat = rng.normal(size=(2, kint.shape[0])) + 1j * rng.normal(size=(2, kint.shape[0]))
     U = fhat * ghat * np.einsum("kj,kj->k", zA, zB @ K.T)
     GB = -1j * ghat[:, None] * (zB @ K.T)
-    rest = (U, GB, kint, neg, turns * A, turns * B, fhat)
+    rest = (0.5 * (zA * zA).sum(axis=1), 0.5 * (zB * zB).sum(axis=1),
+            U, GB, kint, neg, turns * A, turns * B, fhat)
     dW = rng.normal(scale=np.sqrt(1.0 / steps), size=(P, steps, 2))
-    fine = brownian_accumulate(dW, EA, EB, *rest, coarse=True)
-    plain = brownian_accumulate(dW, EA, EB, *rest)
-    coarse = brownian_accumulate(dW[:, 0::2] + dW[:, 1::2], EA[::2], EB[::2], *rest)
+    fine = brownian_accumulate(dW, *rest, coarse=True)
+    plain = brownian_accumulate(dW, *rest)
+    coarse = brownian_accumulate(dW[:, 0::2] + dW[:, 1::2], *rest)
     assert plain[2] is None and all(np.array_equal(a, b) for a, b in zip(fine[:2], plain[:2]))
     want = fine[0] - coarse[0]
     assert np.max(np.abs(fine[2] - want)) <= 1e-12 * np.max(np.abs(want))
@@ -581,8 +609,9 @@ def test_brownian_blocks_draw_the_per_path_streams(monkeypatch, bump_f, bump_g):
     monkeypatch.setattr(mc, "brownian_accumulate",
                         lambda dW, *a, **k: seen.append(dW.copy()) or kernel(dW, *a, **k))
     seed, steps, n_paths = 88, 6, 12
+    monkeypatch.setattr(mc, "BROWNIAN_BLOCK_VALUES", 8 * steps)
     brownian_pairing(bump_f, bump_g, [[1.0, 0.0]], [[0.3, 1.0]], [[0.0, -1.0], [1.0, 0.0]],
-                     n_paths, steps, seed, block_size=8, richardson=False)
+                     n_paths, steps, seed, richardson=False)
     assert [dW.shape for dW in seen] == [(8, steps, 2), (4, steps, 2)]
     dW = np.concatenate(seen)
     sig = np.sqrt(2.0 * 0.5 * (1.0 / steps))
@@ -600,7 +629,7 @@ def test_brownian_gate_quiet_on_former_false_alarm_seeds(K):
         brownian_pairing(f, g, [[1.0]], [[1.0]], [[K]], 200, 200, seed, var_scale=0.5)
 
 
-def test_brownian_bad_steps_and_block_size_named(bump_f, bump_g, single_atom_data):
+def test_brownian_bad_steps_named(bump_f, bump_g):
     with pytest.raises(ValueError, match="steps = 5"):
         brownian_pairing(bump_f, bump_g, [[1.0]], [[1.0]], [[1.0]], 10, 5, 1)
     for steps, richardson in ((4.0, True), (3.0, False), (2.5, False), (1, False)):
@@ -609,13 +638,6 @@ def test_brownian_bad_steps_and_block_size_named(bump_f, bump_g, single_atom_dat
                              richardson=richardson)
     assert brownian_pairing(bump_f, bump_g, [[1.0]], [[1.0]], [[1.0]], 10, 5, 1,
                             richardson=False).steps == 5
-    for block in (-3, 2.5):
-        with pytest.raises(ValueError, match=f"block_size = {block}"):
-            brownian_pairing(bump_f, bump_g, [[1.0]], [[1.0]], [[1.0]], 10, 4, 1,
-                             block_size=block)
-        with pytest.raises(ValueError, match=f"block_size = {block}"):
-            estimate_pairing(bump_f, bump_g, single_atom_data, IDENTITY_MOD, 10, 1,
-                             block_size=block)
 
 
 def test_criterion_9_gate_catches_scaled_brownian_increments(monkeypatch):
@@ -640,7 +662,7 @@ def test_criterion_9_gate_catches_scaled_brownian_increments(monkeypatch):
 
     assert all(within_sigmas(est.estimate, est.stderr, ref, 3.0) for est, ref in estimates())
     monkeypatch.setattr(mc, "brownian_accumulate",
-                        lambda dW, EA, EB, U, GB, *a, **k: kernel(dW, EA, EB, U, 1.1 * GB, *a, **k))
+                        lambda dW, rA, rB, U, GB, *a, **k: kernel(dW, rA, rB, U, 1.1 * GB, *a, **k))
     assert not any(within_sigmas(est.estimate, est.stderr, ref, 3.0) for est, ref in estimates())
 
 
@@ -668,7 +690,7 @@ def test_criterion_9_gate_catches_transposed_K_on_a_rotation(monkeypatch):
     assert within_sigmas(est.estimate, est.stderr, ref, 3.0)
     kernel = mc.brownian_accumulate
     monkeypatch.setattr(mc, "brownian_accumulate",
-                        lambda dW, EA, EB, U, GB, *a, **k: kernel(dW, EA, EB, -U, -GB, *a, **k))
+                        lambda dW, rA, rB, U, GB, *a, **k: kernel(dW, rA, rB, -U, -GB, *a, **k))
     est = brownian_pairing(f, g, A, B, K, 400, 40, 71, var_scale=0.5)
     assert not within_sigmas(est.estimate, est.stderr, ref, 6.0)
 
