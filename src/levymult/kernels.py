@@ -14,7 +14,8 @@ where zA_k = A^T xi_k, psiA_k = psi(-A^T xi_k), cdA_k = (zA_k, h) and
 EA_k(t) = e^{(1-t) psiA_k - i t cdA_k} = e^{psiA_k + t WA_k}, WA_k = -psiA_k - i cdA_k
 (EB, WB alike).  The jump factors e^{-i(zA_k, z_m)} take one value per atom
 m, so they, and fhat (e^{-i(zA_k,z_m)} - 1), ghat (e^{-i(zB_k,z_m)} - 1) phi_m,
-are (atoms, modes) tables whose rows are gathered by mark.
+are (atoms, modes) tables whose rows are gathered by mark.  No per-jump
+row leaves the kernel: it sums each jump's sum_k dF_i[k] dG_i[-k] into its path.
 
 Between jumps the phase e^{-i(zB_k, y - h t)} is fixed, and the compensator
 integrand is ghat_k S_k times it times EB_k(t).  As dEB/dt = WB EB,
@@ -71,19 +72,19 @@ STEP_RUN_VALUES = 1 << 16   # phase values per Brownian table build; sets the st
 
 
 def cpp_pair_coeffs(times, marks, offsets, zatoms, phi_atoms,
-                    fhat, ghat, psiA, psiB, zA, zB, cdA, cdB, S):
-    """Frequency coefficients of F1, G1 and per-jump dF, dG for a block of
-    compound-Poisson paths.  Returns (cF1, cG1, covF, covG).
-
-    The per-path state is kept with the paths ordered by jump count, most
-    first, so the paths still jumping at step j are a leading slice.
-    """
+                    fhat, ghat, psiA, psiB, zA, zB, cdA, cdB, S, neg, at=None):
+    """(cF1, cG1, pair, cov, points) of a block of compound-Poisson paths: the
+    (P, K) band coefficients of F1, G1; per path pair = sum_k cF1[k] cG1[neg k]
+    (neg: the band position of each mode's negative) and cov, the sum over its
+    jumps of sum_k dF_i[k] dG_i[neg k]; points, given the band phases at of a
+    point (K,) or points (K, M), the (2, P, most jumps) + at.shape[1:] values
+    dF_i @ at, dG_i @ at with zeros after a path's last jump (else None).  Paths
+    run ordered by jump count, most first: those jumping at step j lead."""
     P = offsets.size - 1
     counts = np.diff(offsets)
     order = np.argsort(-counts, kind="stable")
     first = offsets[:-1][order]
-    covF = np.empty((times.size, fhat.size), dtype=complex)
-    covG = np.empty((times.size, fhat.size), dtype=complex)
+    most = counts.max(initial=0)
     pjA = np.exp(-1j * (zatoms @ zA.T))            # (atoms, modes) jump factors
     pjB = np.exp(-1j * (zatoms @ zB.T))
     jumpA = fhat * (pjA - 1.0)
@@ -105,11 +106,13 @@ def cpp_pair_coeffs(times, marks, offsets, zatoms, phi_atoms,
         return out
 
     cG1 = np.zeros((P, fhat.size), dtype=complex)
+    cov = np.zeros(P, dtype=complex)
+    points = None if at is None else np.zeros((2, P, most) + at.shape[1:], dtype=complex)
     phA = np.ones((P, fhat.size), dtype=complex)
     phB = np.ones((P, fhat.size), dtype=complex)
     left = np.tile(np.exp(psiB), (P, 1))  # EB(a) phB at the interval's left end a
     prev = np.zeros(P)
-    for j in range(counts.max(initial=0)):
+    for j in range(most):
         n = np.count_nonzero(counts > j)
         idx = first[:n] + j
         v = times[idx][:, None]
@@ -118,8 +121,10 @@ def cpp_pair_coeffs(times, marks, offsets, zatoms, phi_atoms,
         EAv = np.exp(psiA + v * WA)
         rowA = EAv * pa                                         # EA(v) phA(v-)
         rowB = (EAv if same else np.exp(psiB + v * WB)) * pb    # EB(v) phB(v-)
-        covF[idx] = jumpA[m] * rowA
-        covG[idx] = dG = jumpB[m] * rowB
+        dF, dG = jumpA[m] * rowA, jumpB[m] * rowB
+        cov[:n] += (dF * dG[:, neg]).sum(axis=1)
+        if at is not None:
+            points[:, order[:n], j] = dF @ at, dG @ at
         cG1[:n] += dG - compensator(left[:n], rowB, v - prev[:n, None])
         pa *= pjA[m]
         pb *= pjB[m]
@@ -128,7 +133,8 @@ def cpp_pair_coeffs(times, marks, offsets, zatoms, phi_atoms,
     endB = np.exp(-1j * cdB)                       # EB(1)
     cG1 -= compensator(left, endB * phB, (1.0 - prev)[:, None])
     back = np.argsort(order)
-    return (fhat * np.exp(-1j * cdA)) * phA[back], cG1[back], covF, covG
+    cF1, cG1 = (fhat * np.exp(-1j * cdA)) * phA[back], cG1[back]
+    return cF1, cG1, (cF1 * cG1[:, neg]).sum(axis=1), cov[back], points
 
 
 # ---------------------------------------------------------------------------

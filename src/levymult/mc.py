@@ -1,22 +1,22 @@
 """Monte-Carlo verification of the martingale construction.
 
-One engine runs every compound-Poisson check: the blocked kernel gives,
-per block of paths, the frequency coefficients of the endpoints F1, G1
-and of each jump's increments dF, dG.  These are trig polynomials on one
-band of the frequency lattice, so the box integrals of F1 G1 and dF dG
-are the discrete Parseval sums over the band, and the subordination check's
-point values are sums against the phases of the point; only the L^p powers
-of F1 are taken on the x-grid.  The Brownian engine shares the band set-up;
-its kernel returns each path's Parseval sum itself, so no band coefficients
-leave it, and its step-bias gate takes the coarse Euler level (steps/2, on
-the fine path's increments summed in pairs) inside the same kernel pass.
-All randomness flows from one master seed through counter-based per-path
-streams (Philox keyed by (seed, path index)), so no result depends on how
-the paths are grouped (the Brownian ones up to the roundoff of its
-band contraction), and each engine sizes its own blocks from a budget of
-values, CPP_BLOCK_VALUES or BROWNIAN_BLOCK_VALUES.  Both samplers build one
-generator per block and reset its state to each path's key, drawing what a
-fresh generator per path draws.
+One engine runs every compound-Poisson check.  F1, G1 and each jump's dF,
+dG are trig polynomials on one band of the frequency lattice, so the box
+integrals of F1 G1 and dF dG are Parseval sums over the band, and point
+values are sums against the point's phases.  Per block of paths the kernel
+returns the endpoint coefficients, each path's two Parseval sums and, for
+the subordination check, each jump's dF, dG at its point; only the L^p
+powers of F1 are taken on the x-grid.  The Brownian engine shares the band
+set-up; its kernel returns each path's Parseval sum itself, so no band
+coefficients leave it, and its step-bias gate takes the coarse Euler level
+(steps/2, on the fine path's increments summed in pairs) inside the same
+kernel pass.  All randomness flows from one master seed through
+counter-based per-path streams (Philox keyed by (seed, path index)), so no
+result depends on how the paths are grouped (the Brownian ones up to the
+roundoff of its band contraction), and each engine sizes its own blocks
+from a budget of values, CPP_BLOCK_VALUES or BROWNIAN_BLOCK_VALUES.  Both
+samplers build one generator per block and reset its state to each path's
+key, drawing what a fresh generator per path draws.
 """
 
 from dataclasses import dataclass
@@ -135,13 +135,14 @@ def _band(f: SampledField, g: SampledField, A, B):
     return fhat, ghat, band, np.searchsorted(band, f.neg[band]), Xi @ A, Xi @ B
 
 
-def _parseval(f: SampledField, cF, cG, neg):
-    """Box integral of F G per row of band coefficients: dxi/(2pi)^d sum_k cF[k] cG[-k]."""
-    return (cF * cG[:, neg]).sum(axis=1) * f.dxi_norm
-
-
 def _point_phases(f: SampledField, band, x):
-    """dxi/(2pi)^d e^{-i(xi_k, x)} on the band: band coefficients @ this = values at x."""
+    """dxi/(2pi)^d e^{-i(xi_k, x)} on the band: band coefficients @ this = values
+    at x, which needs f.d coordinates (ShapeMismatch) and must be finite (ValueError)."""
+    x = np.asarray(x, dtype=float).ravel()
+    if x.size != f.d:
+        raise ShapeMismatch(f"x has {x.size} coordinates; the fields have {f.d}")
+    if not np.isfinite(x).all():
+        raise ValueError(f"x = {x.tolist()} is not finite")
     return f.dxi_norm * np.exp(-1j * (f.xi[band] @ x))
 
 
@@ -175,15 +176,14 @@ def _check_n_paths(n_paths):
 
 
 def _cpp_blocks(f: SampledField, g: SampledField, data: LevyData, mod: Modulator,
-                n_paths: int, seed: int):
+                n_paths: int, seed: int, x=None):
     """Set-up and block loop of the compound-Poisson engine.
 
-    Returns the frequency band (flat indices into the grid), the position
-    in the band of each mode's negative, and a generator that yields
-    (b0, offsets, coefficients) per block of paths starting at
-    path b0: the jumps of path b0 + i are rows offsets[i]:offsets[i+1] of
-    the per-jump coefficients, and coefficients is the output of
-    cpp_pair_coeffs, (cF1, cG1, covF, covG), on the band.
+    Returns the frequency band (flat indices into the grid) and a generator
+    that yields (b0, offsets, out) per block of paths starting at path b0:
+    path b0 + i has offsets[i+1] - offsets[i] jumps, and out is
+    cpp_pair_coeffs' (cF1, cG1, pair, cov, points) on the band, with the
+    per-jump points taken at x (None without x), which is checked here.
     """
     _check_seed(seed)
     validate(data, mod)
@@ -199,6 +199,7 @@ def _cpp_blocks(f: SampledField, g: SampledField, data: LevyData, mod: Modulator
             "the sphere measure mu must have no weight")
 
     fhat, ghat, band, neg, zA, zB = _band(f, g, data.A, data.B)
+    at = None if x is None else _point_phases(f, band, x)
     fband, gband = fhat[band], ghat[band]
     _, h = drift_reduce(data)
     cdA = zA @ h
@@ -217,41 +218,39 @@ def _cpp_blocks(f: SampledField, g: SampledField, data: LevyData, mod: Modulator
             times, marks, offsets = _sample_paths(nu, seed, b0, min(block, n_paths - b0))
             yield b0, offsets, cpp_pair_coeffs(
                 times, marks, offsets, nu.atoms, phi_atoms,
-                fband, gband, psiA, psiB, zA, zB, cdA, cdB, S,
+                fband, gband, psiA, psiB, zA, zB, cdA, cdB, S, neg, at,
             )
 
-    return band, neg, blocks()
+    return band, blocks()
 
 
 def run_cpp_paths(f: SampledField, g: SampledField, data: LevyData, mod: Modulator,
                   n_paths: int, seed: int, *, fend_powers=()):
     """Per-path statistics of the paired martingales from the blocked engine.
 
-    pair and cov are box integrals of trig polynomials on the band, taken
-    by the Parseval sum over the band; the L^p powers are sums over every
-    SUB_STRIDE-th point of the x-grid.  Returns a dict with per-path arrays:
+    pair and cov are box integrals of trig polynomials on the band, the
+    kernel's per-path Parseval sums times dxi/(2 pi)^d; the L^p powers are
+    sums over every SUB_STRIDE-th x-grid point.  Returns per-path arrays:
       pair      integral of F1(x) G1(x) over the box
       cov       integral of sum_jumps dF(x) dG(x)  (covariation route)
       fend_pow  {p: integral |f(x + A Y1)|^p}
       njumps    jump counts
     """
     _check_n_paths(n_paths)
-    band, neg, blocks = _cpp_blocks(f, g, data, mod, n_paths, seed)
+    band, blocks = _cpp_blocks(f, g, data, mod, n_paths, seed)
     out = {
         "pair": np.zeros(n_paths, dtype=complex),
         "cov": np.zeros(n_paths, dtype=complex),
         "fend_pow": {p: np.zeros(n_paths) for p in fend_powers},
         "njumps": np.zeros(n_paths, dtype=int),
     }
-    for b0, offsets, (cF1, cG1, covF, covG) in blocks:
+    for b0, offsets, (cF1, _, pair, cov, _) in blocks:
         rows = slice(b0, b0 + offsets.size - 1)
         out["njumps"][rows] = np.diff(offsets)
-        out["pair"][rows] = _parseval(f, cF1, cG1, neg)
+        out["pair"][rows] = pair * f.dxi_norm
+        out["cov"][rows] = cov * f.dxi_norm
         for p, val in _subgrid_powers(f, band, cF1, fend_powers).items():
             out["fend_pow"][p][rows] = val
-        if covF.shape[0]:
-            path_of_jump = np.repeat(np.arange(offsets.size - 1), np.diff(offsets))
-            np.add.at(out["cov"], b0 + path_of_jump, _parseval(f, covF, covG, neg))
     return out
 
 
@@ -262,37 +261,27 @@ def check_subordination(f: SampledField, g: SampledField, data: LevyData,
     Two rules, each with a relative slack of 1e-12 that absorbs
     floating-point roundoff only: per jump |dG(x)|^2 <= |dF(x)|^2, and
     after every jump [G,G] - [F,F] - |F_0(x)|^2 <= 0, the quadratic
-    variations being the running sums of the squared jump moduli.  dF(x)
-    and dG(x) are the kernel's per-jump coefficients summed against the
-    phases of x.  Returns (violating_paths, jumps, worst), worst being the
-    largest violation over all paths (0.0 when there is none).
+    variations being the running sums of the squared jump moduli.  The
+    kernel gives dF(x), dG(x) per path in time order, padded with zeros
+    that change neither rule's maximum.  x needs f.d coordinates
+    (ShapeMismatch) and must be finite (ValueError).  Returns (violating_paths,
+    jumps, worst), worst the largest violation (0.0 when there is none).
     """
     rel_slack = 1e-12
     x = np.asarray(x, dtype=float).ravel()
-    band, _, blocks = _cpp_blocks(f, g, data, mod, n_paths, seed)
-    phase = _point_phases(f, band, x)
+    _, blocks = _cpp_blocks(f, g, data, mod, n_paths, seed, x)
     head = abs(semigroup_eval(f, data.A, data, 1.0, x)) ** 2
     violating = jumps = 0
     worst = 0.0
-    for _, offsets, (_, _, covF, covG) in blocks:
-        counts = np.diff(offsets)
-        df2 = np.abs(covF @ phase) ** 2
-        dg2 = np.abs(covG @ phase) ** 2
-        # running sums in time order: one row per path, padded with zeros
-        path_of_jump = np.repeat(np.arange(counts.size), counts)
-        col = np.arange(covF.shape[0]) - offsets[path_of_jump]
-        qf = np.zeros((counts.size, counts.max()))
-        qg = np.zeros_like(qf)
-        qf[path_of_jump, col] = df2
-        qg[path_of_jump, col] = dg2
-        qf = head + np.cumsum(qf, axis=1)[path_of_jump, col]
-        qg = np.cumsum(qg, axis=1)[path_of_jump, col]
+    for _, offsets, (*_, points) in blocks:
+        df2, dg2 = np.abs(points) ** 2
+        qf = head + np.cumsum(df2, axis=1)
+        qg = np.cumsum(dg2, axis=1)
         excess = np.maximum(dg2 - df2 - rel_slack * (1.0 + df2),
                             qg - qf - rel_slack * (1.0 + qf))
-        per_path = np.zeros(counts.size)
-        np.maximum.at(per_path, path_of_jump, excess)
+        per_path = excess.max(axis=1, initial=0.0)
         violating += int(np.count_nonzero(per_path))
-        jumps += covF.shape[0]
+        jumps += int(offsets[-1])
         worst = max(worst, float(per_path.max()))
     return violating, jumps, worst
 

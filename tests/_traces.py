@@ -237,14 +237,16 @@ def check_subordination(trace_f: MartingaleTrace, trace_g: MartingaleTrace,
 def point_and_power_stats(f: SampledField, g: SampledField, data: LevyData,
                           mod: Modulator, n_paths: int, seed: int, powers=()):
     """Per-path values at the central subgrid point x0 and G-side L^q powers
-    from the blocked engine's band coefficients (as mc.check_subordination
-    reads them).  Returns a dict: x0_point; f1_x0, g1_x0, gend_x0, the values
-    of F1, G1 and g(x0 + B Y1); g1_pow, gend_pow, {q: integral |G1|^q} and
-    {q: integral |g(x + B Y1)|^q} over every mc.SUB_STRIDE-th grid point.
-    The coefficients of g(. + B Y1) are ghat_k e^{-i(zB_k, h + sum of the
-    path's jumps)} on the band, from the engine's own paths and drift h.
+    from the blocked kernel's endpoint coefficients cF1, cG1, summed against
+    the phases of x0 as the kernel sums each jump's dF, dG for
+    mc.check_subordination.  Returns a dict: x0_point; f1_x0, g1_x0,
+    gend_x0, the values of F1, G1 and g(x0 + B Y1); g1_pow, gend_pow,
+    {q: integral |G1|^q} and {q: integral |g(x + B Y1)|^q} over every
+    mc.SUB_STRIDE-th grid point.  The coefficients of g(. + B Y1) are
+    ghat_k e^{-i(zB_k, h + sum of the path's jumps)} on the band, from the
+    engine's own paths and drift h.
     """
-    band, _, blocks = mc._cpp_blocks(f, g, data, mod, n_paths, seed)
+    band, blocks = mc._cpp_blocks(f, g, data, mod, n_paths, seed)
     _, ghat, _, _, _, zB = mc._band(f, g, data.A, data.B)
     _, h = drift_reduce(data)
     _, marks, offsets = mc._sample_paths(data.nu, seed, 0, n_paths)
@@ -255,7 +257,7 @@ def point_and_power_stats(f: SampledField, g: SampledField, data: LevyData,
     at_x0 = mc._point_phases(f, band, x0)
     rows = {key: [] for key in ("f1_x0", "g1_x0", "gend_x0")}
     pows = {key: {q: [] for q in powers} for key in ("g1_pow", "gend_pow")}
-    for b0, offs, (cF1, cG1, _, _) in blocks:
+    for b0, offs, (cF1, cG1, *_) in blocks:
         cGend = ghat[band] * np.exp(-1j * (y1[b0:b0 + offs.size - 1] @ zB.T))
         for key, coeffs in (("f1_x0", cF1), ("g1_x0", cG1), ("gend_x0", cGend)):
             rows[key].append(coeffs @ at_x0)

@@ -6,7 +6,7 @@ import pytest
 from levymult import AtomsMeasure, Modulator, gaussian_bump, make_data, table_mod
 from levymult import kernels, mc
 from levymult.kernels import brownian_accumulate, lattice_axes, lattice_buffers, lattice_phases
-from levymult.mc import run_cpp_paths
+from levymult.mc import check_subordination, run_cpp_paths
 
 from _traces import JumpPath, general_G, simulate_cpp
 
@@ -16,10 +16,13 @@ def test_numpy_backend_handles_empty_blocks():
     nu = AtomsMeasure([[2.0]], [1e-12])
     data = make_data(nu)
     f = gaussian_bump(40.0, 256, 1)
-    stats = run_cpp_paths(f, f, data, Modulator(phi=table_mod([1.0])), 64, 1)
+    mod = Modulator(phi=table_mod([1.0]))
+    stats = run_cpp_paths(f, f, data, mod, 64, 1)
     assert np.all(stats["njumps"] == 0)
     assert np.all(stats["cov"] == 0.0)
     assert np.all(np.isfinite(stats["pair"]))
+    # the kernel's per-jump point values are then a (2, 64, 0) array
+    assert check_subordination(f, f, data, mod, 64, 1, [0.3]) == (0, 0, 0.0)
 
 
 def _compensator_model(case):
@@ -43,7 +46,7 @@ def _compensator_gap(monkeypatch, case):
     seen = []
     with monkeypatch.context() as mp:
         mp.setattr(mc, "cpp_pair_coeffs", lambda *a: seen.append(a[3:]))
-        band, _, blocks = mc._cpp_blocks(f, g, data, mod, 2, 1)
+        band, blocks = mc._cpp_blocks(f, g, data, mod, 2, 1)
         next(blocks)
     setup = seen[0]
     psiB, cdB = setup[5], setup[9]

@@ -388,7 +388,9 @@ def test_criterion_6_gate_catches_scaled_compensator(monkeypatch):
     assert est.agrees_with(ref, 3.0) and est.routes_agree(3.0)
 
     kernel = mc.cpp_pair_coeffs
-    monkeypatch.setattr(mc, "cpp_pair_coeffs", lambda *a: kernel(*a[:-1], 1.1 * a[-1]))
+    # S is the kernel's fourteenth argument, before neg and at
+    monkeypatch.setattr(mc, "cpp_pair_coeffs",
+                        lambda *a: kernel(*a[:13], 1.1 * a[13], *a[14:]))
     est = estimate_pairing(f, g, data, mod, 20000, 405)
     assert not est.agrees_with(ref, 3.0)
     assert not est.routes_agree(3.0)
@@ -405,14 +407,14 @@ def test_compensator_atom_sum_matches_direct_sum(monkeypatch):
     f = gaussian_bump(40.0, 512, 1, center=[0.5], width=0.9)
     g = gaussian_bump(40.0, 512, 1, center=[-0.3], width=1.1)
     estimate_pairing(f, g, data, Modulator(phi=table_mod(phi)), 4, 1)
-    psiA, psiB, zA, zB, _, _, S = seen[0][-7:]
+    psiA, psiB, zA, zB, _, _, S = seen[0][7:14]
     # S_k = sum_m phi_m w_m (e^{-i(zB_k, z_m)} - 1)
     want = ((np.exp(-1j * zB @ data.nu.atoms.T) - 1.0) * (phi * data.nu.weights)).sum(axis=1)
     assert np.max(np.abs(S - want)) <= 1e-14 * np.max(np.abs(want))
     assert np.array_equal(psiA, psi(data, -zA)) and np.array_equal(psiB, psi(data, -zB))
 
 
-def test_pair_and_cov_do_not_alias_on_a_wide_band():
+def test_pair_and_cov_do_not_alias_on_a_wide_band(monkeypatch):
     # the band reaches past N / 8 on both axes, where the powers' stride-4
     # subgrid aliases F1 G1; pair and cov are box integrals, so they must
     # equal the products summed on the full x-grid
@@ -422,19 +424,22 @@ def test_pair_and_cov_do_not_alias_on_a_wide_band():
                      A=[[1.0, 0.3], [-0.2, 0.9]], B=[[0.3, 1.0], [-1.0, 0.2]])
     mod = Modulator(phi=table_mod([0.9, -0.6j]))
     stats = run_cpp_paths(f, g, data, mod, 300, 3)
-    band, _, blocks = mc._cpp_blocks(f, g, data, mod, 300, 3)
-    (_, offsets, (cF1, cG1, covF, covG)), = blocks
+    # the kernel's at as a (K, M) phase matrix: each jump's dF, dG at every grid point
+    band = mc._band(f, g, data.A, data.B)[2]
+    grid = np.stack(np.meshgrid(*f.space_axes, indexing="ij"), axis=-1).reshape(-1, 2)
+    at = np.exp(-1j * (f.xi[band] @ grid.T))
+    at *= f.dxi_norm
+    kernel = mc.cpp_pair_coeffs
+    monkeypatch.setattr(mc, "cpp_pair_coeffs", lambda *a: kernel(*a[:-1], at))
+    _, blocks = mc._cpp_blocks(f, g, data, mod, 300, 3)
+    (_, offsets, (cF1, cG1, _, _, points)), = blocks
+    assert points.shape == (2, 300, np.diff(offsets).max(), f.size)
 
-    def grid_integral(cF, cG):
-        vals = []
-        for c in (cF, cG):
-            coeffs = np.zeros((c.shape[0], f.size), dtype=complex)
-            coeffs[:, band] = c
-            vals.append(values_from_coefficients(coeffs, f))
-        return (vals[0] * vals[1]).sum(axis=(1, 2)) * f.cell_volume
-
-    ref = {"pair": grid_integral(cF1, cG1), "cov": np.zeros(300, dtype=complex)}
-    np.add.at(ref["cov"], np.repeat(np.arange(300), np.diff(offsets)), grid_integral(covF, covG))
+    coeffs = np.zeros((2, 300, f.size), dtype=complex)
+    coeffs[:, :, band] = cF1, cG1
+    F1, G1 = values_from_coefficients(coeffs, f)
+    ref = {"pair": (F1 * G1).sum(axis=(1, 2)) * f.cell_volume,
+           "cov": np.einsum("pjm,pjm->p", *points) * f.cell_volume}
     for key in ("pair", "cov"):
         scale = np.abs(ref[key]).max()
         assert scale > 0.0
@@ -728,11 +733,37 @@ def test_largest_seed_runs(bump_f, bump_g):
                                             for i in range(4)])
 
 
+@pytest.mark.parametrize("x, error, name", [
+    ([0.3, 0.1], ShapeMismatch, "x has 2 coordinates"),
+    ([], ShapeMismatch, "x has 0 coordinates"),
+    ([np.nan], ValueError, "x = \\[nan\\]"),
+    ([-np.inf], ValueError, "x = \\[-inf\\]"),
+])
+def test_check_subordination_names_a_bad_point(monkeypatch, bump_f, bump_g, x, error, name):
+    data, mod = _config()
+    monkeypatch.setattr(mc, "_sample_paths",
+                        lambda *a: pytest.fail("sampled before x was checked"))
+    with pytest.raises(error, match=name):
+        check_subordination(bump_f, bump_g, data, mod, 10, 1, x)
+
+
 def test_check_subordination_accepts_one_path(bump_f, bump_g):
     # the check is pathwise, so one path is a complete run
     data, mod = _config()
     _, jumps, _ = check_subordination(bump_f, bump_g, data, mod, 1, 4, [0.3])
     assert jumps == simulate_cpp(data.nu, 4, 0).times.size
+
+
+def test_criterion_7_gate_catches_scaled_jump_weights(monkeypatch):
+    """Planted fault for criterion 7: the kernel's phi_atoms scaled by 1.1,
+    which moves the largest |phi| from 0.918 to 1.010, so |dG| > |dF| at
+    that atom's jumps.  At seeds 777-796 the planted run failed 20 times in
+    20 and the unplanted run never; a scale of 1.02 keeps |phi| < 1, and
+    the exact per-jump rule rightly lets it pass."""
+    assert checks.criterion_7_differential_subordination(50).passed
+    kernel = mc.cpp_pair_coeffs
+    monkeypatch.setattr(mc, "cpp_pair_coeffs", lambda *a: kernel(*a[:4], 1.1 * a[4], *a[5:]))
+    assert not checks.criterion_7_differential_subordination(50).passed
 
 
 def test_criterion_8_gate_catches_scaled_endpoint(monkeypatch):
