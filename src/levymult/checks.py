@@ -16,7 +16,7 @@ import numpy as np
 
 from .levy import (AtomsMeasure, IDENTITY_MOD, Modulator, SphericalMeasure, StableMeasure,
                    approximate, make_data, sign_mod, table_mod)
-from .mc import (brownian_pairing, check_subordination, estimate_pairing,
+from .mc import (brownian_pairing, check_subordination, estimate_pairing, floored_gaps,
                  gaussian_spectral_value, mean_and_se, run_cpp_paths,
                  spectral_pairing_value, within_sigmas)
 from .spectral import gaussian_bump, lp_norm, norm_probe
@@ -214,10 +214,8 @@ def criterion_6_mc_spectral_pairing(divisor, seed):
         ref = spectral_pairing_value(f, g, data, mod)
         routes = est.routes_agree(3.0)
         ok &= est.agrees_with(ref, 3.0) and routes
-        floor = 1e-9 * max(abs(est.estimate), abs(ref))  # roundoff components
-        sig_r = abs(est.estimate.real - ref.real) / max(est.stderr.real, floor)
-        sig_i = abs(est.estimate.imag - ref.imag) / max(est.stderr.imag, floor)
-        lines.append(f"{name}: {max(sig_r, sig_i):.2f} sigma"
+        sig = max(gap / se for gap, se in floored_gaps(est.estimate, est.stderr, ref))
+        lines.append(f"{name}: {sig:.2f} sigma"
                      f"{'' if routes else ' [routes differ]'}")
     return ok, "; ".join(lines) + f" ({time.time() - t0:.0f}s)"
 

@@ -109,8 +109,9 @@ def cmd_mc(cfg, out, seed, paths):
 
 def cmd_gaussian_mc(cfg, out, seed, paths):
     f, g, spec = cfg.field, cfg.field_g, cfg.spec
-    if spec.variant not in ("gaussian", "gaussian_limit"):
-        raise LevyMultError("gaussian-mc needs a gaussian symbol variant in the config")
+    if spec.variant != "gaussian":
+        # the Brownian pairing checks the finite-var_scale form, not its limit
+        raise LevyMultError(f"gaussian-mc needs the gaussian symbol variant, got {spec.variant!r}")
     var_scale = float(cfg.params["var_scale"])
     est = brownian_pairing(f, g, spec.A, spec.B, spec.K, paths,
                            int(cfg.params["steps"]), seed, var_scale=var_scale)

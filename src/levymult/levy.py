@@ -547,21 +547,30 @@ def _exponent(data: LevyData, mods, Z: np.ndarray) -> np.ndarray:
     return jump + 0.5 * _sphere_part(data, Z, Z, mods)
 
 
-def _rows(data: LevyData, zeta) -> np.ndarray:
-    """A point or batch zeta as rows (K, n); ShapeMismatch for another dimension."""
-    Z = np.atleast_2d(np.asarray(zeta, dtype=float))
-    if Z.shape[1] != data.n:
-        raise ShapeMismatch(f"zeta must have dimension {data.n}, got {Z.shape[1]}")
-    return Z
+def _point_rows(x, dim: int, name: str):
+    """(rows, single): a point (dim,), or a 0-d one when dim = 1, as one row,
+    or a batch (K, dim) as itself, and whether a single point was given;
+    ShapeMismatch naming x for any other shape."""
+    X = np.asarray(x, dtype=float)
+    rows = np.atleast_2d(X)
+    if rows.ndim > 2 or rows.shape[1] != dim:
+        raise ShapeMismatch(f"{name} must be a point ({dim},) or rows (K, {dim}), got shape "
+                            f"{X.shape}")
+    return rows, X.ndim <= 1
+
+
+def _as_given(vals, single: bool):
+    """A complex number from one-row values for a single point, else the values."""
+    return complex(vals[0]) if single else vals
 
 
 def _evaluate(data: LevyData, mods, zeta, drift: bool):
     """_exponent's columns at a point or rows zeta, drift i(zeta, gamma) on the first if asked."""
-    Z = _rows(data, zeta)
+    Z, single = _point_rows(zeta, data.n, "zeta")
     out = _exponent(data, mods, Z)
     if drift:
         out[:, 0] += 1j * (Z @ data.gamma)
-    return [complex(v) for v in out[0]] if np.ndim(zeta) == 1 else list(out.T)
+    return [_as_given(col, single) for col in out.T]
 
 
 def exponents(data: LevyData, mod: Modulator, zeta):
@@ -609,7 +618,8 @@ def cross_form(data: LevyData, mod: Modulator, zeta1, zeta2):
     q-form.  On a stable or radial-product measure it is that difference of
     the closed-form jump parts, whose compensators cancel.
     """
-    Z1, Z2 = _rows(data, zeta1), _rows(data, zeta2)
+    Z1, single = _point_rows(zeta1, data.n, "zeta1")
+    Z2, _ = _point_rows(zeta2, data.n, "zeta2")
     if Z1.shape != Z2.shape:
         raise ShapeMismatch(f"zeta1 and zeta2 hold {Z1.shape} and {Z2.shape} rows")
     nu, phi = data.nu, _phi_values(data.nu, mod)
@@ -620,7 +630,7 @@ def cross_form(data: LevyData, mod: Modulator, zeta1, zeta2):
         j12, j1, j2 = _radial_jump_part(nu, [phi], rows).reshape(3, -1)
         out = j12 - j1 - j2
     out += _sphere_part(data, Z1, Z2, (mod,))[:, 0]
-    return complex(out[0]) if np.ndim(zeta1) == 1 else out
+    return _as_given(out, single)
 
 
 # ---------------------------------------------------------------------------

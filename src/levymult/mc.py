@@ -264,10 +264,12 @@ def check_subordination(f: SampledField, g: SampledField, data: LevyData,
     variations being the running sums of the squared jump moduli.  The
     kernel gives dF(x), dG(x) per path in time order, padded with zeros
     that change neither rule's maximum.  x needs f.d coordinates
-    (ShapeMismatch) and must be finite (ValueError).  Returns (violating_paths,
+    (ShapeMismatch) and must be finite (ValueError), and n_paths must be an
+    integer >= 1 (ValueError): the check is pathwise.  Returns (violating_paths,
     jumps, worst), worst the largest violation (0.0 when there is none).
     """
     rel_slack = 1e-12
+    _check_integer("n_paths", n_paths, 1)
     x = np.asarray(x, dtype=float).ravel()
     _, blocks = _cpp_blocks(f, g, data, mod, n_paths, seed, x)
     head = abs(semigroup_eval(f, data.A, data, 1.0, x)) ** 2
@@ -286,19 +288,25 @@ def check_subordination(f: SampledField, g: SampledField, data: LevyData,
     return violating, jumps, worst
 
 
-def within_sigmas(estimate: complex, stderr: complex, reference: complex,
-                  sigmas: float = 3.0) -> bool:
-    """Componentwise |estimate - reference| <= sigmas * stderr.
+def floored_gaps(estimate: complex, stderr: complex, reference: complex):
+    """((|d_re|, se_re), (|d_im|, se_im)): each component's distance of
+    estimate from reference and its standard error.
 
     Components that are pure roundoff (e.g. the real part of a pairing
     that is imaginary pathwise) get an absolute floor of 1e-9 times the
-    overall magnitude, so zero-variance zero components compare sanely.
+    overall magnitude on the standard error, so zero-variance zero
+    components compare sanely.
     """
     floor = 1e-9 * max(abs(estimate), abs(reference), 1e-300)
-    dr = abs(estimate.real - reference.real)
-    di = abs(estimate.imag - reference.imag)
-    return dr <= sigmas * max(stderr.real, floor) and \
-        di <= sigmas * max(stderr.imag, floor)
+    return ((abs(estimate.real - reference.real), max(stderr.real, floor)),
+            (abs(estimate.imag - reference.imag), max(stderr.imag, floor)))
+
+
+def within_sigmas(estimate: complex, stderr: complex, reference: complex,
+                  sigmas: float = 3.0) -> bool:
+    """Componentwise |estimate - reference| <= sigmas * stderr, the standard
+    errors floored as in floored_gaps."""
+    return all(gap <= sigmas * se for gap, se in floored_gaps(estimate, stderr, reference))
 
 
 @dataclass(frozen=True)
@@ -332,12 +340,15 @@ def estimate_pairing(f: SampledField, g: SampledField, data: LevyData,
                            cov_stderr=cse, diff_stderr=dse, n_paths=n_paths)
 
 
+def _grid_pairing(spec: SymbolSpec, f: SampledField, g: SampledField) -> complex:
+    """The spectral pairing of f and g against spec tabulated on their grid."""
+    return pairing(evaluate_grid(spec, L=f.L, N=f.N), f, g).spectral
+
+
 def spectral_pairing_value(f: SampledField, g: SampledField, data: LevyData,
                            mod: Modulator, u: float = 1.0) -> complex:
     """Deterministic reference: the grid pairing with the q-form symbol."""
-    grid = evaluate_grid(SymbolSpec(variant="q_form", data=data, mod=mod, u=u),
-                         L=f.L, N=f.N)
-    return pairing(grid, f, g).spectral
+    return _grid_pairing(SymbolSpec(variant="q_form", data=data, mod=mod, u=u), f, g)
 
 
 # ---------------------------------------------------------------------------
@@ -448,7 +459,5 @@ def brownian_pairing(f: SampledField, g: SampledField, A, B, Kmat,
 def gaussian_spectral_value(f: SampledField, g: SampledField, A, B, Kmat,
                             var_scale: float = 0.5) -> complex:
     """Grid pairing against the Gaussian symbol at the same variance scale."""
-    grid = evaluate_grid(
-        SymbolSpec(variant="gaussian", A=A, B=B, K=Kmat, var_scale=var_scale),
-        L=f.L, N=f.N)
-    return pairing(grid, f, g).spectral
+    return _grid_pairing(SymbolSpec(variant="gaussian", A=A, B=B, K=Kmat, var_scale=var_scale),
+                         f, g)

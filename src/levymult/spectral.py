@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import GridMismatch, LevyMultError, ShapeMismatch
 from .grids import Grid
-from .levy import LevyData, psi
+from .levy import LevyData, _as_given, _point_rows, psi
 from .symbols import SymbolGrid
 
 
@@ -63,8 +63,8 @@ def transform_forward(f: SampledField) -> np.ndarray:
 
 
 def transform_inverse(fhat: np.ndarray, grid: Grid) -> SampledField:
-    vals = np.fft.fftn(grid.phases * np.asarray(fhat, dtype=complex).reshape(grid.N))
-    return SampledField(d=grid.d, L=grid.L, N=grid.N, values=vals * grid.dxi_norm)
+    vals = values_from_coefficients(np.ravel(fhat), grid)
+    return SampledField(d=grid.d, L=grid.L, N=grid.N, values=vals)
 
 
 def values_from_coefficients(coeffs: np.ndarray, grid: Grid) -> np.ndarray:
@@ -121,12 +121,12 @@ def pairing(m: SymbolGrid, f: SampledField, g: SampledField) -> PairingResult:
     """
     _check_compat(m, f)
     _check_compat(m, g)
-    mf = apply_multiplier(m, f)
+    fhat = transform_forward(f)
+    mf = transform_inverse(m.values * fhat, f)
     spatial = complex(np.sum(mf.values * g.values) * f.cell_volume)
 
-    fhat = transform_forward(f).ravel()
     ghat = transform_forward(g).ravel()
-    spectral = complex(np.sum(m.flat * fhat * ghat[f.neg]) * f.dxi_norm)
+    spectral = complex(np.sum(m.flat * fhat.ravel() * ghat[f.neg]) * f.dxi_norm)
 
     # floor at the natural bilinear scale so pairings that vanish by
     # parity compare roundoff against roundoff sanely
@@ -151,17 +151,14 @@ def semigroup_eval(f: SampledField, A, data: LevyData, s: float, x):
 
         (2pi)^{-d} sum_k fhat(xi_k) e^{s psi(-A^T xi_k)} e^{-i(xi_k, x)} dxi^d.
 
-    x may be a single d-vector or an (M, d) batch.
+    x is a point (d,) or a batch (M, d), as zeta in psi.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
-    X = np.asarray(x, dtype=float)
-    scalar = X.ndim == 1
-    X = np.atleast_2d(X)
+    X, single = _point_rows(x, f.d, "x")
     fhat = transform_forward(f).ravel()
-    expo = np.exp(s * np.atleast_1d(psi(data, -(f.xi @ A))))
+    expo = np.exp(s * psi(data, -(f.xi @ A)))
     weights = fhat * expo * f.dxi_norm
-    vals = np.exp(-1j * (X @ f.xi.T)) @ weights
-    return complex(vals[0]) if scalar else vals
+    return _as_given(np.exp(-1j * (X @ f.xi.T)) @ weights, single)
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,8 @@ from .errors import (
     ZeroFrequencyVector,
 )
 from .grids import Grid
-from .levy import IDENTITY_MOD, LevyData, Modulator, cross_form, exponents, psi
+from .levy import (IDENTITY_MOD, LevyData, Modulator, _as_given, _point_rows, cross_form,
+                   exponents, psi)
 
 BOUND_TOL = 1e-9
 _TAYLOR_CUT = 1e-3
@@ -51,20 +52,21 @@ def q_func(z):
     out[small] = 1.0 + zs * (1.0 / 2.0 + zs * (1.0 / 6.0 + zs * (1.0 / 24.0 + zs / 120.0)))
     zb = z[~small]
     out[~small] = np.expm1(zb) / zb
-    return complex(out[0]) if scalar else out
+    return _as_given(out, scalar)
 
 
-def _xi_batch(xi, d):
-    X = np.asarray(xi, dtype=float)
-    scalar = X.ndim <= 1
-    X = np.atleast_2d(X)
-    if X.shape[1] != d:
-        raise ShapeMismatch(f"xi must have dimension {d}, got {X.shape[1]}")
-    return X, scalar
-
-
-def _maybe_scalar(vals, scalar):
-    return complex(vals[0]) if scalar else vals
+def _where_defined(bad, on_degenerate: str, error: Exception, values):
+    """A symbol's values on rows, 0 at the rows where it is undefined (bad)
+    and values(~bad) at the others; error instead when a row is bad and
+    on_degenerate is "raise".  ValueError unless on_degenerate is "raise" or
+    "zero" (grid use)."""
+    if on_degenerate not in ("raise", "zero"):
+        raise ValueError(f"on_degenerate = {on_degenerate!r} is not 'raise' or 'zero'")
+    if on_degenerate == "raise" and np.any(bad):
+        raise error
+    vals = np.zeros(bad.shape, dtype=complex)
+    vals[~bad] = values(~bad)
+    return vals
 
 
 def _exp_q_pair(e_cross, e_prod):
@@ -86,7 +88,7 @@ def _exp_q_pair(e_cross, e_prod):
 
 def symbol_q(data: LevyData, mod: Modulator, xi, u: float = 1.0):
     """The q-form symbol; u scales both exponents (u -> inf gives the limit form)."""
-    X, scalar = _xi_batch(xi, data.d)
+    X, single = _point_rows(xi, data.d, "xi")
     zb = X @ data.B
     za = -(X @ data.A)
     zc = zb + za
@@ -97,7 +99,7 @@ def symbol_q(data: LevyData, mod: Modulator, xi, u: float = 1.0):
     pt_c, pt_b, pt_a = pt[0], pt[1], pt[-1]
     bracket = pt_c - pt_b - pt_a
     vals = (u * bracket) * _exp_q_pair(u * ps_c, u * (ps_b + ps_a))
-    return _maybe_scalar(vals, scalar)
+    return _as_given(vals, single)
 
 
 def symbol_integral(data: LevyData, mod: Modulator, xi, u: float = 1.0):
@@ -106,7 +108,7 @@ def symbol_integral(data: LevyData, mod: Modulator, xi, u: float = 1.0):
     Each row switches to the product convention when |denominator| falls
     below 1e-12 (1 + |numerator|).
     """
-    X, scalar = _xi_batch(xi, data.d)
+    X, single = _point_rows(xi, data.d, "xi")
     zb = X @ data.B
     za = -(X @ data.A)
     num = cross_form(data, mod, zb, za)
@@ -116,7 +118,7 @@ def symbol_integral(data: LevyData, mod: Modulator, xi, u: float = 1.0):
     vals = expo * u * num
     ratio = ~(np.abs(den) < 1e-12 * (1.0 + np.abs(num)))  # a NaN den keeps the ratio
     vals[ratio] = (np.exp(u * ps_c[ratio]) - expo[ratio]) * num[ratio] / den[ratio]
-    return _maybe_scalar(vals, scalar)
+    return _as_given(vals, single)
 
 
 def symbol_limit(data: LevyData, mod: Modulator, xi, on_degenerate: str = "raise"):
@@ -128,25 +130,16 @@ def symbol_limit(data: LevyData, mod: Modulator, xi, on_degenerate: str = "raise
     """
     if not np.array_equal(data.A, data.B):
         raise RequiresEqualMatrices("the limit symbol needs A = B")
-    X, scalar = _xi_batch(xi, data.d)
+    X, single = _point_rows(xi, data.d, "xi")
     za = X @ data.A
     ps, pt = exponents(data, mod, np.concatenate([za, -za]))
     k = X.shape[0]
     den = ps[:k] + ps[k:]
     num = pt[:k] + pt[k:]
-    bad = den.real >= -1e-300
-    if np.any(bad):
-        if on_degenerate == "raise":
-            raise DegenerateDenominator(
-                "Re psi(A^T xi) >= 0 at a requested frequency; the limit symbol "
-                "is undefined there"
-            )
-        vals = np.zeros(k, dtype=complex)
-        good = ~bad
-        vals[good] = num[good] / den[good]
-    else:
-        vals = num / den
-    return _maybe_scalar(vals, scalar)
+    vals = _where_defined(den.real >= -1e-300, on_degenerate, DegenerateDenominator(
+        "Re psi(A^T xi) >= 0 at a requested frequency; the limit symbol is undefined there"),
+        lambda good: num[good] / den[good])
+    return _as_given(vals, single)
 
 
 def _gaussian_maps(A, B, K):
@@ -175,7 +168,7 @@ def symbol_gaussian(A, B, K, xi, var_scale: float = 1.0):
     time-integral, which brownian_pairing verifies against.
     """
     A, B, K = _gaussian_maps(A, B, K)
-    X, scalar = _xi_batch(xi, A.shape[0])
+    X, single = _point_rows(xi, A.shape[0], "xi")
     a = X @ A
     b = X @ B
     s = var_scale
@@ -183,25 +176,19 @@ def symbol_gaussian(A, B, K, xi, var_scale: float = 1.0):
     e_cross = -s * np.einsum("kj,kj->k", a - b, a - b).astype(complex)
     e_prod = -s * (np.einsum("kj,kj->k", a, a) + np.einsum("kj,kj->k", b, b)).astype(complex)
     vals = 2.0 * s * aKb * _exp_q_pair(e_cross, e_prod)
-    return _maybe_scalar(vals, scalar)
+    return _as_given(vals, single)
 
 
 def symbol_gaussian_limit(A, K, xi, on_degenerate: str = "raise"):
     """Homogeneous degree-0 Gaussian limit (a, K a)/(a, a), a = A^T xi."""
     A, _, K = _gaussian_maps(A, A, K)
-    X, scalar = _xi_batch(xi, A.shape[0])
+    X, single = _point_rows(xi, A.shape[0], "xi")
     a = X @ A
     aKa = np.einsum("kj,kj->k", a.astype(complex), a @ K.T)
     aa = np.einsum("kj,kj->k", a, a)
-    bad = aa == 0.0
-    if np.any(bad):
-        if on_degenerate == "raise":
-            raise ZeroFrequencyVector("A^T xi vanishes at a requested frequency")
-        vals = np.zeros(X.shape[0], dtype=complex)
-        vals[~bad] = aKa[~bad] / aa[~bad]
-    else:
-        vals = aKa / aa
-    return _maybe_scalar(vals, scalar)
+    vals = _where_defined(aa == 0.0, on_degenerate, ZeroFrequencyVector(
+        "A^T xi vanishes at a requested frequency"), lambda good: aKa[good] / aa[good])
+    return _as_given(vals, single)
 
 
 def symbol_stable(alpha: float, xi):
@@ -225,7 +212,7 @@ def symbol_stable(alpha: float, xi):
     x = np.atleast_1d(x).ravel()
     if alpha == 1.0:
         vals = -(4.0 * math.log(2.0) / math.pi) * 1j * x * np.exp(-2.0 * np.abs(x))
-        return complex(vals[0]) if scalar else vals
+        return _as_given(vals, scalar)
     p = np.abs(x) ** alpha
     E = math.expm1((alpha - 1.0) * math.log(2.0))
     t = -E / math.tan(math.pi * (alpha - 1.0) / 2.0)
@@ -236,7 +223,7 @@ def symbol_stable(alpha: float, xi):
     else:
         gap = -np.exp(-np.abs(2.0 * x) ** alpha) * np.expm1(2.0 * p * E)
     vals = -1j * np.sign(x) * (gap / E) * t
-    return complex(vals[0]) if scalar else vals
+    return _as_given(vals, scalar)
 
 
 def _axis(name: str, value, d: int) -> int:
@@ -249,12 +236,12 @@ def _axis(name: str, value, d: int) -> int:
 def preset_log_symbol(j: int, d: int, xi):
     """ln(1 + xi_j^-2) / sum_k ln(1 + xi_k^-2); needs every coordinate nonzero."""
     j = _axis("j", j, d)
-    X, scalar = _xi_batch(xi, d)
+    X, single = _point_rows(xi, d, "xi")
     if np.any(X == 0.0):
         raise ZeroCoordinate("the log-ratio symbol needs all coordinates nonzero")
     terms = np.log1p(X ** (-2.0))
     vals = (terms[:, j] / terms.sum(axis=1)).astype(complex)
-    return _maybe_scalar(vals, scalar)
+    return _as_given(vals, single)
 
 
 def riesz_matrix(j: int, k: int, n: int) -> np.ndarray:
@@ -335,25 +322,17 @@ class SymbolSpec:
         if v == "gaussian_limit":
             return symbol_gaussian_limit(self.A, self.K, xi, on_degenerate=on_degenerate)
         if v == "stable":
-            xi_arr = np.atleast_2d(np.asarray(xi, dtype=float))
-            vals = symbol_stable(self.alpha, xi_arr[:, 0])
-            return vals if np.asarray(xi).ndim > 1 else complex(np.atleast_1d(vals)[0])
-        return self._preset(xi, on_degenerate)
-
-    def _preset(self, xi, on_degenerate):
+            X, single = _point_rows(xi, 1, "xi")
+            return _as_given(symbol_stable(self.alpha, X[:, 0]), single)
         d = self.dim
-        X, scalar = _xi_batch(xi, d)
-        if self.preset == "log":
-            ok = np.all(X != 0.0, axis=1)
-            if not np.all(ok) and on_degenerate == "raise":
-                raise ZeroCoordinate("log-ratio preset undefined on coordinate axes")
-            vals = np.zeros(X.shape[0], dtype=complex)
-            if np.any(ok):
-                vals[ok] = preset_log_symbol(self.j, d, X[ok])
-            return _maybe_scalar(vals, scalar)
-        K = riesz_matrix(self.j, self.k, d)
-        return symbol_gaussian_limit(np.eye(d), K, X if not scalar else np.asarray(xi),
-                                     on_degenerate=on_degenerate)
+        if self.preset == "riesz":
+            return symbol_gaussian_limit(np.eye(d), riesz_matrix(self.j, self.k, d), xi,
+                                         on_degenerate=on_degenerate)
+        X, single = _point_rows(xi, d, "xi")
+        vals = _where_defined(np.any(X == 0.0, axis=1), on_degenerate, ZeroCoordinate(
+            "log-ratio preset undefined on coordinate axes"),
+            lambda ok: preset_log_symbol(self.j, d, X[ok]))
+        return _as_given(vals, single)
 
 
 @dataclass(frozen=True, eq=False)

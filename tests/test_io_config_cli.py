@@ -514,6 +514,21 @@ def test_cli_gaussian_mc_small_run(tmp_path):
     assert all(np.isfinite(float(v)) for v in rows[-1].split(",")[1:])
 
 
+def test_cli_gaussian_mc_rejects_the_gaussian_limit(tmp_path, monkeypatch, capsys):
+    # it used to simulate and compare the finite-var_scale form under a limit config
+    cfg = json.loads((Path(__file__).parent.parent / "configs/gaussian_mc.json").read_text())
+    cfg["symbol"]["variant"] = "gaussian_limit"
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    monkeypatch.setattr(levymult.cli, "brownian_pairing",
+                        lambda *a, **k: pytest.fail("simulated a gaussian_limit config"))
+    code = levymult.cli.main(["gaussian-mc", "--config", str(path),
+                              "--out", str(tmp_path / "gmc")])
+    last = json.loads(capsys.readouterr().out.strip().split("\n")[-1])
+    assert code == 2 and last["code"] == "LevyMultError"
+    assert "gaussian_limit" in last["message"]
+
+
 def test_cli_pair_and_apply(tmp_path, stable_cfg_file):
     res = _run_cli(["apply", "--config", str(stable_cfg_file), "--out", "ap"],
                    tmp_path)

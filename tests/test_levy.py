@@ -591,6 +591,27 @@ def test_cross_rows_of_wrong_shape_raise_shape_mismatch(single_atom_data, zeta1,
         cross_form(single_atom_data, IDENTITY_MOD, zeta1, zeta2)
 
 
+def test_a_0d_point_gives_the_complex_of_the_1d_point(mixed_atoms_data, complex_phi):
+    # a 0-d point used to give length-1 arrays from psi, psi_tilde and exponents
+    data = make_data(mixed_atoms_data.nu, mu=SphericalMeasure([[1.0]], [0.3]), gamma=[0.2],
+                     A=[[1.0]], B=[[-1.0]])
+    calls = [lambda z: psi(data, z), lambda z: psi_tilde(data, complex_phi, z),
+             lambda z: exponents(data, complex_phi, z)[0],
+             lambda z: exponents(data, complex_phi, z)[1],
+             lambda z: cross_form(data, complex_phi, z, 0.4 * np.asarray(z))]
+    for call in calls:
+        got = call(np.float64(1.3))
+        assert isinstance(got, complex) and got == call([1.3])
+
+
+@pytest.mark.parametrize("zeta", [[0.5, 1.0], [[0.5, 7.0]], np.zeros((2, 1, 1)), []])
+def test_exponents_name_a_zeta_of_the_wrong_shape(single_atom_data, zeta):
+    for call in (psi, lambda d, z: psi_tilde(d, IDENTITY_MOD, z),
+                 lambda d, z: cross_form(d, IDENTITY_MOD, z, z)):
+        with pytest.raises(ShapeMismatch, match="zeta"):
+            call(single_atom_data, zeta)
+
+
 def test_cross_with_sphere_part():
     mu = SphericalMeasure([[1.0]], [2.0])
     data = make_data(AtomsMeasure([[3.0]], [0.5]), mu=mu)

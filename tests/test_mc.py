@@ -747,6 +747,16 @@ def test_check_subordination_names_a_bad_point(monkeypatch, bump_f, bump_g, x, e
         check_subordination(bump_f, bump_g, data, mod, 10, 1, x)
 
 
+@pytest.mark.parametrize("n_paths", [0, -5, 2.5])
+def test_check_subordination_names_a_bad_path_count(monkeypatch, bump_f, bump_g, n_paths):
+    # 0 and -5 used to pass on no paths, 2.5 to raise range's TypeError
+    data, mod = _config()
+    monkeypatch.setattr(mc, "_sample_paths",
+                        lambda *a: pytest.fail("sampled before n_paths was checked"))
+    with pytest.raises(ValueError, match="n_paths"):
+        check_subordination(bump_f, bump_g, data, mod, n_paths, 1, [0.3])
+
+
 def test_check_subordination_accepts_one_path(bump_f, bump_g):
     # the check is pathwise, so one path is a complete run
     data, mod = _config()

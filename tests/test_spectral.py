@@ -21,7 +21,7 @@ from levymult import (
     transform_forward,
     transform_inverse,
 )
-from levymult.errors import GridMismatch
+from levymult.errors import GridMismatch, ShapeMismatch
 from levymult.grids import Grid
 from levymult.spectral import (
     _bump_coeffs,
@@ -227,6 +227,17 @@ def test_semigroup_zero_time_recovers_field_off_grid():
     for x in (0.1234, -3.456):
         got = semigroup_eval(f, data.A, data, 0.0, [x])
         assert got == pytest.approx(np.exp(-x**2 / 2.0), abs=1e-8)
+
+
+def test_semigroup_eval_reads_a_point_as_psi_does(single_atom_data):
+    # a 0-d x used to give a length-1 array, and a 2-coordinate x on a 1-D
+    # field numpy's matmul ValueError
+    f = gaussian_bump(40.0, 256, 1)
+    got = semigroup_eval(f, single_atom_data.A, single_atom_data, 0.6, 0.37)
+    assert isinstance(got, complex)
+    assert got == semigroup_eval(f, single_atom_data.A, single_atom_data, 0.6, [0.37])
+    with pytest.raises(ShapeMismatch, match="x must be a point"):
+        semigroup_eval(f, single_atom_data.A, single_atom_data, 0.6, [0.3, 0.1])
 
 
 def test_semigroup_poisson_series():

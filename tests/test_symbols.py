@@ -160,6 +160,18 @@ def test_symbol_limit_degenerate_at_zero(single_atom_data):
         symbol_limit(single_atom_data, IDENTITY_MOD, [0.0])
 
 
+def test_on_degenerate_other_than_raise_or_zero_is_a_value_error(single_atom_data):
+    # "Raise" used to store 0 silently
+    calls = [lambda od: symbol_limit(single_atom_data, IDENTITY_MOD, [0.7], on_degenerate=od),
+             lambda od: symbol_gaussian_limit(np.eye(2), riesz_matrix(0, 1, 2), [1.0, 0.5],
+                                              on_degenerate=od),
+             lambda od: SymbolSpec(variant="preset", preset="log", d=2)([1.0, 0.5], od)]
+    for call in calls:
+        call("zero")
+        with pytest.raises(ValueError, match="on_degenerate = 'Raise'"):
+            call("Raise")
+
+
 def test_u_scaling_converges_to_limit():
     nu = AtomsMeasure([[1.0], [0.4]], [0.02, 0.012])
     mu = SphericalMeasure([[1.0]], [0.01])
@@ -407,6 +419,17 @@ def test_symbol_and_field_constructors_name_bad_input(build, error, match):
     # (zip dropped the extra entry, and an unchecked spec failed only when called)
     with pytest.raises(error, match=match):
         build()
+
+
+def test_stable_spec_reads_xi_as_the_other_variants_do():
+    # [0.5, 1.0] used to give one value and column 1 of two-column rows was ignored
+    spec = SymbolSpec(variant="stable", alpha=0.5)
+    for xi in ([0.5, 1.0], [[0.5, 7.0]]):
+        with pytest.raises(ShapeMismatch, match="xi must be a point"):
+            spec(xi)
+    assert spec([0.5]) == complex(symbol_stable(0.5, np.array([0.5]))[0])
+    rows = spec([[0.5], [1.0]])
+    assert np.array_equal(rows, symbol_stable(0.5, np.array([0.5, 1.0])))
 
 
 def test_preset_log_symbol_in_unit_interval():
