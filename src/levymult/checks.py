@@ -3,9 +3,11 @@
 A criterion's integer divisor divides only its path counts, probe trials and
 ascent steps, not its configurations, seeds or tolerances: 1 is the acceptance
 scale of the test suite, and `levymult selftest` runs a smaller one.  The
-stable-symbol sign follows the construction (gamma arithmetic, radial
-quadrature and the Monte-Carlo pairing agree on it), not the published
-display, which is inconsistent by a factor -sgn(xi).  Nothing is built at import.
+registry alone times the bodies (perf_counter, failing those past a limit).
+The stable-symbol sign follows the construction (gamma arithmetic, the
+closed-form ray integrals and the Monte-Carlo pairing agree on it), not the
+published display, which is inconsistent by a factor -sgn(xi).  Nothing is
+built at import.
 """
 
 import functools
@@ -37,22 +39,23 @@ class CheckRecord:
 
     @property
     def line(self) -> str:
-        return f"[{'PASS' if self.passed else 'FAIL'}] criterion {self.criterion}: {self.detail}"
+        return (f"[{'PASS' if self.passed else 'FAIL'}] criterion {self.criterion}: "
+                f"{self.detail} ({self.seconds:.1f}s)")
 
 
 CRITERIA = []   # in criterion order, filled once by @_criterion at import
 
 
-def _criterion(number: int, name: str, seed: int = None):
-    """Register body(divisor, seed) -> (passed, detail) as criterion `number`,
-    called with a divisor (default 1) and returning the timed CheckRecord."""
+def _criterion(number: int, name: str, seed: int = None, limit: float = np.inf):
+    """Register body(divisor, seed) -> (passed, detail) as criterion `number`, called with
+    a divisor (default 1) and returning the timed CheckRecord, failed at limit seconds."""
     def register(body):
         @functools.wraps(body)
         def run(divisor: int = 1) -> CheckRecord:
             t0 = time.perf_counter()
             passed, detail = body(divisor, seed)
-            return CheckRecord(number, name, bool(passed), detail,
-                               time.perf_counter() - t0, seed)
+            dt = time.perf_counter() - t0
+            return CheckRecord(number, name, bool(passed) and dt < limit, detail, dt, seed)
         CRITERIA.append(run)
         return run
     return register
@@ -106,7 +109,7 @@ def _atoms_config_matrix():
 
 @_criterion(1, "symbol bound")
 def criterion_1_symbol_bound(divisor, seed):
-    """Every symbol variant on its default grid has max |m| <= 1 + 1e-9."""
+    """Every symbol variant tabulates (evaluate_grid checks |m|) in under 5 s."""
     atoms, mod = _three_atoms()
     limit_data = make_data(AtomsMeasure([[1.0], [0.4]], [0.8, 0.5]),
                            mu=SphericalMeasure([[1.0]], [0.6]), A=[[1.0]], B=[[1.0]])
@@ -127,7 +130,7 @@ def criterion_1_symbol_bound(divisor, seed):
         t0 = time.time()
         grid = evaluate_grid(spec)          # raises if the bound is violated
         dt = time.time() - t0
-        ok &= grid.max_abs <= 1.0 + 1e-9 and dt < 5.0
+        ok &= dt < 5.0
         details.append(f"{name}: max|m|={grid.max_abs:.9f} ({dt:.2f}s)")
     return ok, "; ".join(details)
 
@@ -151,18 +154,15 @@ def criterion_2_formula_equivalence(divisor, seed):
     return worst < 1e-10, f"worst |q-form - integral-form| = {worst:.3e} over 3 configs x 200 xi"
 
 
-@_criterion(3, "stable closed form")
+@_criterion(3, "stable closed form", limit=60.0)
 def criterion_3_stable_closed_form(divisor, seed):
     """Finite-activity symbol converges to the stable closed form."""
-    t0 = time.time()
     gaps, ref = _stable_gaps(np.array([[0.25], [0.5], [1.0], [2.0]]), (0.1, 0.01, 0.001), 4.5)
     errs = [gap / np.abs(ref) for gap in gaps]
-    dt = time.time() - t0
     decreasing = bool(np.all(errs[1] < errs[0]) and np.all(errs[2] < errs[1]))
-    ok = decreasing and bool(np.all(errs[2] < 1e-2)) and dt < 60.0
+    ok = decreasing and bool(np.all(errs[2] < 1e-2))
     shown = ", ".join(f"{e:.2e}" for e in errs[2])
-    return ok, (f"rel errs at eps=1e-3: [{shown}] (< 1e-2), decreasing "
-                f"{decreasing}, {dt:.1f}s")
+    return ok, f"rel errs at eps=1e-3: [{shown}] (< 1e-2), decreasing {decreasing}"
 
 
 @_criterion(4, "alpha-one limit")
@@ -189,7 +189,6 @@ def criterion_5_norm_bound_probing(divisor, seed):
         ("riesz", evaluate_grid(SymbolSpec(variant="preset", preset="riesz", d=2))),
     ]
     lines, ok = [], True
-    t0 = time.time()
     for name, grid in grids:
         worst_margin = 0.0
         for rep in norm_probe(grid, (1.25, 1.5, 2.0, 3.0, 4.0), trials=500 // divisor,
@@ -197,7 +196,7 @@ def criterion_5_norm_bound_probing(divisor, seed):
             ok &= rep.passed
             worst_margin = max(worst_margin, rep.best_ratio / rep.bound)
         lines.append(f"{name}: max ratio/bound {worst_margin:.4f}")
-    return ok, "; ".join(lines) + f" ({time.time() - t0:.0f}s)"
+    return ok, "; ".join(lines)
 
 
 @_criterion(6, "MC-spectral pairing", seed=404)
@@ -208,7 +207,6 @@ def criterion_6_mc_spectral_pairing(divisor, seed):
     f = gaussian_bump(40.0, 1024, 1, center=[0.5], width=0.9)
     g = gaussian_bump(40.0, 1024, 1, center=[-0.3], width=1.1)
     lines, ok = [], True
-    t0 = time.time()
     for k, (name, data, mod) in enumerate(_atoms_config_matrix()):
         est = estimate_pairing(f, g, data, mod, 200000 // divisor, seed + k)
         ref = spectral_pairing_value(f, g, data, mod)
@@ -217,10 +215,10 @@ def criterion_6_mc_spectral_pairing(divisor, seed):
         sig = max(gap / se for gap, se in floored_gaps(est.estimate, est.stderr, ref))
         lines.append(f"{name}: {sig:.2f} sigma"
                      f"{'' if routes else ' [routes differ]'}")
-    return ok, "; ".join(lines) + f" ({time.time() - t0:.0f}s)"
+    return ok, "; ".join(lines)
 
 
-@_criterion(7, "differential subordination", seed=777)
+@_criterion(7, "differential subordination", seed=777, limit=60.0)
 def criterion_7_differential_subordination(divisor, seed):
     """Zero per-jump violations with A = B and |phi| <= 1; 1e4 paths at
     divisor 1."""
@@ -230,11 +228,8 @@ def criterion_7_differential_subordination(divisor, seed):
     mod = Modulator(phi=table_mod(phis))
     g = gaussian_bump(40.0, 512, 1, center=[-0.3], width=1.1)
     paths = 10000 // divisor
-    t0 = time.time()
     violations, jumps, _ = check_subordination(g, g, data, mod, paths, seed, [0.3])
-    dt = time.time() - t0
-    return violations == 0 and dt < 60.0, \
-        f"{violations} violations across {paths} paths / {jumps} jumps ({dt:.0f}s)"
+    return violations == 0, f"{violations} violations across {paths} paths / {jumps} jumps"
 
 
 @_criterion(8, "L^p isometry", seed=888)
@@ -244,7 +239,6 @@ def criterion_8_lp_isometry(divisor, seed):
     1e5 paths at divisor 1."""
     data, _ = _three_atoms()
     f = gaussian_bump(40.0, 1024, 1, center=[0.5], width=0.9)
-    t0 = time.time()
     stats = run_cpp_paths(f, f, data, IDENTITY_MOD, 100000 // divisor, seed,
                           fend_powers=(1.5, 2.0, 3.0))
     lines, ok = [], True
@@ -253,7 +247,7 @@ def criterion_8_lp_isometry(divisor, seed):
         target = lp_norm(f, p) ** p
         ok &= abs(m - target) <= 3.0 * se + 1e-12 * target
         lines.append(f"p={p}: {m:.8f} vs {target:.8f}")
-    return ok, "; ".join(lines) + f" ({time.time() - t0:.0f}s)"
+    return ok, "; ".join(lines)
 
 
 @_criterion(9, "Gaussian branch", seed=31)
@@ -264,7 +258,6 @@ def criterion_9_gaussian_branch(divisor, seed):
     f = gaussian_bump(40.0, 1024, 1, center=[0.4], width=0.9)
     g = gaussian_bump(40.0, 1024, 1, center=[-0.2], width=1.0)
     lines, ok = [], True
-    t0 = time.time()
     for k, Kval in enumerate((np.array([[1.0]]), np.array([[0.7j]]))):
         est = brownian_pairing(f, g, [[1.0]], [[1.0]], Kval, 8000 // divisor, 2000,
                                seed + k, var_scale=0.5, richardson=True)
@@ -281,14 +274,13 @@ def criterion_9_gaussian_branch(divisor, seed):
         exact &= abs(symbol_gaussian_limit(np.eye(2), K, xi) - want) < 1e-14
     ok &= exact
     lines.append(f"riesz limit exact: {exact}")
-    return ok, "; ".join(lines) + f" ({time.time() - t0:.0f}s)"
+    return ok, "; ".join(lines)
 
 
-@_criterion(10, "eps and u limits")
+@_criterion(10, "eps and u limits", limit=60.0)
 def criterion_10_eps_and_u_limits(divisor, seed):
     """Pointwise eps-convergence of the surrogate symbol and monotone
     u-scaling convergence to the limit form."""
-    t0 = time.time()
     gaps, _ = _stable_gaps(np.array([[0.5], [1.0]]), (0.1, 0.02), 3.0)
     eps_errs = [float(np.max(gap)) for gap in gaps]
     eps_ok = eps_errs[1] < eps_errs[0] and eps_errs[1] < 2e-2
@@ -301,8 +293,6 @@ def criterion_10_eps_and_u_limits(divisor, seed):
               for u in (1.0, 10.0, 100.0, 1000.0)]
     u_ok = all(u_errs[i + 1] <= u_errs[i] + 1e-14 for i in range(3)) \
         and u_errs[-1] < 1e-6
-    dt = time.time() - t0
-    return eps_ok and u_ok and dt < 60.0, \
-        (f"eps errs {eps_errs[0]:.2e} -> {eps_errs[1]:.2e}; "
-         f"u errs {['%.2e' % e for e in u_errs]} ({dt:.0f}s)")
+    return eps_ok and u_ok, \
+        f"eps errs {eps_errs[0]:.2e} -> {eps_errs[1]:.2e}; u errs {['%.2e' % e for e in u_errs]}"
 

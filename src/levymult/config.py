@@ -101,6 +101,7 @@ _PARAM_RULES = (
     ("steps", lambda v: _number_in(v, 2, whole=True) and v % 2 == 0, "an even integer >= 2"),
     ("seed", lambda v: _number_in(v, 0, whole=True) and v < 2**64, "an integer in [0, 2**64)"),
     ("u_scale", lambda v: _number_in(v, 0) and v > 0, "a finite number > 0"),
+    ("var_scale", lambda v: _number_in(v, 0) and v > 0, "a finite number > 0"),
     ("width", lambda v: _number_in(v, 0) and v > 0, "a finite number > 0"),
 )
 

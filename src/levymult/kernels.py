@@ -18,7 +18,8 @@ are (atoms, modes) tables whose rows are gathered by mark.  No per-jump
 row leaves the kernel: it sums each jump's sum_k dF_i[k] dG_i[-k] into its path.
 
 Between jumps the phase e^{-i(zB_k, y - h t)} is fixed, and the compensator
-integrand is ghat_k S_k times it times EB_k(t).  As dEB/dt = WB EB,
+integrand is ghat_k S_k times it times EB_k(t), the atom sum ghat_k S_k being
+the second table summed over the atom masses w_m.  As dEB/dt = WB EB,
 
     int_a^v EB_k(t) dt = (EB_k(v) - EB_k(a)) / WB_k,
 
@@ -72,14 +73,14 @@ STEP_RUN_VALUES = 1 << 16   # phase values per Brownian table build; sets the st
 
 
 def cpp_pair_coeffs(times, marks, offsets, zatoms, phi_atoms,
-                    fhat, ghat, psiA, psiB, zA, zB, cdA, cdB, S, neg, at=None):
-    """(cF1, cG1, pair, cov, points) of a block of compound-Poisson paths: the
-    (P, K) band coefficients of F1, G1; per path pair = sum_k cF1[k] cG1[neg k]
-    (neg: the band position of each mode's negative) and cov, the sum over its
-    jumps of sum_k dF_i[k] dG_i[neg k]; points, given the band phases at of a
-    point (K,) or points (K, M), the (2, P, most jumps) + at.shape[1:] values
-    dF_i @ at, dG_i @ at with zeros after a path's last jump (else None).  Paths
-    run ordered by jump count, most first: those jumping at step j lead."""
+                    fhat, ghat, psiA, psiB, zA, zB, cdA, cdB, weights, neg, at=None):
+    """(cF1, cG1, pair, cov, points) of a block of compound-Poisson paths whose marks
+    index zatoms, of masses weights: the (P, K) band coefficients of F1, G1; per path
+    pair = sum_k cF1[k] cG1[neg k] (neg: the band position of each mode's negative)
+    and cov, the sum over its jumps of sum_k dF_i[k] dG_i[neg k]; points, given the
+    band phases at of a point (K,) or points (K, M), the (2, P, most jumps) +
+    at.shape[1:] values dF_i @ at, dG_i @ at with zeros after a path's last jump
+    (else None).  Paths run ordered by jump count, most first: those jumping at step j lead."""
     P = offsets.size - 1
     counts = np.diff(offsets)
     order = np.argsort(-counts, kind="stable")
@@ -92,7 +93,7 @@ def cpp_pair_coeffs(times, marks, offsets, zatoms, phi_atoms,
     WA = -psiA - 1j * cdA
     WB = -psiB - 1j * cdB
     same = np.array_equal(psiA, psiB) and np.array_equal(cdA, cdB)   # EA = EB
-    gS = ghat * S
+    gS = weights @ jumpB                            # ghat S, the compensator's atom sum
     big = np.abs(WB) >= W_CUT
     small = np.flatnonzero(~big)
     gS_W = np.divide(gS, WB, out=np.zeros_like(gS), where=big)

@@ -4,6 +4,7 @@ One engine runs every compound-Poisson check.  F1, G1 and each jump's dF,
 dG are trig polynomials on one band of the frequency lattice, so the box
 integrals of F1 G1 and dF dG are Parseval sums over the band, and point
 values are sums against the point's phases.  Per block of paths the kernel
+(which forms the compensator from its own jump table and the atom masses)
 returns the endpoint coefficients, each path's two Parseval sums and, for
 the subordination check, each jump's dF, dG at its point; only the L^p
 powers of F1 are taken on the x-grid.  The Brownian engine shares the band
@@ -19,6 +20,7 @@ samplers build one generator per block and reset its state to each path's
 key, drawing what a fresh generator per path draws.
 """
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,7 +33,7 @@ from .levy import (
     Modulator,
     _phi_values_at_atoms,
     drift_reduce,
-    exponents,
+    psi,
     validate,
 )
 from .spectral import (
@@ -202,15 +204,9 @@ def _cpp_blocks(f: SampledField, g: SampledField, data: LevyData, mod: Modulator
     at = None if x is None else _point_phases(f, band, x)
     fband, gband = fhat[band], ghat[band]
     _, h = drift_reduce(data)
-    cdA = zA @ h
-    cdB = zB @ h
+    cdA, cdB = zA @ h, zB @ h
     phi_atoms = np.asarray(_phi_values_at_atoms(mod, nu), dtype=complex)
-    # psi(-zA), psi(-zB) and S_k = sum_m phi_m w_m (e^{-i(zB_k, z_m)} - 1) from one atom pass:
-    # S_k = psi_tilde(-zB_k) - i (zB_k, sum_{|z_m|<=1} phi_m w_m z_m), as mu has no weight
-    exps, tilde = exponents(data, mod, np.concatenate([-zA, -zB]))
-    psiA, psiB = exps[:band.size], exps[band.size:]
-    inside = np.linalg.norm(nu.atoms, axis=1) <= 1.0
-    S = tilde[band.size:] - 1j * (zB @ ((phi_atoms * nu.weights * inside) @ nu.atoms))
+    psiA, psiB = psi(data, np.concatenate([-zA, -zB])).reshape(2, -1)
     block = max(16, min(1024, CPP_BLOCK_VALUES // f.size))
 
     def blocks():
@@ -218,7 +214,7 @@ def _cpp_blocks(f: SampledField, g: SampledField, data: LevyData, mod: Modulator
             times, marks, offsets = _sample_paths(nu, seed, b0, min(block, n_paths - b0))
             yield b0, offsets, cpp_pair_coeffs(
                 times, marks, offsets, nu.atoms, phi_atoms,
-                fband, gband, psiA, psiB, zA, zB, cdA, cdB, S, neg, at,
+                fband, gband, psiA, psiB, zA, zB, cdA, cdB, nu.weights, neg, at,
             )
 
     return band, blocks()
@@ -379,12 +375,14 @@ def brownian_pairing(f: SampledField, g: SampledField, A, B, Kmat,
     dxi/(2 pi)^d), and the covariation route uses the time-quadrature of the
     integrand product (full-box x-integral via the frequency lattice).
     With var_scale = 1/2 the matching spectral symbol is the Gaussian form
-    at the same scale.  When A = B the covariation integrand's phases cancel
-    (|e^{-i(xi, A W)}|^2 = 1), so every path gives the same time sum: the
-    covariation route then carries no Monte-Carlo error, and cov_stderr is
-    roundoff; it differs from the spectral value by the time-quadrature bias
-    alone.  Each block's increments come from one Philox generator reset to
-    each path's key (path_stream's draws) and are held (P, steps, n); the
+    at the same scale; a var_scale that is not a finite number > 0 is a
+    ValueError, raised before any path is drawn.  When A = B the covariation
+    integrand's phases cancel (|e^{-i(xi, A W)}|^2 = 1), so every path gives
+    the same time sum: the covariation route then carries no Monte-Carlo
+    error, and cov_stderr is roundoff; it differs from the spectral value by
+    the time-quadrature bias alone.  Each block's increments come from one
+    Philox generator reset to each path's key (path_stream's draws) and are
+    held (P, steps, n); the
     kernel contracts one phase table per step over the band and keeps no
     per-mode state.
 
@@ -404,6 +402,8 @@ def brownian_pairing(f: SampledField, g: SampledField, A, B, Kmat,
     _check_n_paths(n_paths)
     _check_seed(seed)
     _check_integer("steps", steps, 2)
+    if not (isinstance(var_scale, numbers.Real) and 0.0 < var_scale < np.inf):
+        raise ValueError(f"var_scale = {var_scale!r} is not a finite number > 0")
 
     n = A.shape[1]
     fhat, ghat, band, neg, zA, zB = _band(f, g, A, B)

@@ -203,11 +203,14 @@ def symbol_stable(alpha: float, xi):
     limit -(4 ln2/pi) i xi e^{-2|xi|}.  The overall sign is fixed by the
     construction itself (gamma-function arithmetic, quadrature, and the
     Monte-Carlo pairing all agree); published displays of this formula
-    differ by a factor -sgn(xi).
+    differ by a factor -sgn(xi).  xi is a 0-d point, values (K,) or rows
+    (K, 1); any other shape is a ShapeMismatch naming xi.
     """
     if not 0.0 < alpha < 2.0:
         raise AlphaOutOfRange(f"alpha must lie in (0, 2), got {alpha}")
     x = np.asarray(xi, dtype=float)
+    if x.ndim > 2 or (x.ndim == 2 and x.shape[1] != 1):
+        raise ShapeMismatch(f"xi must be a point, values (K,) or rows (K, 1), got shape {x.shape}")
     scalar = x.ndim == 0
     x = np.atleast_1d(x).ravel()
     if alpha == 1.0:
@@ -268,7 +271,8 @@ class SymbolSpec:
               gaussian_limit | stable | preset
 
     SymbolSpecError names an unknown variant or preset, a preset axis (j; k for
-    riesz) that is not a whole number in [0, d), and a stable symbol given d != 1.
+    riesz) that is not a whole number in [0, d), a var_scale that is not a
+    finite number > 0, and a stable symbol given d != 1.
     """
 
     variant: str
@@ -287,6 +291,8 @@ class SymbolSpec:
 
     def __post_init__(self):
         v, d = self.variant, self.dim   # dim names an unknown variant
+        if not (isinstance(self.var_scale, numbers.Real) and 0.0 < self.var_scale < math.inf):
+            raise SymbolSpecError(f"var_scale = {self.var_scale!r} is not a finite number > 0")
         for name in ("u", "var_scale", "alpha"):
             object.__setattr__(self, name, float(getattr(self, name)))
         if v == "stable" and self.d not in (None, 1):

@@ -6,6 +6,7 @@ import re
 import struct
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -246,6 +247,7 @@ def test_config_negative_radial_coeff_named():
     ("paths", 0), ("paths", 1), ("paths", 2.5), ("steps", 1), ("steps", 3), ("steps", 2.5),
     ("seed", -1), ("seed", 1.5), ("seed", 2**64),
     ("u_scale", "x"), ("u_scale", 0.0), ("u_scale", float("nan")),
+    ("var_scale", "abc"), ("var_scale", -0.5), ("var_scale", 0.0), ("var_scale", float("nan")),
 ])
 def test_config_bad_probe_params_named(key, value):
     bad = json.loads(STABLE_CONFIG)
@@ -265,6 +267,22 @@ def test_cli_probe_p_one_is_a_named_config_error(tmp_path):
     last = json.loads(res.stdout.strip().split("\n")[-1])
     assert last["status"] == "error" and last["code"] == "ConfigValidationError"
     assert "params.p" in last["message"] and "Traceback" not in res.stderr
+
+
+def test_cli_gaussian_mc_bad_var_scale_is_a_named_config_error(tmp_path):
+    # "abc" used to end `levymult gaussian-mc` in a ValueError traceback, and
+    # -0.5 in a SymbolBoundViolation saying the symbol is not finite
+    cfg = json.loads((Path(__file__).parent.parent / "configs/gaussian_mc.json").read_text())
+    for value in ("abc", -0.5):
+        cfg["params"]["var_scale"] = value
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        res = _run_cli(["gaussian-mc", "--config", str(path), "--out", "gmc"], tmp_path)
+        assert res.returncode == 2, res.stdout + res.stderr
+        last = json.loads(res.stdout.strip().split("\n")[-1])
+        assert last["status"] == "error" and last["code"] == "ConfigValidationError"
+        assert last["message"] == f"params.var_scale = {value!r} is not a finite number > 0"
+        assert "Traceback" not in res.stderr
 
 
 def test_cli_paths_override_is_checked_like_the_config(tmp_path, stable_cfg_file):
@@ -539,6 +557,25 @@ def test_cli_pair_and_apply(tmp_path, stable_cfg_file):
     assert res.returncode == 0, res.stdout + res.stderr
     text = (tmp_path / "pr/pairing.csv").read_text()
     assert text.startswith("route,re,im")
+
+
+def test_check_registry_times_each_body_against_its_limit(monkeypatch):
+    # registered on a fresh list, so the ten criteria stay as they are
+    from levymult import checks
+    monkeypatch.setattr(checks, "CRITERIA", [])
+
+    def body(divisor, seed):
+        time.sleep(0.05)
+        return True, "slept"
+
+    slow = checks._criterion(11, "slow", limit=0.01)(body)
+    free = checks._criterion(12, "unlimited")(body)
+    assert checks.CRITERIA == [slow, free]
+    record = slow()
+    assert not record.passed and record.seconds >= 0.05
+    assert record.line == f"[FAIL] criterion 11: slept ({record.seconds:.1f}s)"
+    assert free().passed
+    assert re.fullmatch(r"\[PASS\] criterion 12: slept \(\d+\.\ds\)", free().line)
 
 
 def test_selftest_suite_all_green(tmp_path, stable_cfg_file):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from levymult import AtomsMeasure, Modulator, gaussian_bump, make_data, table_mod
+from levymult import AtomsMeasure, Modulator, gaussian_bump, make_data, psi, table_mod
 from levymult import kernels, mc
 from levymult.kernels import brownian_accumulate, lattice_axes, lattice_buffers, lattice_phases
 from levymult.mc import check_subordination, run_cpp_paths
@@ -30,6 +30,11 @@ def _compensator_model(case):
         # WB = -psiB - i cdB vanishes at xi = 0 and, for the atom at 1, at xi = 2 pi (k = 40)
         return (make_data(AtomsMeasure([[1.0]], [1.0]), A=[[1.0]], B=[[1.0]]),
                 Modulator(phi=table_mod([0.6 - 0.3j])))
+    if case == "2d-jumps":
+        # atoms outside, on and inside the unit ball of a two-dimensional jump space, and drift
+        return (make_data(AtomsMeasure([[1.0, 0.0], [-0.8, 1.2], [0.3, -0.4]], [0.8, 0.6, 0.5]),
+                          gamma=[0.2, -0.1], A=[[1.0, 0.0]], B=[[0.3, 1.0]], d=1, n=2),
+                Modulator(phi=table_mod([0.9, -0.6j, 0.3 + 0.4j])))
     # net drift h != 0 (the atom inside the unit ball and gamma), so cdA, cdB != 0
     return (make_data(AtomsMeasure([[1.0], [-2.0], [0.5]], [0.7, 0.3, 0.4]), gamma=[0.3],
                       A=[[1.0]], B=[[-0.8]]),
@@ -49,7 +54,12 @@ def _compensator_gap(monkeypatch, case):
         band, blocks = mc._cpp_blocks(f, g, data, mod, 2, 1)
         next(blocks)
     setup = seen[0]
-    psiB, cdB = setup[5], setup[9]
+    nu = data.nu
+    # the exponents are psi's own values, and the compensator's atom sum is
+    # formed in the kernel from the masses (argument 13) and its jump table
+    psiA, psiB, zA, zB, _, cdB, weights = setup[4:11]
+    assert np.array_equal(psiA, psi(data, -zA)) and np.array_equal(psiB, psi(data, -zB))
+    assert weights is nu.weights
     xi = g.xi[band][:, 0]
     if case == "unit-atom":
         zero = np.isin(np.round(xi / (2.0 * np.pi), 12), [-1.0, 0.0, 1.0])
@@ -57,7 +67,6 @@ def _compensator_gap(monkeypatch, case):
         assert np.all(np.abs(psiB[zero] + 1j * cdB[zero]) < 1e-12)
     else:
         assert np.all(cdB[xi != 0.0] != 0.0)
-    nu = data.nu
     # no jumps; jumps 1e-12 apart; jumps at the ends of (0, 1]; sampled paths
     paths = [(np.zeros(0), np.zeros(0, dtype=np.int64)),
              (np.array([0.3, 0.3 + 1e-12, 0.8]), np.array([0, nu.weights.size - 1, 0])),
@@ -77,10 +86,13 @@ def _compensator_gap(monkeypatch, case):
     return np.max(np.abs(got - want)) / np.max(np.abs(want))
 
 
-@pytest.mark.parametrize("case", ["unit-atom", "drifted"])
+@pytest.mark.parametrize("case", ["unit-atom", "drifted", "2d-jumps"])
 def test_compensator_matches_quadrature_trace(monkeypatch, case):
     """The telescoped compensator, (EB(v) - EB(a)) / WB off the modes with
-    |WB| < W_CUT and dt q(dt WB) on them, against the per-interval oracle."""
+    |WB| < W_CUT and dt q(dt WB) on them, against the per-interval oracle.
+    The oracle integrates nu itself, so the case also checks the kernel's
+    atom sum w @ jumpB: on 2d-jumps the first mass scaled by 1 + 1e-6 in the
+    kernel alone moves the gap from 1.4e-15 to 2.7e-7."""
     assert _compensator_gap(monkeypatch, case) <= 1e-12
 
 

@@ -373,7 +373,7 @@ def test_reference_pairings_use_the_fields_grid():
 
 
 def test_criterion_6_gate_catches_scaled_compensator(monkeypatch):
-    """Planted fault for criterion 6: the compensator atom sum S scaled by 1.1.
+    """Planted fault for criterion 6: the compensator atom sum scaled by 1.1.
 
     Criterion 6's two-atom A = -B model at 20,000 paths on 512 points, seed
     405: the planted run lands 7.9 sigma off the spectral value and 5.4
@@ -388,30 +388,13 @@ def test_criterion_6_gate_catches_scaled_compensator(monkeypatch):
     assert est.agrees_with(ref, 3.0) and est.routes_agree(3.0)
 
     kernel = mc.cpp_pair_coeffs
-    # S is the kernel's fourteenth argument, before neg and at
+    # the atom masses are the kernel's fourteenth argument, before neg and at;
+    # the compensator's atom sum is linear in them, so this scales it by 1.1
     monkeypatch.setattr(mc, "cpp_pair_coeffs",
                         lambda *a: kernel(*a[:13], 1.1 * a[13], *a[14:]))
     est = estimate_pairing(f, g, data, mod, 20000, 405)
     assert not est.agrees_with(ref, 3.0)
     assert not est.routes_agree(3.0)
-
-
-def test_compensator_atom_sum_matches_direct_sum(monkeypatch):
-    # atoms outside, on and inside the unit ball of a two-dimensional jump space
-    data = make_data(AtomsMeasure([[1.0, 0.0], [-0.8, 1.2], [0.3, -0.4]], [0.8, 0.6, 0.5]),
-                     gamma=[0.2, -0.1], A=[[1.0, 0.0]], B=[[0.3, 1.0]], d=1, n=2)
-    phi = np.array([0.9, -0.6j, 0.3 + 0.4j])
-    seen = []
-    kernel = mc.cpp_pair_coeffs
-    monkeypatch.setattr(mc, "cpp_pair_coeffs", lambda *a: seen.append(a) or kernel(*a))
-    f = gaussian_bump(40.0, 512, 1, center=[0.5], width=0.9)
-    g = gaussian_bump(40.0, 512, 1, center=[-0.3], width=1.1)
-    estimate_pairing(f, g, data, Modulator(phi=table_mod(phi)), 4, 1)
-    psiA, psiB, zA, zB, _, _, S = seen[0][7:14]
-    # S_k = sum_m phi_m w_m (e^{-i(zB_k, z_m)} - 1)
-    want = ((np.exp(-1j * zB @ data.nu.atoms.T) - 1.0) * (phi * data.nu.weights)).sum(axis=1)
-    assert np.max(np.abs(S - want)) <= 1e-14 * np.max(np.abs(want))
-    assert np.array_equal(psiA, psi(data, -zA)) and np.array_equal(psiB, psi(data, -zB))
 
 
 def test_pair_and_cov_do_not_alias_on_a_wide_band(monkeypatch):
@@ -643,6 +626,15 @@ def test_brownian_bad_steps_named(bump_f, bump_g):
                              richardson=richardson)
     assert brownian_pairing(bump_f, bump_g, [[1.0]], [[1.0]], [[1.0]], 10, 5, 1,
                             richardson=False).steps == 5
+
+
+def test_brownian_bad_var_scale_named_before_sampling(monkeypatch, bump_f, bump_g):
+    # a NaN var_scale used to give a NaN estimate and raise nothing
+    monkeypatch.setattr(mc, "_path_streams", lambda *a: pytest.fail("sampled a path"))
+    for var_scale in (float("nan"), -0.5, 0.0, float("inf"), "abc"):
+        with pytest.raises(ValueError, match=f"var_scale = {var_scale!r} is not a finite"):
+            brownian_pairing(bump_f, bump_g, [[1.0]], [[1.0]], [[1.0]], 10, 4, 1,
+                             var_scale=var_scale)
 
 
 def test_criterion_9_gate_catches_scaled_brownian_increments(monkeypatch):

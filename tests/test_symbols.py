@@ -391,6 +391,18 @@ def test_symbol_stable_alpha_range():
         symbol_stable(2.0, 1.0)
 
 
+def test_symbol_stable_names_xi_of_any_other_shape():
+    # [[0.5, 7.0]] used to give two values, and a (2, 1, 1) array two as well
+    for xi in ([[0.5, 7.0]], np.ones((2, 1, 1)), np.ones((3, 0))):
+        with pytest.raises(ShapeMismatch, match="xi must be a point"):
+            symbol_stable(0.5, xi)
+    x = np.array([-1.3, 0.0, 0.4, 2.5])
+    vals = symbol_stable(0.5, x)
+    assert vals.shape == (4,) and np.array_equal(symbol_stable(0.5, x[:, None]), vals)
+    assert symbol_stable(0.5, x[1:2]).shape == (1,)
+    assert symbol_stable(0.5, 2.5) == vals[3] and isinstance(symbol_stable(0.5, 2.5), complex)
+
+
 def test_preset_log_symbol_values():
     assert preset_log_symbol(0, 2, [1.0, 1.0]) == pytest.approx(0.5, abs=1e-15)
     assert preset_log_symbol(0, 2, [1.0, 2.0]) == \
@@ -407,6 +419,14 @@ def test_preset_log_symbol_values():
     (lambda: SymbolSpec(variant="preset", preset="riesz", d=3, k=1.5), SymbolSpecError,
      "k = 1.5 "),
     (lambda: SymbolSpec(variant="stable", d=2), SymbolSpecError, "one-dimensional"),
+    (lambda: SymbolSpec(variant="gaussian", A=[[1.0]], B=[[1.0]], K=[[1.0]], var_scale=-0.5),
+     SymbolSpecError, "var_scale = -0.5 is not a finite number > 0"),
+    (lambda: SymbolSpec(variant="gaussian", A=[[1.0]], B=[[1.0]], K=[[1.0]], var_scale=np.nan),
+     SymbolSpecError, "var_scale = nan "),
+    (lambda: SymbolSpec(variant="gaussian", A=[[1.0]], B=[[1.0]], K=[[1.0]], var_scale="abc"),
+     SymbolSpecError, "var_scale = 'abc' "),
+    (lambda: SymbolSpec(variant="q_form", data=make_data(AtomsMeasure([[1.0]], [1.0])),
+                        var_scale=0.0), SymbolSpecError, "var_scale = 0.0 "),
     (lambda: riesz_matrix(0, 1, 1), SymbolSpecError, "k = 1 "),
     (lambda: preset_log_symbol(2, 2, [1.0, 1.0]), SymbolSpecError, "j = 2 "),
     (lambda: evaluate_grid(SymbolSpec(variant="preset", preset="riesz", d=4)), GridMismatch,
