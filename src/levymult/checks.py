@@ -203,7 +203,9 @@ def criterion_5_norm_bound_probing(divisor, seed):
 def criterion_6_mc_spectral_pairing(divisor, seed):
     """MC pairing matches the spectral pairing within 3 joint standard
     errors on the full configuration matrix; 2e5 paths at divisor 1, the
-    k-th configuration at seed + k."""
+    k-th configuration at seed + k.  Its 28 three-sigma comparisons (7 models,
+    2 gates, 2 components) make a measured false-alarm rate of 4 in 100 seeds
+    at divisor 50 (seeds 5000, 5010, ..., 5990; 95 % interval about 1-10 %)."""
     f = gaussian_bump(40.0, 1024, 1, center=[0.5], width=0.9)
     g = gaussian_bump(40.0, 1024, 1, center=[-0.3], width=1.1)
     lines, ok = [], True

@@ -16,6 +16,12 @@ EA_k(t) = e^{(1-t) psiA_k - i t cdA_k} = e^{psiA_k + t WA_k}, WA_k = -psiA_k - i
 m, so they, and fhat (e^{-i(zA_k,z_m)} - 1), ghat (e^{-i(zB_k,z_m)} - 1) phi_m,
 are (atoms, modes) tables whose rows are gathered by mark.  No per-jump
 row leaves the kernel: it sums each jump's sum_k dF_i[k] dG_i[-k] into its path.
+Each jump row's band factor EA_k(v_i) (EB alike) takes no complex exponential:
+with x = (1 - v) Re psiA_k and y = Im psiA_k + v Im WA_k it is
+e^x (1 + (cos y - 1)) + i e^x sin y, from one tangent and one real
+exponential (levy._cexp), which numpy vectorises where its complex exp is a
+scalar loop.  The paths' running state and every step's rows live in work
+arrays allocated once per call, which each step overwrites in place.
 
 Between jumps the phase e^{-i(zB_k, y - h t)} is fixed, and the compensator
 integrand is ghat_k S_k times it times EB_k(t), the atom sum ghat_k S_k being
@@ -66,6 +72,7 @@ Monte-Carlo standard error is roundoff.
 
 import numpy as np
 
+from .levy import _cexp
 from .symbols import q_func
 
 W_CUT = 0.1   # modes with |WB| below this integrate the compensator by q_func
@@ -80,8 +87,10 @@ def cpp_pair_coeffs(times, marks, offsets, zatoms, phi_atoms,
     and cov, the sum over its jumps of sum_k dF_i[k] dG_i[neg k]; points, given the
     band phases at of a point (K,) or points (K, M), the (2, P, most jumps) +
     at.shape[1:] values dF_i @ at, dG_i @ at with zeros after a path's last jump
-    (else None).  Paths run ordered by jump count, most first: those jumping at step j lead."""
-    P = offsets.size - 1
+    (else None).  Paths run ordered by jump count, most first: those jumping at step j lead.
+    Each jump row's EA(v), EB(v) come from levy._cexp, with no complex exp (the atom
+    tables and the end pass, cF1 among it, keep numpy's), into rows reused by every step."""
+    P, K = offsets.size - 1, fhat.size
     counts = np.diff(offsets)
     order = np.argsort(-counts, kind="stable")
     first = offsets[:-1][order]
@@ -98,20 +107,32 @@ def cpp_pair_coeffs(times, marks, offsets, zatoms, phi_atoms,
     small = np.flatnonzero(~big)
     gS_W = np.divide(gS, WB, out=np.zeros_like(gS), where=big)
 
-    def compensator(left, right, dt):
+    def compensator(left, right, dt, out):
         """ghat S times the integral of EB times the phase over an interval,
         from the interval's ends left = EB(a) phase, right = EB(v) phase."""
-        out = gS_W * (right - left)
+        np.multiply(gS_W, np.subtract(right, left, out=out), out=out)
         if small.size:
             out[:, small] = gS[small] * left[:, small] * dt * q_func(dt * WB[small])
         return out
 
-    cG1 = np.zeros((P, fhat.size), dtype=complex)
+    # work arrays allocated once per call hold the paths' state and each step's
+    # rows, so the steps reuse their pages instead of allocating (P, K) temporaries
+    work = np.empty((9, P, K), dtype=complex)
+    cG1, phA, phB, left = work[:4]
+    cG1[:], phA[:], phB[:] = 0.0, 1.0, 1.0
+    left[:] = np.exp(psiB)                          # EB(a) phB at the interval's left end a
+    parts = np.empty((2, P, K))                     # real x, y of e^{x + iy}
+
+    def band_factor(psi, W, v, out):
+        """EA(v) = e^{x + iy}, x = (1 - v) Re psiA, y = Im psiA + v Im WA (EB alike)."""
+        x, y = parts[:, :v.shape[0]]
+        np.multiply(1.0 - v, psi.real, out=x)
+        np.multiply(v, W.imag, out=y)
+        y += psi.imag
+        return _cexp(x, y, out)
+
     cov = np.zeros(P, dtype=complex)
     points = None if at is None else np.zeros((2, P, most) + at.shape[1:], dtype=complex)
-    phA = np.ones((P, fhat.size), dtype=complex)
-    phB = np.ones((P, fhat.size), dtype=complex)
-    left = np.tile(np.exp(psiB), (P, 1))  # EB(a) phB at the interval's left end a
     prev = np.zeros(P)
     for j in range(most):
         n = np.count_nonzero(counts > j)
@@ -119,20 +140,34 @@ def cpp_pair_coeffs(times, marks, offsets, zatoms, phi_atoms,
         v = times[idx][:, None]
         m = marks[idx]
         pa, pb = phA[:n], phB[:n]
-        EAv = np.exp(psiA + v * WA)
-        rowA = EAv * pa                                         # EA(v) phA(v-)
-        rowB = (EAv if same else np.exp(psiB + v * WB)) * pb    # EB(v) phB(v-)
-        dF, dG = jumpA[m] * rowA, jumpB[m] * rowB
-        cov[:n] += (dF * dG[:, neg]).sum(axis=1)
+        rowA, rowB, dF, dG, tmp = work[4:9, :n]
+        band_factor(psiA, WA, v, rowA)
+        if same:
+            np.multiply(rowA, pb, out=rowB)
+        else:
+            band_factor(psiB, WB, v, rowB)
+            rowB *= pb                              # EB(v) phB(v-)
+        rowA *= pa                                  # EA(v) phA(v-)
+        np.take(jumpA, m, axis=0, out=dF, mode="clip")   # "raise" would buffer out
+        dF *= rowA
+        np.take(jumpB, m, axis=0, out=dG, mode="clip")
+        dG *= rowB
+        np.take(dG, neg, axis=1, out=tmp, mode="clip")
+        np.multiply(dF, tmp, out=tmp)
+        cov[:n] += tmp.sum(axis=1)
         if at is not None:
             points[:, order[:n], j] = dF @ at, dG @ at
-        cG1[:n] += dG - compensator(left[:n], rowB, v - prev[:n, None])
-        pa *= pjA[m]
-        pb *= pjB[m]
-        np.multiply(rowB, pjB[m], out=left[:n])
+        compensator(left[:n], rowB, v - prev[:n, None], tmp)
+        np.subtract(dG, tmp, out=tmp)
+        cG1[:n] += tmp
+        np.take(pjA, m, axis=0, out=tmp, mode="clip")
+        pa *= tmp
+        np.take(pjB, m, axis=0, out=tmp, mode="clip")
+        pb *= tmp
+        np.multiply(rowB, tmp, out=left[:n])
         prev[:n] = v[:, 0]
     endB = np.exp(-1j * cdB)                       # EB(1)
-    cG1 -= compensator(left, endB * phB, (1.0 - prev)[:, None])
+    cG1 -= compensator(left, endB * phB, (1.0 - prev)[:, None], work[4])
     back = np.argsort(order)
     cF1, cG1 = (fhat * np.exp(-1j * cdA)) * phA[back], cG1[back]
     return cF1, cG1, (cF1 * cG1[:, neg]).sum(axis=1), cov[back], points

@@ -446,6 +446,19 @@ def _expm1i_parts(D: np.ndarray):
     return C, t
 
 
+def _cexp(x: np.ndarray, y: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """e^{x + iy} for real x, y of out's shape, written into the complex out:
+    e^x (1 + (cos y - 1)) + i e^x sin y, the parts of e^{iy} - 1 from
+    _expm1i_parts.  A tangent and a real exponential are vectorised where
+    numpy's complex exp is a scalar loop."""
+    C, S = _expm1i_parts(y)
+    r = np.exp(x)
+    C += 1.0
+    np.multiply(r, C, out=out.real)
+    np.multiply(r, S, out=out.imag)
+    return out
+
+
 def _phases(Z: np.ndarray, atoms: np.ndarray) -> np.ndarray:
     """Z atoms^T.  For n = 1 it is the broadcast product Z * atoms[:, 0],
     bitwise equal and several times cheaper than a matmul with inner

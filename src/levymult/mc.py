@@ -7,11 +7,13 @@ values are sums against the point's phases.  Per block of paths the kernel
 (which forms the compensator from its own jump table and the atom masses)
 returns the endpoint coefficients, each path's two Parseval sums and, for
 the subordination check, each jump's dF, dG at its point; only the L^p
-powers of F1 are taken on the x-grid.  The Brownian engine shares the band
-set-up; its kernel returns each path's Parseval sum itself, so no band
-coefficients leave it, and its step-bias gate takes the coarse Euler level
-(steps/2, on the fine path's increments summed in pairs) inside the same
-kernel pass.  All randomness flows from one master seed through
+powers of F1 are taken on the x-grid, at every SUB_STRIDE-th point per axis,
+from one transform of the band coefficients folded onto that sub-grid
+(_subgrid_powers), so no full-grid transform is made.  The Brownian engine
+shares the band set-up; its kernel returns each path's Parseval sum itself,
+so no band coefficients leave it, and its step-bias gate takes the coarse
+Euler level (steps/2, on the fine path's increments summed in pairs) inside
+the same kernel pass.  All randomness flows from one master seed through
 counter-based per-path streams (Philox keyed by (seed, path index)), so no
 result depends on how the paths are grouped (the Brownian ones up to the
 roundoff of its band contraction), and each engine sizes its own blocks
@@ -26,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MeasureValidationError, ShapeMismatch, StepTooCoarse
+from .grids import Grid
 from .kernels import brownian_accumulate, cpp_pair_coeffs
 from .levy import (
     AtomsMeasure,
@@ -150,15 +153,24 @@ def _point_phases(f: SampledField, band, x):
 
 def _subgrid_powers(f: SampledField, band, coeffs, powers):
     """{p: integral |values|^p} per row of band coefficients, summed over every
-    SUB_STRIDE-th point of the x-grid; the powers are no trig polynomials on the band."""
+    SUB_STRIDE-th point of the x-grid per axis (the point x_0 alone on an axis
+    with N < SUB_STRIDE), each weighing L / (points per axis); the powers are
+    no trig polynomials on the band.  At x_{SUB_STRIDE l} the phase
+    e^{-i(xi_k, x)} = (-1)^k e^{-2 pi i (k, l) / M} depends on k mod M only,
+    M = max(1, N / SUB_STRIDE) per axis, so the signed coefficients fold onto
+    the M-point grid, whose own transform gives the values there."""
     if not powers:
         return {}
-    full = np.zeros((coeffs.shape[0], f.size), dtype=complex)
-    full[:, band] = coeffs
-    sl = (slice(None),) + (slice(None, None, SUB_STRIDE),) * f.d
-    mods = np.abs(values_from_coefficients(full, f)[sl])
-    axes, dV = tuple(range(1, f.d + 1)), float(np.prod(f.dx * SUB_STRIDE))
-    return {p: (mods ** p).sum(axis=axes) * dV for p in powers}
+    sub = Grid(f.d, f.L, [max(1, n // SUB_STRIDE) for n in f.N])
+    kint = f.k[band]
+    cell = np.ravel_multi_index((kint % sub.N).T, sub.N)
+    # (-1)^k, and the sub-grid's (-1)^(k mod M) that values_from_coefficients undoes
+    sign = (-1.0) ** kint.sum(axis=1) * sub.phases.ravel()[cell]
+    folded = np.zeros((coeffs.shape[0], sub.size), dtype=complex)
+    np.add.at(folded, (slice(None), cell), coeffs * sign)
+    mods = np.abs(values_from_coefficients(folded, sub))
+    axes = tuple(range(1, f.d + 1))
+    return {p: (mods ** p).sum(axis=axes) * sub.cell_volume for p in powers}
 
 
 def mean_and_se(vals: np.ndarray):
@@ -226,7 +238,8 @@ def run_cpp_paths(f: SampledField, g: SampledField, data: LevyData, mod: Modulat
 
     pair and cov are box integrals of trig polynomials on the band, the
     kernel's per-path Parseval sums times dxi/(2 pi)^d; the L^p powers are
-    sums over every SUB_STRIDE-th x-grid point.  Returns per-path arrays:
+    sums over every SUB_STRIDE-th x-grid point (_subgrid_powers).  Returns
+    per-path arrays:
       pair      integral of F1(x) G1(x) over the box
       cov       integral of sum_jumps dF(x) dG(x)  (covariation route)
       fend_pow  {p: integral |f(x + A Y1)|^p}

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -451,6 +452,27 @@ def test_tangent_parts_raise_no_flag_at_the_radial_floors():
         for alpha in (0.25, 0.5, 1.5, 1.9):
             exponents(stable_data(alpha), Modulator(phi=sign_mod()), rows)
             cross_form(stable_data(alpha), Modulator(phi=sign_mod()), rows, 0.5 * rows)
+
+
+def test_complex_exponential_from_tangent_parts_matches_exp():
+    # Re z from 0 down to -745 (results down to the smallest subnormal), |Im z| up
+    # to 1e6, where tan reduces large arguments, and Im z = 0, +-pi exactly; the
+    # error stays within a few ulp of |e^z| and a few subnormal units below the
+    # normal range (exp(x) rounds there first), and no flag but underflow is raised
+    rng = np.random.default_rng(30)
+    edge_x = np.array([0.0, -1e-300, -1e-8, -1.0, -708.4, -744.4, -745.0])
+    edge_y = np.array([0.0, np.pi, -np.pi, 0.5 * np.pi, 1e-150, 1e6, -1e6])
+    X, Y = (a.ravel() for a in np.meshgrid(edge_x, edge_y))
+    x = np.concatenate([X, -rng.uniform(0.0, 745.0, 20000), -np.geomspace(1e-12, 745.0, 2000)])
+    y = np.concatenate([Y, rng.uniform(-1e6, 1e6, 20000),
+                        np.geomspace(1e-150, 1e6, 2000) * rng.choice([-1.0, 1.0], 2000)])
+    with warnings.catch_warnings(), np.errstate(divide="raise", over="raise", invalid="raise"):
+        warnings.simplefilter("error")
+        got = levy._cexp(x, y, np.empty(x.shape, dtype=complex))
+    want = np.exp(x + 1j * y)
+    subnormal = np.nextafter(0.0, 1.0)
+    assert np.all(np.abs(got - want) <= 4 * EPS * np.abs(want) + 4 * subnormal)
+    assert got[:3].tolist() == [1.0, np.exp(-1e-300), np.exp(-1e-8)]   # Im z = 0 exactly
 
 
 def _radial_edges_loop(r_lo, r_hi, osc_rate, order, periods_per_panel=4.0):

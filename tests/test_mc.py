@@ -506,6 +506,61 @@ def test_lp_isometry_small(bump_f):
         assert abs(m - target) <= 3.5 * se + 1e-12 * target
 
 
+def _full_grid_powers(f, band, coeffs, powers):
+    """The oracle for mc._subgrid_powers: the powers of the full x-grid
+    transform at every SUB_STRIDE-th point per axis, each point weighing
+    L / (points kept per axis)."""
+    full = np.zeros((coeffs.shape[0], f.size), dtype=complex)
+    full[:, band] = coeffs
+    sl = (slice(None),) + (slice(None, None, mc.SUB_STRIDE),) * f.d
+    mods = np.abs(values_from_coefficients(full, f)[sl])
+    dV = np.prod([L / n for L, n in zip(f.L, mods.shape[1:])])
+    return {p: (mods ** p).sum(axis=tuple(range(1, f.d + 1))) * dV for p in powers}
+
+
+def _block_coeffs(f, g, data, mod, n_paths, seed):
+    band, blocks = mc._cpp_blocks(f, g, data, mod, n_paths, seed)
+    (_, _, (cF1, cG1, *_)), = blocks
+    return band, cF1, cG1
+
+
+def test_subgrid_powers_fold_matches_full_grid_slice(bump_f, bump_g):
+    powers = (1.5, 2.0, 3.0)
+    data, mod = _config()
+    band, cF1, cG1 = _block_coeffs(bump_f, bump_g, data, mod, 64, 5)   # 1-D, N = 1024
+    cases = [(bump_f, band, cF1), (bump_f, band, cG1)]
+    f2 = gaussian_bump(20.0, 32, 2, center=[0.5, -1.0], width=1.3)
+    g2 = gaussian_bump(20.0, 32, 2, center=[-0.3, 0.8], width=1.5)
+    data2 = make_data(AtomsMeasure([[1.0, 0.5], [-0.8, 1.2]], [0.8, 0.6]),
+                      A=[[1.0, 0.3], [-0.2, 0.9]], B=[[0.3, 1.0], [-1.0, 0.2]])
+    band2, cF2, cG2 = _block_coeffs(f2, g2, data2, Modulator(phi=table_mod([0.9, -0.6j])),
+                                    40, 6)
+    cases += [(f2, band2, cF2), (f2, band2, cG2)]
+    # an N = 2 axis, where the one kept point weighs L, beside an N = 16 axis
+    rng = np.random.default_rng(30)
+    f3 = SampledField(d=2, L=(3.0, 12.0), N=(2, 16), values=np.zeros((2, 16)))
+    band3 = np.arange(f3.size)
+    cases.append((f3, band3, rng.normal(size=(5, 32)) + 1j * rng.normal(size=(5, 32))))
+    for f, band, coeffs in cases:
+        assert coeffs.shape[1] == band.size > 0
+        got = mc._subgrid_powers(f, band, coeffs, powers)
+        want = _full_grid_powers(f, band, coeffs, powers)
+        for p in powers:
+            assert np.all(want[p] > 0.0)
+            assert np.abs(got[p] - want[p]).max() <= 1e-13 * want[p].max()
+
+
+@pytest.mark.parametrize("N", [2, 4, 8])
+def test_lp_powers_weigh_short_axes_by_box_length(N):
+    # a near-constant field on L = 4: the box integral of |F1|^2 is about 4 at
+    # every N, also where N < SUB_STRIDE leaves one point per axis
+    L = 4.0
+    f = SampledField(d=1, L=L, N=N, values=1.0 + 1e-3 * np.cos(2 * np.pi * np.arange(N) / N))
+    data, _ = _config()
+    stats = run_cpp_paths(f, f, data, IDENTITY_MOD, 20, 3, fend_powers=(2.0,))
+    assert np.all(np.abs(stats["fend_pow"][2.0] - L) <= 0.01 * L)
+
+
 def test_within_sigmas_roundoff_floor():
     assert within_sigmas(1e-17 + 1.0j, 0.0 + 0.01j, 0.0 + 1.001j)
     assert not within_sigmas(0.1 + 1.0j, 0.001 + 0.01j, 0.0 + 1.0j)
